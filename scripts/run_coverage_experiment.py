@@ -3,7 +3,7 @@
 
 Seeds the squared-cost instance, records per-trial coverage and cost
 ratios, and writes trials.csv plus text/CSV summaries under results/.
-Large k (>= 1000, where the closed-form coverage bound becomes
+Large k (>= 1939, where the closed-form coverage bound becomes
 non-vacuous) works too, just slower; k=200 keeps a laptop run short while
 the qualitative behavior (coverage bounded well away from k, ratio floor
 respected) is already stable.

@@ -52,7 +52,7 @@ def biased_tail_bound(k: int) -> float:
 
 def high_coverage_bound(k: int) -> float:
     """2 * sqrt(k) * 2**(-k/300): probability that seeding covers more than
-    0.999k clusters (meaningful once it drops below 1, around k ~ 900)."""
+    0.999k clusters (meaningful once it drops below 1, from k = 1939 on)."""
     _check_k(k)
     return 2.0 * math.sqrt(k) * 2.0 ** (-k / 300.0)
 

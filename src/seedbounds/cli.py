@@ -49,7 +49,7 @@ def _cmd_seed(args) -> int:
     cfg = ExperimentConfig(
         variant=args.variant, k=args.k, m=args.m, r=args.r,
         trials=args.trials, master_seed=args.seed, alpha=args.alpha,
-        beta=args.beta, eta=args.eta, workers=args.workers, out=args.out)
+        beta=args.beta, eta=args.eta, workers=args.workers)
     records = run_experiment(cfg)
     write_trials_csv(records, cfg, args.out)
     return 0
@@ -107,9 +107,26 @@ def _cmd_ballgame(args) -> int:
     return 0
 
 
+def _header_param(args, meta: dict, name: str) -> float:
+    """A report parameter: the trials.csv header's value, else the flag's,
+    else the experiment default; a flag that contradicts the header fails."""
+    flag = getattr(args, name)
+    if name not in meta:
+        return getattr(ExperimentConfig, name) if flag is None else flag
+    try:
+        value = float(meta[name])
+    except ValueError:
+        raise ConfigError(f"trials.csv header has {name}={meta[name]!r}") from None
+    if flag is not None and _fmt(flag) != _fmt(value):
+        raise ConfigError(f"--{name} {_fmt(flag)} conflicts with the trials.csv"
+                          f" header's {name}={meta[name]}")
+    return value
+
+
 def _cmd_report(args) -> int:
-    records, _ = read_trials_csv(args.input)
-    summary = summarize(records, eta=args.eta, alpha=args.alpha, beta=args.beta)
+    records, meta = read_trials_csv(args.input)
+    summary = summarize(records, **{name: _header_param(args, meta, name)
+                                    for name in ("eta", "alpha", "beta")})
     doc = report(summary, fmt=args.format)
     if args.out is None:
         sys.stdout.write(doc)
@@ -164,9 +181,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="summarize a trials.csv")
     p.add_argument("input")
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.add_argument("--eta", type=float, default=0.999)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--beta", type=float, default=0.1)
+    # default to the trials.csv header's values
+    p.add_argument("--eta", type=float)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_report)
 

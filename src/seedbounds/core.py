@@ -24,7 +24,6 @@ __all__ = [
     "BOTTOM",
     "WeightedLocation",
     "Instance",
-    "CenterSet",
     "dist_pow",
     "cost",
     "coverage",
@@ -42,7 +41,9 @@ _SENT = -(1 << 40)
 # the double range contributes exactly nothing to a sum.
 _MIN_SHIFT = -1100
 
-CenterSet = Sequence[int]
+# Seeding reads weighted rows from the cached (2k, 2k) matrix up to this many
+# entries and computes them per pick above (identical arithmetic either way).
+_MATRIX_MAX_ENTRIES = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +227,19 @@ class Instance:
             self._wd_cache[ell] = _ext_mul(dm, de, self._w_m, self._w_e)
         return self._wd_cache[ell]
 
+    def weighted_row_source(self, ell: int):
+        """``rows(idxs)`` -> (mantissa, exponent) of weight_i * dist(idxs[t], i)**ell.
+
+        Up to ``_MATRIX_MAX_ENTRIES`` entries the rows come from the cached
+        :meth:`weighted_distpow` matrix, built here so that callers allocate
+        their own work arrays after it; larger instances compute them from
+        :meth:`distpow_rows` on each call.
+        """
+        if self.n_locations ** 2 <= _MATRIX_MAX_ENTRIES:
+            wm, we = self.weighted_distpow(ell)
+            return lambda idxs: (wm[idxs], we[idxs])
+        return lambda idxs: _ext_mul(*self.distpow_rows(idxs, ell), self._w_m, self._w_e)
+
 
 def scaled_weighted_matrix(inst: Instance, ell: int):
     """The weighted distance-power matrix flattened to plain floats.
@@ -259,7 +273,7 @@ def dist_pow(p: WeightedLocation, q: WeightedLocation, ell: int) -> ExtScalar:
     return ExtScalar(float(m2[0]), int(e2[0]))
 
 
-def _validated_centers(inst: Instance, centers: CenterSet) -> np.ndarray:
+def _validated_centers(inst: Instance, centers: Sequence[int]) -> np.ndarray:
     idx = np.asarray(tuple(centers), dtype=np.int64)
     if idx.ndim != 1:
         raise ValueError("center set must be a flat index sequence")
@@ -270,7 +284,7 @@ def _validated_centers(inst: Instance, centers: CenterSet) -> np.ndarray:
     return idx
 
 
-def cost(inst: Instance, centers: CenterSet) -> ExtScalar:
+def cost(inst: Instance, centers: Sequence[int]) -> ExtScalar:
     """Sum over locations of weight * (min distance to a center)**ell.
 
     A location that is itself a center contributes exactly zero.
@@ -285,7 +299,7 @@ def cost(inst: Instance, centers: CenterSet) -> ExtScalar:
     return ExtScalar(float(prefix[-1]), int(E))
 
 
-def coverage(inst: Instance, centers: CenterSet):
+def coverage(inst: Instance, centers: Sequence[int]):
     """(number of covered clusters, per-cluster covered flags).
 
     Cluster j is covered iff some center location belongs to it.

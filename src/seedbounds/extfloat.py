@@ -55,10 +55,6 @@ class ExtScalar:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_float(cls, x: float) -> "ExtScalar":
-        return cls(x, 0)
-
-    @classmethod
     def from_int(cls, v: int) -> "ExtScalar":
         """Exact-to-53-bits conversion of a nonnegative Python int."""
         if v < 0:

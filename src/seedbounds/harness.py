@@ -3,10 +3,10 @@
 ``run_experiment`` executes independent seeding trials (optionally across
 worker processes) and returns per-trial records; for a fixed master seed
 the records are identical whatever the worker count, because every trial's
-randomness is a pure function of (master_seed, trial_index) and trials are
-partitioned on a fixed grid.  ``summarize``/``report`` turn records into a
-byte-stable text or CSV document comparing empirical tails against the
-closed-form bounds.
+randomness is a pure function of (master_seed, trial_index) and workers
+split the trials on the fixed :func:`rng.trial_chunks` grid.
+``summarize``/``report`` turn records into a byte-stable text or CSV
+document comparing empirical tails against the closed-form bounds.
 """
 
 from __future__ import annotations
@@ -38,15 +38,13 @@ __all__ = [
 
 QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 
-# Fixed trial-partition grid; independent of the worker count so that
-# chunked execution cannot influence results.
-_BLOCK_ELEMS = 1 << 21
-
 TRIAL_COLUMNS = (
     "trial_index", "k", "variant", "ell", "coverage_count",
     "coverage_fraction", "final_cost", "ratio_discrete",
     "ratio_continuous", "early_miss",
 )
+
+_VERSION_LINE = "# seedbounds trials v1"
 
 
 def _fmt(x: float) -> str:
@@ -66,7 +64,6 @@ class ExperimentConfig:
     beta: float = 0.1
     eta: float = 0.999
     workers: int = 1
-    out: str | None = None
 
     def resolved_ell(self) -> int:
         if self.ell is not None:
@@ -120,26 +117,28 @@ def _instance_for(cfg: ExperimentConfig):
     return gen(cfg.k, cfg.m, cfg.r)
 
 
-def _run_block(cfg: ExperimentConfig, first_trial: int, trials: int) -> TrialArrays:
-    inst = _instance_for(cfg)
-    return run_trials(inst, trials, cfg.master_seed, n_centers=cfg.k,
+def _run_block(cfg: ExperimentConfig, lo: int, hi: int, inst=None) -> TrialArrays:
+    """Trials lo..hi-1.  A worker process passes no instance and rebuilds it
+    from cfg, since an Instance does not pickle."""
+    if inst is None:
+        inst = _instance_for(cfg)
+    return run_trials(inst, hi - lo, cfg.master_seed, n_centers=cfg.k,
                       ell=cfg.resolved_ell(), alpha=cfg.alpha, beta=cfg.beta,
-                      first_trial=first_trial)
+                      first_trial=lo)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
-    """Run cfg.trials independent seeding trials; records sorted by trial index."""
+    """Run cfg.trials independent seeding trials; records in trial-index order."""
     cfg.validate()
-    block = max(1, _BLOCK_ELEMS // (2 * cfg.k))
-    blocks = [(lo, min(block, cfg.trials - lo)) for lo in range(0, cfg.trials, block)]
-    if cfg.workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(_run_block, [cfg] * len(blocks),
-                                  [b[0] for b in blocks], [b[1] for b in blocks]))
-    else:
-        parts = [_run_block(cfg, lo, n) for lo, n in blocks]
-
     inst = _instance_for(cfg)
+    chunks = list(rng.trial_chunks(0, cfg.trials, 2 * cfg.k))
+    if cfg.workers > 1 and len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            parts = list(pool.map(_run_block, [cfg] * len(chunks),
+                                  *zip(*chunks)))
+    else:
+        parts = [_run_block(cfg, 0, cfg.trials, inst)]
+
     opt = reference_costs(inst)
     ell = cfg.resolved_ell()
     records = []
@@ -158,7 +157,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
                 ratio_continuous=final.ratio(opt.continuous),
                 early_miss=bool(part.early_miss[i]),
             ))
-    records.sort(key=lambda rec: rec.trial_index)
     return records
 
 
@@ -168,7 +166,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
 
 def write_trials_csv(records: list[TrialRecord], cfg: ExperimentConfig, path) -> None:
     lines = [
-        "# seedbounds trials v1",
+        _VERSION_LINE,
         f"# config {cfg.echo()}",
         f"# rng {rng.ALGORITHM}",
         ",".join(TRIAL_COLUMNS),
@@ -191,15 +189,21 @@ def write_trials_csv(records: list[TrialRecord], cfg: ExperimentConfig, path) ->
 
 
 def read_trials_csv(path):
-    """Returns (records, metadata dict parsed from the comment header)."""
+    """Returns (records, metadata dict parsed from the comment header).
+
+    Raises ConfigError unless the file opens with the version line, names
+    ``rng.ALGORITHM``, has only rows whose k, variant and ell match the
+    header config, and repeats no trial index.
+    """
     meta: dict[str, str] = {}
     records: list[TrialRecord] = []
+    seen: set[int] = set()
     with open(path, newline="") as fh:
+        lines = (line for line in (raw.rstrip("\n") for raw in fh) if line)
+        if next(lines, None) != _VERSION_LINE:
+            raise ConfigError(f"{path} does not start with {_VERSION_LINE!r}")
         header = None
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
+        for line in lines:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("config "):
@@ -213,20 +217,34 @@ def read_trials_csv(path):
                 header = tuple(line.split(","))
                 if header != TRIAL_COLUMNS:
                     raise ConfigError(f"unexpected trials.csv columns: {header}")
+                if meta.get("rng") != rng.ALGORITHM:
+                    raise ConfigError(f"{path} names rng {meta.get('rng')!r},"
+                                      f" not {rng.ALGORITHM!r}")
+                config = [meta.get("k"), meta.get("variant"), meta.get("ell")]
                 continue
             f = line.split(",")
-            records.append(TrialRecord(
-                trial_index=int(f[0]),
-                k=int(f[1]),
-                variant=f[2],
-                ell=int(f[3]),
-                coverage_count=int(f[4]),
-                coverage_fraction=float(f[5]),
-                final_cost=ExtScalar.parse(f[6]),
-                ratio_discrete=float(f[7]),
-                ratio_continuous=float(f[8]),
-                early_miss=f[9] == "1",
-            ))
+            if f[1:4] != config:
+                raise ConfigError(f"{path}: row {line!r} does not match the header's"
+                                  f" k={config[0]} variant={config[1]} ell={config[2]}")
+            try:
+                rec = TrialRecord(
+                    trial_index=int(f[0]),
+                    k=int(f[1]),
+                    variant=f[2],
+                    ell=int(f[3]),
+                    coverage_count=int(f[4]),
+                    coverage_fraction=float(f[5]),
+                    final_cost=ExtScalar.parse(f[6]),
+                    ratio_discrete=float(f[7]),
+                    ratio_continuous=float(f[8]),
+                    early_miss=f[9] == "1",
+                )
+            except (ValueError, IndexError) as exc:
+                raise ConfigError(f"{path}: malformed row {line!r}") from exc
+            if rec.trial_index in seen:
+                raise ConfigError(f"{path}: trial index {rec.trial_index} repeats")
+            seen.add(rec.trial_index)
+            records.append(rec)
     if header is None:
         raise ConfigError(f"{path} contains no trial rows")
     return records, meta
@@ -314,9 +332,12 @@ def summarize(records: list[TrialRecord], eta: float = 0.999,
     """Aggregate records (sorted first, so aggregation is order-independent)."""
     if not records:
         raise ConfigError("summarize needs at least one record")
+    kinds = {(rec.k, rec.variant, rec.ell) for rec in records}
+    if len(kinds) > 1:
+        raise ConfigError(f"records mix (k, variant, ell) values: {sorted(kinds)}")
+    (k, variant, ell), = kinds
     records = sorted(records, key=lambda rec: rec.trial_index)
     n = len(records)
-    k = records[0].k
     cov_frac = np.array([rec.coverage_fraction for rec in records])
     ratio_d = np.array([rec.ratio_discrete for rec in records])
     ratio_c = np.array([rec.ratio_continuous for rec in records])
@@ -343,8 +364,8 @@ def summarize(records: list[TrialRecord], eta: float = 0.999,
     return SummaryStats(
         n_trials=n,
         k=k,
-        variant=records[0].variant,
-        ell=records[0].ell,
+        variant=variant,
+        ell=ell,
         eta=eta,
         alpha=alpha,
         beta=beta,

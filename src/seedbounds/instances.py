@@ -48,8 +48,8 @@ def _check_params(k: int, m: float, r: float) -> None:
 
 
 def _bar_locations(k: int, m: float, r: float, weight_halving: int):
-    ext_r = ExtScalar.from_float(r)
-    ext_m = ExtScalar.from_float(m)
+    ext_r = ExtScalar(r)
+    ext_m = ExtScalar(m)
     locs = []
     for i in range(1, k + 1):
         x = ExtScalar.from_int((1 << i) - 2) * ext_r
@@ -80,8 +80,8 @@ def reference_costs(inst: Instance) -> OptimalCosts:
     bar's segment, its ends included, is a 1-median of the two ends.
     """
     ext_k = ExtScalar.from_int(inst.k)
-    ext_m = ExtScalar.from_float(inst.m)
-    ext_r = ExtScalar.from_float(inst.r)
+    ext_m = ExtScalar(inst.m)
+    ext_r = ExtScalar(inst.r)
     if inst.variant == "kmeans":
         discrete = ext_k * ext_m * ext_r * ext_r
         continuous = discrete.shifted(-1)

@@ -30,6 +30,10 @@ _SH31 = np.uint64(31)
 _SH11 = np.uint64(11)
 _TO_UNIT = 2.0 ** -53
 
+# The one chunking constant: a chunk of any batched trial loop holds at most
+# this many elements of its (trials, row_elems) work array.
+CHUNK_ELEMS = 1 << 21
+
 
 def mix64(z: int) -> int:
     """Scalar SplitMix64 finalizer on Python ints (reference path)."""
@@ -47,6 +51,19 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
 
 def stream_base(seed: int, trial_index: int) -> int:
     return mix64((mix64(seed ^ GAMMA) + trial_index) & _MASK)
+
+
+def trial_chunks(first: int, count: int, row_elems: int):
+    """Yield ``(lo, hi)`` ranges covering trials ``first .. first + count - 1``.
+
+    Each range holds ``max(1, CHUNK_ELEMS // row_elems)`` trials, the last
+    one possibly fewer.  Every trial has its own substream, so the grid
+    bounds memory only and never changes a result.
+    """
+    step = max(1, CHUNK_ELEMS // row_elems)
+    end = first + count
+    for lo in range(first, end, step):
+        yield lo, min(lo + step, end)
 
 
 def uniform_matrix(seed: int, trial_indices: np.ndarray, n: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import (Instance, _ext_min_into, _ext_mul, _norm, _scaled_totals,
+from .core import (Instance, _ext_min_into, _norm, _scaled_totals,
                    scaled_weighted_matrix)
 from .errors import CapacityError, ConfigError, DegenerateInstanceError
 from .extfloat import ExtScalar
@@ -41,13 +41,6 @@ __all__ = [
 
 # Extra per-iteration distribution assertions (slow); enable in tests.
 DEBUG_CHECKS = False
-
-# Trials per engine chunk are sized so one (T, 2k) work array stays small.
-_CHUNK_ELEMS = 1 << 21
-
-# Use the cached full weighted matrix below this many entries, per-pick
-# distance rows above (identical arithmetic either way).
-_MATRIX_MAX_ENTRIES = 1 << 22
 
 _EXACT_SEQUENCE_LIMIT = 10**7
 
@@ -110,7 +103,6 @@ def _resolve(inst: Instance, n_centers, ell):
 def _run_chunk(inst, n_centers, ell, rng_seed, lo, hi, alpha_picks, beta_clusters,
                record=False):
     T = hi - lo
-    L = inst.n_locations
     U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), n_centers)
     # sampling measure: location weights before the first pick, then
     # weight * (min distance to chosen centers) ** ell
@@ -120,9 +112,8 @@ def _run_chunk(inst, n_centers, ell, rng_seed, lo, hi, alpha_picks, beta_cluster
     covcnt = np.zeros(T, dtype=np.int64)
     miss = np.ones(T, dtype=bool)
     row_ix = np.arange(T)
-    use_matrix = L * L <= _MATRIX_MAX_ENTRIES
-    if use_matrix:
-        Wm, We = inst.weighted_distpow(ell)
+    # builds a small instance's matrix here, before the loop's temporaries
+    weighted_rows = inst.weighted_row_source(ell)
     picks = np.empty((T, n_centers), dtype=np.int64)
     steps = [] if record else None
 
@@ -144,11 +135,7 @@ def _run_chunk(inst, n_centers, ell, rng_seed, lo, hi, alpha_picks, beta_cluster
         covered[row_ix, cl] = True
         if step < alpha_picks:
             miss &= cl >= beta_clusters
-        if use_matrix:
-            nm, ne = Wm[pick], We[pick]
-        else:
-            dm, de = inst.distpow_rows(pick, ell)
-            nm, ne = _ext_mul(dm, de, inst._w_m, inst._w_e)
+        nm, ne = weighted_rows(pick)
         if step == 0:
             pot_m = np.array(nm, copy=True)
             pot_e = np.array(ne, copy=True)
@@ -198,23 +185,16 @@ def run_trials(inst: Instance, trials: int, rng_seed: int,
     """Batched trials ``first_trial .. first_trial + trials - 1``.
 
     Output is identical to running each trial through :func:`seed`
-    individually; chunking is an internal memory bound only.
+    individually.  Trials run in chunks of the :func:`rng.trial_chunks`
+    grid, sized by ``rng.CHUNK_ELEMS``; chunking bounds memory only.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     n, l = _resolve(inst, n_centers, ell)
     alpha_picks = floor_frac(alpha, inst.k)
     beta_clusters = floor_frac(beta, inst.k)
-    chunk = max(1, _CHUNK_ELEMS // inst.n_locations)
-    parts = []
-    lo = first_trial
-    end = first_trial + trials
-    while lo < end:
-        hi = min(lo + chunk, end)
-        arrays, _, _ = _run_chunk(inst, n, l, rng_seed, lo, hi,
-                                  alpha_picks, beta_clusters)
-        parts.append(arrays)
-        lo = hi
+    parts = [_run_chunk(inst, n, l, rng_seed, lo, hi, alpha_picks, beta_clusters)[0]
+             for lo, hi in rng.trial_chunks(first_trial, trials, inst.n_locations)]
     return TrialArrays(
         trial_indices=np.concatenate([p.trial_indices for p in parts]),
         coverage=np.concatenate([p.coverage for p in parts]),

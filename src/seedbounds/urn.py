@@ -28,8 +28,6 @@ __all__ = [
     "tail_probability",
 ]
 
-_CHUNK_ELEMS = 1 << 21
-
 GAMMA_MIN, GAMMA_MAX = 1.0, 5.0
 
 
@@ -82,10 +80,7 @@ def distinct_colors_mc(k: int, trials: int, rng_seed: int) -> DistinctColorDistr
     _check_k(k)
     _check_trials(trials)
     counts = np.zeros(k + 1, dtype=np.int64)
-    chunk = max(1, _CHUNK_ELEMS // (2 * k))
-    lo = 0
-    while lo < trials:
-        hi = min(lo + chunk, trials)
+    for lo, hi in rng.trial_chunks(0, trials, 2 * k):
         U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), 2 * k)
         T = hi - lo
         sel = np.zeros((T, 2 * k), dtype=bool)
@@ -94,7 +89,6 @@ def distinct_colors_mc(k: int, trials: int, rng_seed: int) -> DistinctColorDistr
         both = (sel[:, 0::2] & sel[:, 1::2]).sum(axis=1)
         distinct = k - both
         counts += np.bincount(distinct, minlength=k + 1)
-        lo = hi
     return DistinctColorDistribution(k, counts / trials)
 
 
@@ -133,10 +127,7 @@ def biased_distinct_colors_mc(k: int, gamma: float, trials: int,
     _check_trials(trials)
     counts = np.zeros(k + 1, dtype=np.int64)
     color_of_ball = np.arange(2 * k) // 2
-    chunk = max(1, _CHUNK_ELEMS // (2 * k))
-    lo = 0
-    while lo < trials:
-        hi = min(lo + chunk, trials)
+    for lo, hi in rng.trial_chunks(0, trials, 2 * k):
         T = hi - lo
         U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), k)
         drawn = np.zeros((T, 2 * k), dtype=bool)
@@ -150,7 +141,6 @@ def biased_distinct_colors_mc(k: int, gamma: float, trials: int,
             drawn[row_ix, pick] = True
             seen[row_ix, color_of_ball[pick]] = True
         counts += np.bincount(seen.sum(axis=1), minlength=k + 1)
-        lo = hi
     return DistinctColorDistribution(k, counts / trials)
 
 

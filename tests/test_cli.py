@@ -34,6 +34,23 @@ def test_seed_and_report_round_trip(tmp_path):
     assert csv_out.read_text().startswith("section,key,value")
 
 
+def test_report_uses_header_parameters(tmp_path):
+    trials = tmp_path / "trials.csv"
+    assert run("seed", "--k", 40, "--trials", 50, "--alpha", 0.5, "--beta", 0.5,
+               "--eta", 0.9, "--out", trials) == 0
+    out = tmp_path / "summary.csv"
+    assert run("report", trials, "--format", "csv", "--out", out) == 0
+    rows = dict((f"{s},{k}", v) for s, k, v in
+                (line.split(",") for line in out.read_text().splitlines()[1:]))
+    assert rows["config,alpha"] == "0.5" and rows["config,eta"] == "0.9"
+    # exp(-(0.5 * 0.5 / 3) * 40), not the alpha = beta = 0.1 value 0.875
+    assert float(rows["bound,early_miss.value"]) == pytest.approx(0.0356739933472524)
+    # flags that repeat the header are accepted, conflicting ones exit 2
+    assert run("report", trials, "--alpha", 0.5, "--eta", 0.9, "--out", out) == 0
+    assert run("report", trials, "--alpha", 0.1, "--out", out) == 2
+    assert run("report", trials, "--eta", 0.999, "--out", out) == 2
+
+
 def test_seed_determinism_across_workers(tmp_path):
     args = ["seed", "--variant", "kmedian", "--k", 5, "--m", 2, "--trials", 400,
             "--seed", 9]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 
@@ -72,8 +73,8 @@ def test_single_trial_repeatable():
 
 
 def test_worker_count_does_not_change_records(monkeypatch):
-    from seedbounds import harness
-    monkeypatch.setattr(harness, "_BLOCK_ELEMS", 512)  # force several blocks
+    from seedbounds import rng
+    monkeypatch.setattr(rng, "CHUNK_ELEMS", 512)  # force several chunks
     base = ExperimentConfig(k=5, trials=200, master_seed=7, workers=1)
     wide = ExperimentConfig(k=5, trials=200, master_seed=7, workers=4)
     assert run_experiment(base) == run_experiment(wide)
@@ -119,6 +120,60 @@ def test_trials_csv_identical_bytes(tmp_path, small_records):
     write_trials_csv(records, cfg, p1)
     write_trials_csv(records, cfg, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _edited_trials_csv(tmp_path, small_records, edit):
+    cfg, records = small_records
+    path = tmp_path / "trials.csv"
+    write_trials_csv(records[:20], cfg, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n")
+    return path
+
+
+def test_read_rejects_missing_version_line(tmp_path, small_records):
+    path = _edited_trials_csv(tmp_path, small_records, lambda lines: lines[1:])
+    with pytest.raises(ConfigError, match="does not start with"):
+        read_trials_csv(path)
+
+
+def test_read_rejects_foreign_rng(tmp_path, small_records):
+    path = _edited_trials_csv(tmp_path, small_records, lambda lines: [
+        "# rng pcg64" if line.startswith("# rng ") else line for line in lines])
+    with pytest.raises(ConfigError, match="names rng"):
+        read_trials_csv(path)
+
+
+@pytest.mark.parametrize("column, value", [(1, "7"), (2, "kmedian"), (3, "1")])
+def test_read_rejects_row_that_differs_from_header(tmp_path, small_records, column, value):
+    def edit(lines):
+        f = lines[-1].split(",")
+        f[column] = value
+        return lines[:-1] + [",".join(f)]
+    path = _edited_trials_csv(tmp_path, small_records, edit)
+    with pytest.raises(ConfigError, match="does not match the header"):
+        read_trials_csv(path)
+
+
+def test_read_rejects_malformed_row(tmp_path, small_records):
+    path = _edited_trials_csv(tmp_path, small_records, lambda lines: lines + [
+        "x" + lines[-1][lines[-1].index(","):]])
+    with pytest.raises(ConfigError, match="malformed row"):
+        read_trials_csv(path)
+
+
+def test_read_rejects_repeated_trial_index(tmp_path, small_records):
+    path = _edited_trials_csv(tmp_path, small_records, lambda lines: lines + lines[-1:])
+    with pytest.raises(ConfigError, match="trial index 19 repeats"):
+        read_trials_csv(path)
+
+
+def test_summarize_rejects_mixed_records(small_records):
+    _, records = small_records
+    for change in (dict(k=7), dict(variant="kmedian"), dict(ell=1)):
+        mixed = records[:5] + [dataclasses.replace(records[5], **change)]
+        with pytest.raises(ConfigError, match="mix"):
+            summarize(mixed)
 
 
 # ---------------------------------------------------------------------------

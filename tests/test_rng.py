@@ -1,14 +1,33 @@
 import numpy as np
 
 from seedbounds import rng
+from seedbounds.urn import biased_distinct_colors_mc, distinct_colors_mc
 
 
 def test_scalar_and_matrix_streams_agree():
-    trials = np.array([0, 1, 7, 12345, 2**40], dtype=np.uint64)
+    # README formula on Python ints: uniform j (1-based) of trial t is the
+    # top 53 bits of mix64(stream_base(seed, t) + j * GAMMA), over 2**53.
+    trials = np.array([0, 1, 7, 12345, 2**40, 2**64 - 1], dtype=np.uint64)
     mat = rng.uniform_matrix(9, trials, 16)
     for row, t in zip(mat, trials):
-        single = rng.uniforms(9, int(t), 16)
-        assert np.array_equal(row, single)
+        base = rng.stream_base(9, int(t))
+        ref = [(rng.mix64(base + j * rng.GAMMA) >> 11) / 2.0**53 for j in range(1, 17)]
+        assert row.tolist() == ref
+
+
+def test_trial_chunks_partition():
+    assert list(rng.trial_chunks(5, 10, rng.CHUNK_ELEMS // 4)) == [(5, 9), (9, 13), (13, 15)]
+    assert list(rng.trial_chunks(0, 3, rng.CHUNK_ELEMS * 2)) == [(0, 1), (1, 2), (2, 3)]
+    assert list(rng.trial_chunks(7, 0, 1)) == []
+
+
+def test_urn_monte_carlo_does_not_depend_on_chunking(monkeypatch):
+    ref = [distinct_colors_mc(6, 300, 3).probs,
+           biased_distinct_colors_mc(6, 2.0, 300, 4).probs]
+    monkeypatch.setattr(rng, "CHUNK_ELEMS", 64)  # a few trials per chunk
+    chopped = [distinct_colors_mc(6, 300, 3).probs,
+               biased_distinct_colors_mc(6, 2.0, 300, 4).probs]
+    assert all(np.array_equal(a, b) for a, b in zip(ref, chopped))
 
 
 def test_streams_are_deterministic_and_distinct():

@@ -113,12 +113,31 @@ def test_batch_equals_single_trials(debug_checks):
             assert arr.early_miss[t] == early_miss_event(tr, 0.5, 0.5)
 
 
+def test_per_pick_rows_match_matrix_rows(monkeypatch):
+    from seedbounds import core
+    for gen in (gen_kmeans_bad, gen_kmedian_bad):
+        inst = gen(6, 4.0, 1.0)
+        ref = run_trials(inst, 50, rng_seed=3, alpha=0.5, beta=0.5)
+        ref_traces = [seed(inst, rng_seed=3, trial_index=t) for t in range(4)]
+        with monkeypatch.context() as mp:
+            # every instance now takes the per-pick path; the matrix is never built
+            mp.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
+            mp.setattr(Instance, "weighted_distpow", None)
+            inst = gen(6, 4.0, 1.0)
+            got = run_trials(inst, 50, rng_seed=3, alpha=0.5, beta=0.5)
+            traces = [seed(inst, rng_seed=3, trial_index=t) for t in range(4)]
+        for field in ("trial_indices", "coverage", "final_m", "final_e", "early_miss"):
+            assert np.array_equal(getattr(ref, field), getattr(got, field)), field
+        assert traces == ref_traces
+
+
 def test_batch_chunking_is_invisible(monkeypatch):
-    from seedbounds import seeding
+    from seedbounds import rng
     inst = gen_kmeans_bad(4, 4.0, 1.0)
     ref = run_trials(inst, 64, rng_seed=2)
-    monkeypatch.setattr(seeding, "_CHUNK_ELEMS", 64)  # force many tiny chunks
+    monkeypatch.setattr(rng, "CHUNK_ELEMS", 64)  # force many tiny chunks
     chopped = run_trials(inst, 64, rng_seed=2)
+    assert np.array_equal(ref.trial_indices, chopped.trial_indices)
     assert np.array_equal(ref.coverage, chopped.coverage)
     assert np.array_equal(ref.final_m, chopped.final_m)
     assert np.array_equal(ref.final_e, chopped.final_e)
