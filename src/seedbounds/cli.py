@@ -16,16 +16,12 @@ import sys
 from . import bounds, urn
 from .core import write_instance_csv
 from .errors import CapacityError, ConfigError
-from .harness import (ExperimentConfig, read_trials_csv, report,
-                      run_experiment, summarize, write_trials_csv)
-from .instances import gen_kmeans_bad, gen_kmedian_bad, reference_costs
+from .harness import (ExperimentConfig, _fmt, _instance_for, read_trials_csv,
+                      report, run_experiment, summarize, write_trials_csv)
+from .instances import reference_costs
 from .seeding import exact_distribution
 
 __all__ = ["main"]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
@@ -35,13 +31,8 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=float, default=1.0)
 
 
-def _instance(args):
-    gen = gen_kmeans_bad if args.variant == "kmeans" else gen_kmedian_bad
-    return gen(args.k, args.m, args.r)
-
-
 def _cmd_gen(args) -> int:
-    write_instance_csv(_instance(args), args.out)
+    write_instance_csv(_instance_for(args), args.out)
     return 0
 
 
@@ -56,7 +47,7 @@ def _cmd_seed(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    inst = _instance(args)
+    inst = _instance_for(args)
     dist, expected_ratio = exact_distribution(inst)
     opt = reference_costs(inst)
     lines = [

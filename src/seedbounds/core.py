@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .extfloat import EXT_ZERO, ExtScalar
+from .errors import CapacityError
+from .extfloat import ExtScalar
 
 __all__ = [
     "TOP",
@@ -110,10 +111,38 @@ def _scaled_totals(m, e):
     return s, prefix, E
 
 
-def _pack_scalar(x: ExtScalar, sign: float = 1.0):
-    if x.m == 0.0:
-        return 0.0, _SENT
-    return sign * x.m, x.e
+def _pack_locations(locs):
+    """Packed (mantissa, exponent) pairs of the x, signed y and weight columns."""
+    def pack(values, signs=1.0):
+        m = np.array([v.m for v in values]) * signs
+        e = np.array([v.e if v.m else _SENT for v in values], dtype=np.int64)
+        return m, e
+    return (pack([loc.x for loc in locs]),
+            pack([loc.y_mag for loc in locs], np.array([loc.y_sign for loc in locs])),
+            pack([loc.weight for loc in locs]))
+
+
+def _distpow(ax, ay, bx, by, ell):
+    """dist(a, b) ** ell elementwise from packed (mantissa, exponent) coordinates."""
+    dxm, dxe = _ext_sub(*ax, *bx)
+    dym, dye = _ext_sub(*ay, *by)
+    dm, de = _ext_add(*_norm(dxm * dxm, dxe + dxe), *_norm(dym * dym, dye + dye))
+    if ell == 1:
+        dm, de = _ext_sqrt(dm, de)
+    return dm, de
+
+
+def _plain(m, e):
+    """Packed values as plain floats scaled by 2**-E, E the largest exponent.
+
+    Raises CapacityError when a nonzero value lies more than 1022 binary
+    orders below the largest: its scaled double would be subnormal or zero.
+    """
+    E = int(e.max())
+    if np.any((m != 0.0) & (e < E - 1022)):
+        raise CapacityError(f"values span {E - int(e[m != 0.0].min())} binary orders;"
+                            " a double holds 1022")
+    return np.ldexp(m, np.maximum(e - E, _MIN_SHIFT).astype(np.int32)), E
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +204,8 @@ class Instance:
         self.r = float(r)
         self.variant = variant
 
-        L = 2 * k
-        self._cluster = np.fromiter((loc.cluster_id for loc in locs), dtype=np.int64, count=L)
-        w_m = np.empty(L)
-        w_e = np.empty(L, dtype=np.int64)
-        x_m = np.empty(L)
-        x_e = np.empty(L, dtype=np.int64)
-        y_m = np.empty(L)
-        y_e = np.empty(L, dtype=np.int64)
-        for i, loc in enumerate(locs):
-            w_m[i], w_e[i] = _pack_scalar(loc.weight)
-            x_m[i], x_e[i] = _pack_scalar(loc.x)
-            y_m[i], y_e[i] = _pack_scalar(loc.y_mag, loc.y_sign)
-        self._w_m, self._w_e = w_m, w_e
-        self._x_m, self._x_e = x_m, x_e
-        self._y_m, self._y_e = y_m, y_e
+        self._cluster = np.array([loc.cluster_id for loc in locs], dtype=np.int64)
+        self._x, self._y, (self._w_m, self._w_e) = _pack_locations(locs)
         self._wd_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
@@ -209,22 +225,17 @@ class Instance:
         Output shape is ``idxs.shape + (2k,)``.
         """
         idxs = np.asarray(idxs, dtype=np.int64)
-        sl = (Ellipsis, None)
-        dxm, dxe = _ext_sub(self._x_m[idxs][sl], self._x_e[idxs][sl],
-                            self._x_m, self._x_e)
-        dym, dye = _ext_sub(self._y_m[idxs][sl], self._y_e[idxs][sl],
-                            self._y_m, self._y_e)
-        dm, de = _ext_add(*_norm(dxm * dxm, dxe + dxe),
-                          *_norm(dym * dym, dye + dye))
-        if ell == 1:
-            dm, de = _ext_sqrt(dm, de)
-        return dm, de
+        at = lambda m, e: (m[idxs][..., None], e[idxs][..., None])
+        return _distpow(at(*self._x), at(*self._y), self._x, self._y, ell)
+
+    def _weighted_rows(self, idxs: np.ndarray, ell: int):
+        """weight_i * dist(loc[idxs[t]], loc[i]) ** ell, shaped like distpow_rows."""
+        return _ext_mul(*self.distpow_rows(idxs, ell), self._w_m, self._w_e)
 
     def weighted_distpow(self, ell: int):
         """Cached (2k, 2k) matrix W[j, i] = weight_i * dist(j, i)**ell."""
         if ell not in self._wd_cache:
-            dm, de = self.distpow_rows(np.arange(self.n_locations), ell)
-            self._wd_cache[ell] = _ext_mul(dm, de, self._w_m, self._w_e)
+            self._wd_cache[ell] = self._weighted_rows(np.arange(self.n_locations), ell)
         return self._wd_cache[ell]
 
     def weighted_row_source(self, ell: int):
@@ -238,19 +249,18 @@ class Instance:
         if self.n_locations ** 2 <= _MATRIX_MAX_ENTRIES:
             wm, we = self.weighted_distpow(ell)
             return lambda idxs: (wm[idxs], we[idxs])
-        return lambda idxs: _ext_mul(*self.distpow_rows(idxs, ell), self._w_m, self._w_e)
+        return lambda idxs: self._weighted_rows(idxs, ell)
 
 
 def scaled_weighted_matrix(inst: Instance, ell: int):
     """The weighted distance-power matrix flattened to plain floats.
 
     Entry [j, i] = weight_i * dist(j, i)**ell scaled by 2**-E with E the
-    global max exponent.  Only valid while the whole exponent spread fits a
-    double, i.e. for the small instances the enumeration oracles handle.
+    global max exponent.  Raises CapacityError unless the whole exponent
+    spread fits a double, as it does for the small instances the enumeration
+    oracles handle.
     """
-    wm, we = inst.weighted_distpow(ell)
-    E = int(we.max())
-    return np.ldexp(wm, np.maximum(we - E, _MIN_SHIFT).astype(np.int32)), E
+    return _plain(*inst.weighted_distpow(ell))
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +271,10 @@ def dist_pow(p: WeightedLocation, q: WeightedLocation, ell: int) -> ExtScalar:
     """Euclidean distance between two locations raised to ell (1 or 2)."""
     if ell not in (1, 2):
         raise ValueError("ell must be 1 or 2")
-    am = np.array([_pack_scalar(p.x)[0], _pack_scalar(p.y_mag, p.y_sign)[0]])
-    ae = np.array([_pack_scalar(p.x)[1], _pack_scalar(p.y_mag, p.y_sign)[1]], dtype=np.int64)
-    bm = np.array([_pack_scalar(q.x)[0], _pack_scalar(q.y_mag, q.y_sign)[0]])
-    be = np.array([_pack_scalar(q.x)[1], _pack_scalar(q.y_mag, q.y_sign)[1]], dtype=np.int64)
-    dm, de = _ext_sub(am, ae, bm, be)
-    sm, se = _norm(dm * dm, de + de)
-    m2, e2 = _ext_add(sm[:1], se[:1], sm[1:], se[1:])
-    if ell == 1:
-        m2, e2 = _ext_sqrt(m2, e2)
-    return ExtScalar(float(m2[0]), int(e2[0]))
+    (xm, xe), (ym, ye), _ = _pack_locations((p, q))
+    dm, de = _distpow((xm[:1], xe[:1]), (ym[:1], ye[:1]),
+                      (xm[1:], xe[1:]), (ym[1:], ye[1:]), ell)
+    return ExtScalar(float(dm[0]), int(de[0]))
 
 
 def _validated_centers(inst: Instance, centers: Sequence[int]) -> np.ndarray:
@@ -292,9 +296,7 @@ def cost(inst: Instance, centers: Sequence[int]) -> ExtScalar:
     idx = _validated_centers(inst, centers)
     if idx.size == 0:
         raise ValueError("center set must be nonempty")
-    dm, de = inst.distpow_rows(idx, inst.ell)
-    pm, pe = _ext_mul(dm, de, inst._w_m, inst._w_e)
-    mm, me = _ext_min_over_rows(pm, pe)
+    mm, me = _ext_min_over_rows(*inst._weighted_rows(idx, inst.ell))
     _, prefix, E = _scaled_totals(mm, me)
     return ExtScalar(float(prefix[-1]), int(E))
 

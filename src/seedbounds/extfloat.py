@@ -52,6 +52,10 @@ class ExtScalar:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("ExtScalar is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__: the slots cannot be restored by setattr
+        return (ExtScalar, (self.m, self.e))
+
     # -- constructors ----------------------------------------------------
 
     @classmethod

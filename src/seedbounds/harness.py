@@ -1,10 +1,10 @@
 """Experiment driver, summary statistics, and deterministic reports.
 
-``run_experiment`` executes independent seeding trials (optionally across
-worker processes) and returns per-trial records; for a fixed master seed
-the records are identical whatever the worker count, because every trial's
-randomness is a pure function of (master_seed, trial_index) and workers
-split the trials on the fixed :func:`rng.trial_chunks` grid.
+``run_experiment`` builds the instance once and executes independent
+seeding trials, optionally across worker processes that each receive the
+instance and one contiguous trial range; for a fixed master seed the
+records are identical whatever the worker count, because every trial's
+randomness is a pure function of (master_seed, trial_index).
 ``summarize``/``report`` turn records into a byte-stable text or CSV
 document comparing empirical tails against the closed-form bounds.
 """
@@ -117,11 +117,8 @@ def _instance_for(cfg: ExperimentConfig):
     return gen(cfg.k, cfg.m, cfg.r)
 
 
-def _run_block(cfg: ExperimentConfig, lo: int, hi: int, inst=None) -> TrialArrays:
-    """Trials lo..hi-1.  A worker process passes no instance and rebuilds it
-    from cfg, since an Instance does not pickle."""
-    if inst is None:
-        inst = _instance_for(cfg)
+def _run_block(inst, cfg: ExperimentConfig, lo: int, hi: int) -> TrialArrays:
+    """Trials lo..hi-1 of cfg on inst, in a worker process or in-process."""
     return run_trials(inst, hi - lo, cfg.master_seed, n_centers=cfg.k,
                       ell=cfg.resolved_ell(), alpha=cfg.alpha, beta=cfg.beta,
                       first_trial=lo)
@@ -131,13 +128,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Run cfg.trials independent seeding trials; records in trial-index order."""
     cfg.validate()
     inst = _instance_for(cfg)
-    chunks = list(rng.trial_chunks(0, cfg.trials, 2 * cfg.k))
-    if cfg.workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(_run_block, [cfg] * len(chunks),
-                                  *zip(*chunks)))
+    step = -(-cfg.trials // cfg.workers)
+    los = range(0, cfg.trials, step)
+    his = [min(lo + step, cfg.trials) for lo in los]
+    if len(los) > 1:
+        with ProcessPoolExecutor(max_workers=len(los)) as pool:
+            parts = list(pool.map(_run_block, [inst] * len(los), [cfg] * len(los),
+                                  los, his))
     else:
-        parts = [_run_block(cfg, 0, cfg.trials, inst)]
+        parts = [_run_block(inst, cfg, 0, cfg.trials)]
 
     opt = reference_costs(inst)
     ell = cfg.resolved_ell()

@@ -80,15 +80,14 @@ def uniforms(seed: int, trial_index: int, n: int) -> np.ndarray:
     return uniform_matrix(seed, np.array([trial_index], dtype=np.uint64), n)[0]
 
 
-def weighted_pick(weights: np.ndarray, prefix: np.ndarray, u: np.ndarray) -> np.ndarray:
+def weighted_pick(prefix: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Cumulative-inversion pick along the last axis.
 
-    ``prefix`` must be the cumulative sum of ``weights`` along the last
-    axis.  A boundary hit (u * total landing exactly on a prefix value)
-    resolves to the lower index; leading zero-weight buckets are skipped.
+    ``prefix`` must be the cumulative sum of nonnegative weights along the
+    last axis, with a positive total.  A boundary hit (u * total landing
+    exactly on a prefix value) resolves to the lower index; the target is at
+    least the smallest positive double, so leading zero-weight buckets are
+    skipped.
     """
-    total = prefix[..., -1]
-    target = u * total
-    raw = (prefix < target[..., None]).sum(axis=-1)
-    first_nz = (weights > 0).argmax(axis=-1)
-    return np.maximum(raw, first_nz)
+    target = np.maximum(u * prefix[..., -1], np.nextafter(0.0, 1.0))
+    return (prefix < target[..., None]).sum(axis=-1)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import (Instance, _ext_min_into, _norm, _scaled_totals,
+from .core import (Instance, _ext_min_into, _norm, _plain, _scaled_totals,
                    scaled_weighted_matrix)
 from .errors import CapacityError, ConfigError, DegenerateInstanceError
 from .extfloat import ExtScalar
@@ -127,7 +127,7 @@ def _run_chunk(inst, n_centers, ell, rng_seed, lo, hi, alpha_picks, beta_cluster
             p = s / total[:, None]
             assert np.all((p >= 0.0) & (p <= 1.0))
             assert np.all(np.abs(s.sum(axis=1) / total - 1.0) <= 1e-12)
-        pick = rng.weighted_pick(s, prefix, U[:, step])
+        pick = rng.weighted_pick(prefix, U[:, step])
         picks[:, step] = pick
         cl = inst._cluster[pick] - 1
         newly = ~covered[row_ix, cl]
@@ -221,9 +221,7 @@ def exact_distribution(inst: Instance, n_centers: int | None = None,
         raise CapacityError(
             f"{L}**{n} ordered center sequences exceed the exact-oracle limit")
     W, E = scaled_weighted_matrix(inst, l)
-    w_e = inst._w_e
-    Ew = int(w_e.max())
-    w = np.ldexp(inst._w_m, np.maximum(w_e - Ew, -1100).astype(np.int32))
+    w, _ = _plain(inst._w_m, inst._w_e)
 
     level = {0: 1.0}
     for step in range(n):

@@ -137,7 +137,7 @@ def biased_distinct_colors_mc(k: int, gamma: float, trials: int,
             seen_ball = seen[:, color_of_ball]
             w = np.where(drawn, 0.0, np.where(seen_ball, 1.0, gamma))
             prefix = np.cumsum(w, axis=1)
-            pick = rng.weighted_pick(w, prefix, U[:, t])
+            pick = rng.weighted_pick(prefix, U[:, t])
             drawn[row_ix, pick] = True
             seen[row_ix, color_of_ball[pick]] = True
         counts += np.bincount(seen.sum(axis=1), minlength=k + 1)

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -180,3 +181,9 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         x.m = 2.0
     assert hash(x) == hash(ExtScalar(1.5, 2))
+
+
+def test_pickle_round_trip():
+    for x in (EXT_ZERO, ext(1.5, 3), ext(1.0 + 2**-52, -(1 << 40)), ext(1.25, 10**30)):
+        back = pickle.loads(pickle.dumps(x))
+        assert (back.m, back.e) == (x.m, x.e)

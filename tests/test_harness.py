@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -74,10 +75,18 @@ def test_single_trial_repeatable():
 
 def test_worker_count_does_not_change_records(monkeypatch):
     from seedbounds import rng
-    monkeypatch.setattr(rng, "CHUNK_ELEMS", 512)  # force several chunks
-    base = ExperimentConfig(k=5, trials=200, master_seed=7, workers=1)
-    wide = ExperimentConfig(k=5, trials=200, master_seed=7, workers=4)
-    assert run_experiment(base) == run_experiment(wide)
+    monkeypatch.setattr(rng, "CHUNK_ELEMS", 512)  # several chunks per range
+    # 203 trials split into ranges of 102 + 101 and 68 + 68 + 67
+    base = run_experiment(ExperimentConfig(k=5, trials=203, master_seed=7, workers=1))
+    assert [r.trial_index for r in base] == list(range(203))
+    for workers in (2, 3):
+        cfg = ExperimentConfig(k=5, trials=203, master_seed=7, workers=workers)
+        assert run_experiment(cfg) == base
+
+
+def test_trial_record_pickles(small_records):
+    _, records = small_records
+    assert pickle.loads(pickle.dumps(records[:5])) == records[:5]
 
 
 def test_mean_ratio_matches_exact_oracle():

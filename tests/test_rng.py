@@ -54,12 +54,31 @@ def test_mix64_matches_vector_path():
         assert rng.mix64(int(v)) == int(out)
 
 
+def _two_pass_pick(weights, prefix, u):
+    # reference: count prefix values below the target, then skip leading
+    # zero-weight buckets with a separate argmax pass
+    raw = (prefix < (u * prefix[..., -1])[..., None]).sum(axis=-1)
+    return np.maximum(raw, (weights > 0).argmax(axis=-1))
+
+
 def test_weighted_pick_boundaries():
     w = np.array([[0.0, 2.0, 0.0, 3.0]])
     prefix = np.cumsum(w, axis=1)
     # u = 0 lands in the first positive-weight bucket
-    assert rng.weighted_pick(w, prefix, np.array([0.0]))[0] == 1
+    assert rng.weighted_pick(prefix, np.array([0.0]))[0] == 1
     # exact boundary hit resolves to the lower bucket
-    assert rng.weighted_pick(w, prefix, np.array([0.4]))[0] == 1  # target = 2.0
-    assert rng.weighted_pick(w, prefix, np.array([0.41]))[0] == 3
-    assert rng.weighted_pick(w, prefix, np.array([1.0 - 2**-53]))[0] == 3
+    assert rng.weighted_pick(prefix, np.array([0.4]))[0] == 1  # target = 2.0
+    assert rng.weighted_pick(prefix, np.array([0.41]))[0] == 3
+    assert rng.weighted_pick(prefix, np.array([1.0 - 2**-53]))[0] == 3
+
+    # random rows with zero-weight runs, u = 0, and extreme scales
+    gen = np.random.default_rng(5)
+    w = gen.random((4000, 12)) * (gen.random((4000, 12)) < 0.6)
+    w[:, -1] += 0.5  # every row has a positive total
+    w[::7, :5] = 0.0
+    u = gen.random(4000)
+    u[::5] = 0.0
+    for scale in (1.0, 2.0**-1000, 2.0**1000):
+        ws = w * scale
+        prefix = np.cumsum(ws, axis=1)
+        assert np.array_equal(rng.weighted_pick(prefix, u), _two_pass_pick(ws, prefix, u))

@@ -1,12 +1,15 @@
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from seedbounds.core import BOTTOM, TOP, Instance, WeightedLocation, cost, dist_pow
+from seedbounds.core import (BOTTOM, TOP, Instance, WeightedLocation, cost, dist_pow,
+                             scaled_weighted_matrix)
 from seedbounds.errors import CapacityError, ConfigError, DegenerateInstanceError
 from seedbounds.extfloat import ExtScalar
-from seedbounds.instances import gen_kmeans_bad, gen_kmedian_bad, reference_costs
+from seedbounds.instances import (brute_force_opt, gen_kmeans_bad, gen_kmedian_bad,
+                                  reference_costs)
 from seedbounds.seeding import (SeedingTrace, early_miss_event,
                                 exact_distribution, run_trials, seed)
 
@@ -39,6 +42,16 @@ def test_seed_is_deterministic(inst2):
     c = seed(inst2, rng_seed=42, trial_index=4)
     d = seed(inst2, rng_seed=43, trial_index=3)
     assert a.centers != c.centers or a.centers != d.centers
+
+
+def test_instance_and_trace_pickle():
+    for gen in (gen_kmeans_bad, gen_kmedian_bad):
+        inst = gen(5, 4.0, 1.0)
+        tr = seed(inst, rng_seed=42, trial_index=3)
+        copy = pickle.loads(pickle.dumps(inst))
+        assert seed(copy, rng_seed=42, trial_index=3) == tr
+        assert copy.locations == inst.locations
+        assert pickle.loads(pickle.dumps(tr)) == tr
 
 
 def test_seed_trace_structure(inst2, debug_checks):
@@ -119,6 +132,7 @@ def test_per_pick_rows_match_matrix_rows(monkeypatch):
         inst = gen(6, 4.0, 1.0)
         ref = run_trials(inst, 50, rng_seed=3, alpha=0.5, beta=0.5)
         ref_traces = [seed(inst, rng_seed=3, trial_index=t) for t in range(4)]
+        ref_costs = [cost(inst, tr.centers) for tr in ref_traces]
         with monkeypatch.context() as mp:
             # every instance now takes the per-pick path; the matrix is never built
             mp.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
@@ -126,9 +140,11 @@ def test_per_pick_rows_match_matrix_rows(monkeypatch):
             inst = gen(6, 4.0, 1.0)
             got = run_trials(inst, 50, rng_seed=3, alpha=0.5, beta=0.5)
             traces = [seed(inst, rng_seed=3, trial_index=t) for t in range(4)]
+            costs = [cost(inst, tr.centers) for tr in traces]
         for field in ("trial_indices", "coverage", "final_m", "final_e", "early_miss"):
             assert np.array_equal(getattr(ref, field), getattr(got, field)), field
         assert traces == ref_traces
+        assert costs == ref_costs == [tr.final_cost for tr in traces]
 
 
 def test_batch_chunking_is_invisible(monkeypatch):
@@ -182,6 +198,20 @@ def test_exact_distribution_probability_sums():
 def test_exact_distribution_capacity_error():
     with pytest.raises(CapacityError):
         exact_distribution(gen_kmeans_bad(7, 1.0, 1.0))
+
+
+def test_oracles_reject_an_exponent_spread_beyond_a_double():
+    # a weight 2**-1100 below the other cannot be scaled into one double range
+    zero, h = ExtScalar(0.0), ExtScalar(1.0)
+    locs = [WeightedLocation(1, TOP, zero, h, ExtScalar(1.0)),
+            WeightedLocation(1, BOTTOM, zero, h, ExtScalar(1.0, -1100))]
+    inst = Instance(locs, 1, 1.0, 1.0, "kmeans")
+    with pytest.raises(CapacityError):
+        exact_distribution(inst)
+    with pytest.raises(CapacityError):
+        brute_force_opt(inst)
+    with pytest.raises(CapacityError):
+        scaled_weighted_matrix(inst, 2)
 
 
 def test_exact_matches_monte_carlo_small():
