@@ -17,6 +17,7 @@ __all__ = [
     "biased_tail_bound",
     "high_coverage_bound",
     "is_vacuous",
+    "check_fractions",
     "evaluate",
     "BOUND_NAMES",
 ]
@@ -27,12 +28,20 @@ def _check_k(k: int) -> None:
         raise ConfigError(f"k must be >= 1, got {k}")
 
 
+def check_fractions(alpha: float, beta: float, eta: float | None = None) -> None:
+    """Raise ConfigError unless alpha and beta lie in (0, 1] and eta, when
+    given, in (0, 1): the early-miss and high-coverage events need them there."""
+    if not (0.0 < alpha <= 1.0 and 0.0 < beta <= 1.0):
+        raise ConfigError("alpha and beta must lie in (0, 1]")
+    if eta is not None and not (0.0 < eta < 1.0):
+        raise ConfigError(f"eta must lie in (0, 1), got {eta}")
+
+
 def early_miss_bound(k: int, alpha: float, beta: float) -> float:
     """exp(-(alpha*beta/3) * k): probability that the first floor(alpha*k)
     centers all miss the floor(beta*k) heaviest clusters."""
     _check_k(k)
-    if not (0.0 < alpha <= 1.0 and 0.0 < beta <= 1.0):
-        raise ConfigError("alpha and beta must lie in (0, 1]")
+    check_fractions(alpha, beta)
     return math.exp(-(alpha * beta / 3.0) * k)
 
 

@@ -23,6 +23,7 @@ from .extfloat import ExtScalar
 __all__ = [
     "TOP",
     "BOTTOM",
+    "ELL",
     "WeightedLocation",
     "Instance",
     "dist_pow",
@@ -33,6 +34,10 @@ __all__ = [
 
 TOP = "top"
 BOTTOM = "bottom"
+
+# Distance power of each variant: seeding samples by D**ell and the cost sums
+# weight * D**ell with the same ell (squared cost for kmeans, linear for kmedian).
+ELL = {"kmeans": 2, "kmedian": 1}
 
 # Sentinel exponent for exact zeros inside packed arrays; far below any real
 # exponent so lexicographic (exponent, mantissa) comparison stays correct.
@@ -185,7 +190,7 @@ class Instance:
 
     def __init__(self, locations: Iterable[WeightedLocation], k: int, m: float,
                  r: float, variant: str):
-        if variant not in ("kmeans", "kmedian"):
+        if variant not in ELL:
             raise ValueError(f"unknown variant {variant!r}")
         locs = tuple(locations)
         if len(locs) != 2 * k:
@@ -206,12 +211,12 @@ class Instance:
 
         self._cluster = np.array([loc.cluster_id for loc in locs], dtype=np.int64)
         self._x, self._y, (self._w_m, self._w_e) = _pack_locations(locs)
-        self._wd_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._wd = None
 
     @property
     def ell(self) -> int:
         """Distance exponent of the variant's cost function."""
-        return 2 if self.variant == "kmeans" else 1
+        return ELL[self.variant]
 
     @property
     def n_locations(self) -> int:
@@ -219,26 +224,26 @@ class Instance:
 
     # -- packed-array machinery -------------------------------------------
 
-    def distpow_rows(self, idxs: np.ndarray, ell: int):
+    def distpow_rows(self, idxs: np.ndarray):
         """dist(loc[idxs[t]], loc[i]) ** ell as (mantissa, exponent) arrays.
 
         Output shape is ``idxs.shape + (2k,)``.
         """
         idxs = np.asarray(idxs, dtype=np.int64)
         at = lambda m, e: (m[idxs][..., None], e[idxs][..., None])
-        return _distpow(at(*self._x), at(*self._y), self._x, self._y, ell)
+        return _distpow(at(*self._x), at(*self._y), self._x, self._y, self.ell)
 
-    def _weighted_rows(self, idxs: np.ndarray, ell: int):
+    def _weighted_rows(self, idxs: np.ndarray):
         """weight_i * dist(loc[idxs[t]], loc[i]) ** ell, shaped like distpow_rows."""
-        return _ext_mul(*self.distpow_rows(idxs, ell), self._w_m, self._w_e)
+        return _ext_mul(*self.distpow_rows(idxs), self._w_m, self._w_e)
 
-    def weighted_distpow(self, ell: int):
+    def weighted_distpow(self):
         """Cached (2k, 2k) matrix W[j, i] = weight_i * dist(j, i)**ell."""
-        if ell not in self._wd_cache:
-            self._wd_cache[ell] = self._weighted_rows(np.arange(self.n_locations), ell)
-        return self._wd_cache[ell]
+        if self._wd is None:
+            self._wd = self._weighted_rows(np.arange(self.n_locations))
+        return self._wd
 
-    def weighted_row_source(self, ell: int):
+    def weighted_row_source(self):
         """``rows(idxs)`` -> (mantissa, exponent) of weight_i * dist(idxs[t], i)**ell.
 
         Up to ``_MATRIX_MAX_ENTRIES`` entries the rows come from the cached
@@ -247,12 +252,12 @@ class Instance:
         :meth:`distpow_rows` on each call.
         """
         if self.n_locations ** 2 <= _MATRIX_MAX_ENTRIES:
-            wm, we = self.weighted_distpow(ell)
+            wm, we = self.weighted_distpow()
             return lambda idxs: (wm[idxs], we[idxs])
-        return lambda idxs: self._weighted_rows(idxs, ell)
+        return self._weighted_rows
 
 
-def scaled_weighted_matrix(inst: Instance, ell: int):
+def scaled_weighted_matrix(inst: Instance):
     """The weighted distance-power matrix flattened to plain floats.
 
     Entry [j, i] = weight_i * dist(j, i)**ell scaled by 2**-E with E the
@@ -260,7 +265,7 @@ def scaled_weighted_matrix(inst: Instance, ell: int):
     spread fits a double, as it does for the small instances the enumeration
     oracles handle.
     """
-    return _plain(*inst.weighted_distpow(ell))
+    return _plain(*inst.weighted_distpow())
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +301,7 @@ def cost(inst: Instance, centers: Sequence[int]) -> ExtScalar:
     idx = _validated_centers(inst, centers)
     if idx.size == 0:
         raise ValueError("center set must be nonempty")
-    mm, me = _ext_min_over_rows(*inst._weighted_rows(idx, inst.ell))
+    mm, me = _ext_min_over_rows(*inst._weighted_rows(idx))
     _, prefix, E = _scaled_totals(mm, me)
     return ExtScalar(float(prefix[-1]), int(E))
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, rng
+from .core import ELL
 from .errors import ConfigError
 from .extfloat import ExtScalar
 from .instances import gen_kmeans_bad, gen_kmedian_bad, reference_costs
@@ -57,7 +58,6 @@ class ExperimentConfig:
     k: int = 200
     m: float = 4.0
     r: float = 1.0
-    ell: int | None = None
     trials: int = 1000
     master_seed: int = 0
     alpha: float = 0.1
@@ -66,12 +66,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def resolved_ell(self) -> int:
-        if self.ell is not None:
-            return self.ell
-        return 2 if self.variant == "kmeans" else 1
+        return ELL[self.variant]
 
     def validate(self) -> None:
-        if self.variant not in ("kmeans", "kmedian"):
+        if self.variant not in ELL:
             raise ConfigError(f"variant must be kmeans or kmedian, got {self.variant!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
@@ -79,14 +77,9 @@ class ExperimentConfig:
             raise ConfigError(f"m must be >= 1, got {self.m}")
         if not (self.r > 0.0):
             raise ConfigError(f"r must be > 0, got {self.r}")
-        if self.resolved_ell() not in (1, 2):
-            raise ConfigError(f"ell must be 1 or 2, got {self.ell}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if not (0.0 < self.alpha <= 1.0 and 0.0 < self.beta <= 1.0):
-            raise ConfigError("alpha and beta must lie in (0, 1]")
-        if not (0.0 < self.eta < 1.0):
-            raise ConfigError(f"eta must lie in (0, 1), got {self.eta}")
+        bounds.check_fractions(self.alpha, self.beta, self.eta)
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
@@ -119,8 +112,7 @@ def _instance_for(cfg: ExperimentConfig):
 
 def _run_block(inst, cfg: ExperimentConfig, lo: int, hi: int) -> TrialArrays:
     """Trials lo..hi-1 of cfg on inst, in a worker process or in-process."""
-    return run_trials(inst, hi - lo, cfg.master_seed, n_centers=cfg.k,
-                      ell=cfg.resolved_ell(), alpha=cfg.alpha, beta=cfg.beta,
+    return run_trials(inst, hi - lo, cfg.master_seed, alpha=cfg.alpha, beta=cfg.beta,
                       first_trial=lo)
 
 
@@ -191,8 +183,9 @@ def read_trials_csv(path):
     """Returns (records, metadata dict parsed from the comment header).
 
     Raises ConfigError unless the file opens with the version line, names
-    ``rng.ALGORITHM``, has only rows whose k, variant and ell match the
-    header config, and repeats no trial index.
+    ``rng.ALGORITHM``, has a header config whose ell is its variant's
+    distance power (``core.ELL``), has only rows whose k, variant and ell
+    match the header config, and repeats no trial index.
     """
     meta: dict[str, str] = {}
     records: list[TrialRecord] = []
@@ -220,6 +213,9 @@ def read_trials_csv(path):
                     raise ConfigError(f"{path} names rng {meta.get('rng')!r},"
                                       f" not {rng.ALGORITHM!r}")
                 config = [meta.get("k"), meta.get("variant"), meta.get("ell")]
+                if config[2] != str(ELL.get(config[1])):
+                    raise ConfigError(f"{path}: header ell={config[2]} is not the"
+                                      f" distance power of variant={config[1]}")
                 continue
             f = line.split(",")
             if f[1:4] != config:
@@ -329,6 +325,7 @@ def _binomial(label: str, count: int, n: int) -> BinomialStat:
 def summarize(records: list[TrialRecord], eta: float = 0.999,
               alpha: float = 0.1, beta: float = 0.1) -> SummaryStats:
     """Aggregate records (sorted first, so aggregation is order-independent)."""
+    bounds.check_fractions(alpha, beta, eta)
     if not records:
         raise ConfigError("summarize needs at least one record")
     kinds = {(rec.k, rec.variant, rec.ell) for rec in records}

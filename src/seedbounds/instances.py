@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import (BOTTOM, TOP, Instance, WeightedLocation, cost,
+from .core import (BOTTOM, ELL, TOP, Instance, WeightedLocation, cost,
                    scaled_weighted_matrix)
 from .errors import CapacityError, ConfigError
 from .extfloat import ExtScalar
@@ -47,7 +47,11 @@ def _check_params(k: int, m: float, r: float) -> None:
         raise ConfigError(f"r must be > 0, got {r}")
 
 
-def _bar_locations(k: int, m: float, r: float, weight_halving: int):
+def _bar_instance(k: int, m: float, r: float, variant: str) -> Instance:
+    _check_params(k, m, r)
+    # bar i is 2**(i-1) * r long, so its length**ell grows by 2**ell per bar;
+    # weights shrink by the same factor and every bar costs m * r**ell
+    weight_halving = ELL[variant]
     ext_r = ExtScalar(r)
     ext_m = ExtScalar(m)
     locs = []
@@ -57,19 +61,17 @@ def _bar_locations(k: int, m: float, r: float, weight_halving: int):
         w = ext_m.shifted(-weight_halving * (i - 1))
         locs.append(WeightedLocation(i, TOP, x, h, w))
         locs.append(WeightedLocation(i, BOTTOM, x, h, w))
-    return locs
+    return Instance(locs, k, m, r, variant)
 
 
 def gen_kmeans_bad(k: int, m: float = 1.0, r: float = 1.0) -> Instance:
     """Squared-distance instance: per-end weights m / 4**(i-1)."""
-    _check_params(k, m, r)
-    return Instance(_bar_locations(k, m, r, weight_halving=2), k, m, r, "kmeans")
+    return _bar_instance(k, m, r, "kmeans")
 
 
 def gen_kmedian_bad(k: int, m: float = 1.0, r: float = 1.0) -> Instance:
     """Linear-distance instance: same geometry, per-end weights m / 2**(i-1)."""
-    _check_params(k, m, r)
-    return Instance(_bar_locations(k, m, r, weight_halving=1), k, m, r, "kmedian")
+    return _bar_instance(k, m, r, "kmedian")
 
 
 def reference_costs(inst: Instance) -> OptimalCosts:
@@ -91,25 +93,22 @@ def reference_costs(inst: Instance) -> OptimalCosts:
     return OptimalCosts(discrete=discrete, continuous=continuous)
 
 
-def brute_force_opt(inst: Instance, n_centers: int | None = None):
-    """Exhaustive minimum of cost() over all n_centers-subsets of locations.
+def brute_force_opt(inst: Instance):
+    """Exhaustive minimum of cost() over all k-subsets of locations.
 
     Returns ``(cost, best)`` where ``best`` is the lexicographically
     smallest argmin index tuple.  Refuses work beyond BRUTE_FORCE_LIMIT
     subsets.
     """
-    n = inst.k if n_centers is None else int(n_centers)
     L = inst.n_locations
-    if not 1 <= n <= L:
-        raise ConfigError(f"n_centers must be in 1..{L}, got {n}")
-    total = math.comb(L, n)
+    total = math.comb(L, inst.k)
     if total > BRUTE_FORCE_LIMIT:
         raise CapacityError(
-            f"C({L},{n}) = {total} subsets exceeds the enumeration limit {BRUTE_FORCE_LIMIT}")
-    W, _ = scaled_weighted_matrix(inst, inst.ell)
+            f"C({L},{inst.k}) = {total} subsets exceeds the enumeration limit {BRUTE_FORCE_LIMIT}")
+    W, _ = scaled_weighted_matrix(inst)
     best_cost = math.inf
     best = None
-    for subset in itertools.combinations(range(L), n):
+    for subset in itertools.combinations(range(L), inst.k):
         c = W[subset, :].min(axis=0).sum()
         if c < best_cost:
             best_cost = c

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .bounds import check_fractions
 from .core import (Instance, _ext_min_into, _norm, _plain, _scaled_totals,
                    scaled_weighted_matrix)
 from .errors import CapacityError, ConfigError, DegenerateInstanceError
@@ -90,17 +91,7 @@ def floor_frac(x: float, k: int) -> int:
     return int(math.floor(x * k + 1e-12))
 
 
-def _resolve(inst: Instance, n_centers, ell):
-    n = inst.k if n_centers is None else int(n_centers)
-    l = inst.ell if ell is None else int(ell)
-    if l not in (1, 2):
-        raise ConfigError(f"ell must be 1 or 2, got {l}")
-    if not 1 <= n <= inst.n_locations:
-        raise ConfigError(f"n_centers must be in 1..{inst.n_locations}, got {n}")
-    return n, l
-
-
-def _run_chunk(inst, n_centers, ell, rng_seed, lo, hi, alpha_picks, beta_clusters,
+def _run_chunk(inst, n_centers, rng_seed, lo, hi, alpha_picks, beta_clusters,
                record=False):
     T = hi - lo
     U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), n_centers)
@@ -113,7 +104,7 @@ def _run_chunk(inst, n_centers, ell, rng_seed, lo, hi, alpha_picks, beta_cluster
     miss = np.ones(T, dtype=bool)
     row_ix = np.arange(T)
     # builds a small instance's matrix here, before the loop's temporaries
-    weighted_rows = inst.weighted_row_source(ell)
+    weighted_rows = inst.weighted_row_source()
     picks = np.empty((T, n_centers), dtype=np.int64)
     steps = [] if record else None
 
@@ -158,16 +149,23 @@ def _run_chunk(inst, n_centers, ell, rng_seed, lo, hi, alpha_picks, beta_cluster
 
 def seed(inst: Instance, n_centers: int | None = None, ell: int | None = None,
          rng_seed: int = 0, trial_index: int = 0) -> SeedingTrace:
-    """Run one seeding trial; fully deterministic given (rng_seed, trial_index)."""
-    n, l = _resolve(inst, n_centers, ell)
+    """Run one seeding trial; fully deterministic given (rng_seed, trial_index).
+
+    Samples by ``inst.ell``; an ``ell`` other than that raises ConfigError.
+    """
+    n = inst.k if n_centers is None else int(n_centers)
+    if not 1 <= n <= inst.n_locations:
+        raise ConfigError(f"n_centers must be in 1..{inst.n_locations}, got {n}")
+    if ell is not None and ell != inst.ell:
+        raise ConfigError(f"{inst.variant} seeding samples by ell={inst.ell}, got {ell}")
     arrays, picks, steps = _run_chunk(
-        inst, n, l, rng_seed, trial_index, trial_index + 1,
+        inst, n, rng_seed, trial_index, trial_index + 1,
         alpha_picks=0, beta_clusters=0, record=True)
     centers = tuple(int(c) for c in picks[0])
     return SeedingTrace(
         k=inst.k,
         n_centers=n,
-        ell=l,
+        ell=inst.ell,
         centers=centers,
         cluster_ids=tuple(int(inst._cluster[c]) for c in centers),
         coverage_counts=tuple(int(cov[0]) for _, _, cov in steps),
@@ -179,21 +177,21 @@ def seed(inst: Instance, n_centers: int | None = None, ell: int | None = None,
 
 
 def run_trials(inst: Instance, trials: int, rng_seed: int,
-               n_centers: int | None = None, ell: int | None = None,
                alpha: float = 0.1, beta: float = 0.1,
                first_trial: int = 0) -> TrialArrays:
     """Batched trials ``first_trial .. first_trial + trials - 1``.
 
-    Output is identical to running each trial through :func:`seed`
-    individually.  Trials run in chunks of the :func:`rng.trial_chunks`
-    grid, sized by ``rng.CHUNK_ELEMS``; chunking bounds memory only.
+    Every trial places k centers by ``inst.ell`` sampling; output is
+    identical to running each trial through :func:`seed` individually.
+    Trials run in chunks of the :func:`rng.trial_chunks` grid, sized by
+    ``rng.CHUNK_ELEMS``; chunking bounds memory only.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    n, l = _resolve(inst, n_centers, ell)
+    check_fractions(alpha, beta)
     alpha_picks = floor_frac(alpha, inst.k)
     beta_clusters = floor_frac(beta, inst.k)
-    parts = [_run_chunk(inst, n, l, rng_seed, lo, hi, alpha_picks, beta_clusters)[0]
+    parts = [_run_chunk(inst, inst.k, rng_seed, lo, hi, alpha_picks, beta_clusters)[0]
              for lo, hi in rng.trial_chunks(first_trial, trials, inst.n_locations)]
     return TrialArrays(
         trial_indices=np.concatenate([p.trial_indices for p in parts]),
@@ -204,27 +202,26 @@ def run_trials(inst: Instance, trials: int, rng_seed: int,
     )
 
 
-def exact_distribution(inst: Instance, n_centers: int | None = None,
-                       ell: int | None = None):
+def exact_distribution(inst: Instance):
     """Exact coverage distribution and expected cost ratio for tiny instances.
 
-    Sums over all reachable center sets with their exact pick probabilities
+    Seeding places k centers by ``inst.ell`` sampling.  Sums over all
+    reachable center sets with their exact pick probabilities
     (order integrated out, since future picks depend only on the chosen
     set).  Returns ``(CoverageDistribution, expected ratio of seeding cost
     to the discrete reference optimum)``.
     """
     from .instances import reference_costs
 
-    n, l = _resolve(inst, n_centers, ell)
     L = inst.n_locations
-    if L ** n > _EXACT_SEQUENCE_LIMIT:
+    if L ** inst.k > _EXACT_SEQUENCE_LIMIT:
         raise CapacityError(
-            f"{L}**{n} ordered center sequences exceed the exact-oracle limit")
-    W, E = scaled_weighted_matrix(inst, l)
+            f"{L}**{inst.k} ordered center sequences exceed the exact-oracle limit")
+    W, E = scaled_weighted_matrix(inst)
     w, _ = _plain(inst._w_m, inst._w_e)
 
     level = {0: 1.0}
-    for step in range(n):
+    for step in range(inst.k):
         nxt: dict[int, float] = {}
         for mask, P in level.items():
             if step == 0:
@@ -253,8 +250,7 @@ def exact_distribution(inst: Instance, n_centers: int | None = None,
 def early_miss_event(trace: SeedingTrace, alpha: float, beta: float) -> bool:
     """True iff none of the first floor(alpha*k) centers lies in clusters
     1..floor(beta*k)."""
-    if not (0.0 < alpha <= 1.0 and 0.0 < beta <= 1.0):
-        raise ConfigError("alpha and beta must lie in (0, 1]")
+    check_fractions(alpha, beta)
     a = floor_frac(alpha, trace.k)
     b = floor_frac(beta, trace.k)
     return all(cid > b for cid in trace.cluster_ids[:a])

@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+from seedbounds import cli
 from seedbounds.errors import ConfigError
 from seedbounds.harness import (ExperimentConfig, read_trials_csv, report,
                                 run_experiment, summarize, wilson_interval,
@@ -31,7 +32,7 @@ def test_config_validation():
     bad = [
         dict(variant="kmodes"), dict(k=0), dict(m=0.5), dict(r=-1.0),
         dict(trials=0), dict(alpha=0.0), dict(beta=2.0), dict(eta=1.0),
-        dict(workers=0), dict(ell=3),
+        dict(workers=0),
     ]
     for kw in bad:
         with pytest.raises(ConfigError):
@@ -41,6 +42,9 @@ def test_config_validation():
 def test_config_ell_defaults():
     assert ExperimentConfig(variant="kmeans").resolved_ell() == 2
     assert ExperimentConfig(variant="kmedian").resolved_ell() == 1
+    # the variant fixes the distance power; there is no field to override it
+    with pytest.raises(TypeError):
+        ExperimentConfig(variant="kmeans", ell=1)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +168,22 @@ def test_read_rejects_row_that_differs_from_header(tmp_path, small_records, colu
         read_trials_csv(path)
 
 
+def test_read_rejects_header_ell_other_than_the_variants(tmp_path, small_records):
+    # header and rows agree with each other, but kmeans samples and scores by ell=2
+    def edit(lines):
+        out = [line.replace(" ell=2 ", " ell=1 ") for line in lines[:4]]
+        for line in lines[4:]:
+            f = line.split(",")
+            f[3] = "1"
+            out.append(",".join(f))
+        return out
+    path = _edited_trials_csv(tmp_path, small_records, edit)
+    assert " ell=1 " in path.read_text()
+    with pytest.raises(ConfigError, match="not the distance power of variant=kmeans"):
+        read_trials_csv(path)
+    assert cli.main(["report", str(path)]) == 2
+
+
 def test_read_rejects_malformed_row(tmp_path, small_records):
     path = _edited_trials_csv(tmp_path, small_records, lambda lines: lines + [
         "x" + lines[-1][lines[-1].index(","):]])
@@ -175,6 +195,14 @@ def test_read_rejects_repeated_trial_index(tmp_path, small_records):
     path = _edited_trials_csv(tmp_path, small_records, lambda lines: lines + lines[-1:])
     with pytest.raises(ConfigError, match="trial index 19 repeats"):
         read_trials_csv(path)
+
+
+def test_summarize_rejects_fractions_out_of_range(small_records):
+    _, records = small_records
+    for kw in (dict(eta=2.0), dict(eta=-1.0), dict(eta=1.0), dict(alpha=0.0),
+               dict(beta=1.5)):
+        with pytest.raises(ConfigError, match="must lie in"):
+            summarize(records, **kw)
 
 
 def test_summarize_rejects_mixed_records(small_records):

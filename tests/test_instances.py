@@ -107,8 +107,6 @@ def test_brute_force_matches_reference_and_covers():
 def test_brute_force_capacity_error():
     with pytest.raises(CapacityError):
         brute_force_opt(gen_kmeans_bad(12, 1.0, 1.0))
-    with pytest.raises(ConfigError):
-        brute_force_opt(gen_kmeans_bad(2, 1.0, 1.0), 0)
 
 
 def test_brute_force_best_is_lexicographically_smallest():

@@ -93,8 +93,17 @@ def test_seed_parameter_validation(inst2):
         seed(inst2, n_centers=5)
     with pytest.raises(ConfigError):
         seed(inst2, ell=3)
+    # ell may only repeat the variant's power: kmeans samples and scores by D**2
+    assert seed(inst2, ell=2) == seed(inst2)
+    with pytest.raises(ConfigError, match="samples by ell=2"):
+        seed(inst2, ell=1)
+    with pytest.raises(ConfigError, match="samples by ell=1"):
+        seed(gen_kmedian_bad(2, 4.0, 1.0), ell=2)
     with pytest.raises(ConfigError):
         run_trials(inst2, 0, 1)
+    for kw in (dict(alpha=0.0, beta=0.0), dict(alpha=0.0), dict(beta=1.5)):
+        with pytest.raises(ConfigError, match="alpha and beta"):
+            run_trials(inst2, 5, 1, **kw)
 
 
 def test_degenerate_instance_raises():
@@ -211,7 +220,7 @@ def test_oracles_reject_an_exponent_spread_beyond_a_double():
     with pytest.raises(CapacityError):
         brute_force_opt(inst)
     with pytest.raises(CapacityError):
-        scaled_weighted_matrix(inst, 2)
+        scaled_weighted_matrix(inst)
 
 
 def test_exact_matches_monte_carlo_small():
