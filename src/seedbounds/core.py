@@ -51,6 +51,11 @@ _MIN_SHIFT = -1100
 # entries and computes them per pick above (identical arithmetic either way).
 _MATRIX_MAX_ENTRIES = 1 << 22
 
+# Seeding runs on plain doubles when the nonzero weighted-matrix entries span
+# at most this many binary orders: each entry scaled by 2**-(largest exponent),
+# and u * total for any uniform u >= 2**-53, is then a normal double.
+PLAIN_SEEDING_SPREAD = 1022 - 53
+
 
 # ---------------------------------------------------------------------------
 # packed-array arithmetic: mantissa in +/-[1,2) or 0.0, int64 exponent
@@ -137,16 +142,22 @@ def _distpow(ax, ay, bx, by, ell):
     return dm, de
 
 
+def _spread(m, e):
+    """Binary orders from the smallest to the largest nonzero packed value; 0 if none."""
+    nz = e[m != 0.0]
+    return int(nz.max() - nz.min()) if nz.size else 0
+
+
 def _plain(m, e):
     """Packed values as plain floats scaled by 2**-E, E the largest exponent.
 
     Raises CapacityError when a nonzero value lies more than 1022 binary
     orders below the largest: its scaled double would be subnormal or zero.
     """
+    spread = _spread(m, e)
+    if spread > 1022:
+        raise CapacityError(f"values span {spread} binary orders; a double holds 1022")
     E = int(e.max())
-    if np.any((m != 0.0) & (e < E - 1022)):
-        raise CapacityError(f"values span {E - int(e[m != 0.0].min())} binary orders;"
-                            " a double holds 1022")
     return np.ldexp(m, np.maximum(e - E, _MIN_SHIFT).astype(np.int32)), E
 
 
@@ -185,7 +196,8 @@ class Instance:
 
     Immutable after construction.  Packs coordinates and weights into
     (mantissa, exponent) arrays used by every cost/sampling hot path, and
-    lazily caches the weighted distance-power matrix for small instances.
+    lazily caches the weighted distance-power matrix for small instances,
+    packed and, where seeding may use it, as plain doubles.
     """
 
     def __init__(self, locations: Iterable[WeightedLocation], k: int, m: float,
@@ -212,6 +224,7 @@ class Instance:
         self._cluster = np.array([loc.cluster_id for loc in locs], dtype=np.int64)
         self._x, self._y, (self._w_m, self._w_e) = _pack_locations(locs)
         self._wd = None
+        self._wd_plain = None  # (W, E), or () where plain seeding does not apply
 
     @property
     def ell(self) -> int:
@@ -242,6 +255,21 @@ class Instance:
         if self._wd is None:
             self._wd = self._weighted_rows(np.arange(self.n_locations))
         return self._wd
+
+    def plain_weighted_distpow(self):
+        """Cached ``(W, E)``: :meth:`weighted_distpow` as doubles scaled by 2**-E.
+
+        E is the largest exponent of the matrix.  None, and seeding stays on
+        the packed rows, above ``_MATRIX_MAX_ENTRIES`` or when the nonzero
+        entries span more than ``PLAIN_SEEDING_SPREAD`` binary orders.
+        """
+        if self._wd_plain is None:
+            self._wd_plain = ()
+            if self.n_locations ** 2 <= _MATRIX_MAX_ENTRIES:
+                wd = self.weighted_distpow()
+                if _spread(*wd) <= PLAIN_SEEDING_SPREAD:
+                    self._wd_plain = _plain(*wd)
+        return self._wd_plain or None
 
     def weighted_row_source(self):
         """``rows(idxs)`` -> (mantissa, exponent) of weight_i * dist(idxs[t], i)**ell.

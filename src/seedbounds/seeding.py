@@ -13,6 +13,22 @@ Trials are pure functions of ``(rng_seed, trial_index)``.  The batched
 engine computes every trial row-independently, so results never depend on
 chunking, execution order, or worker count, and a single-trial run
 reproduces any batch row bit for bit.
+
+The engine has one exact fast path.  The first pick always samples the
+packed (mantissa, exponent) weights.  From the second pick on, an instance
+whose cached weighted matrix has nonzero entries spanning at most
+``core.PLAIN_SEEDING_SPREAD`` = 1022 - 53 binary orders
+(:meth:`Instance.plain_weighted_distpow`) keeps its potentials as plain
+doubles scaled by one global 2**-E: ``np.minimum`` updates them and
+``np.cumsum`` forms the prefix sums, with no per-row rescaling.  Within
+that spread every scaled entry, and ``u * total`` for every uniform
+u >= 2**-53, is a normal double, so the power-of-two scale commutes with
+each rounding of the sums, the minimum and the pick comparison: picks and
+costs are bit-identical to the packed engine.  Generated instances span
+2k binary orders (kmeans) or k (kmedian), so kmeans k <= 484 and kmedian
+k <= 969 take the fast path; larger ones, and instances above the matrix
+cap, run the packed engine.  The choice follows the instance alone; no
+option selects it.
 """
 
 from __future__ import annotations
@@ -104,12 +120,20 @@ def _run_chunk(inst, n_centers, rng_seed, lo, hi, alpha_picks, beta_clusters,
     miss = np.ones(T, dtype=bool)
     row_ix = np.arange(T)
     # builds a small instance's matrix here, before the loop's temporaries
-    weighted_rows = inst.weighted_row_source()
+    plain = inst.plain_weighted_distpow()
+    weighted_rows = inst.weighted_row_source() if plain is None else None
+    # plain-float potentials, scaled by 2**-plain[1], from the second pick on
+    pot = None
     picks = np.empty((T, n_centers), dtype=np.int64)
     steps = [] if record else None
 
+    def totals():
+        if pot is None:
+            return _scaled_totals(pot_m, pot_e)
+        return pot, np.cumsum(pot, axis=1), np.full(T, plain[1], dtype=np.int64)
+
     for step in range(n_centers):
-        s, prefix, E = _scaled_totals(pot_m, pot_e)
+        s, prefix, E = totals()
         total = prefix[:, -1]
         if not np.all(total > 0.0):
             raise DegenerateInstanceError(
@@ -126,16 +150,21 @@ def _run_chunk(inst, n_centers, rng_seed, lo, hi, alpha_picks, beta_clusters,
         covered[row_ix, cl] = True
         if step < alpha_picks:
             miss &= cl >= beta_clusters
-        nm, ne = weighted_rows(pick)
-        if step == 0:
-            pot_m = np.array(nm, copy=True)
-            pot_e = np.array(ne, copy=True)
+        if plain is None:
+            nm, ne = weighted_rows(pick)
+            if step == 0:
+                pot_m = np.array(nm, copy=True)
+                pot_e = np.array(ne, copy=True)
+            else:
+                _ext_min_into(pot_m, pot_e, nm, ne)
+        elif step == 0:
+            pot = plain[0][pick]
         else:
-            _ext_min_into(pot_m, pot_e, nm, ne)
+            np.minimum(pot, plain[0][pick], out=pot)
         if record:
             steps.append((total.copy(), E.copy(), covcnt.copy()))
 
-    _, prefix, E = _scaled_totals(pot_m, pot_e)
+    _, prefix, E = totals()
     final_m, final_e = _norm(prefix[:, -1], E)
     arrays = TrialArrays(
         trial_indices=np.arange(lo, hi, dtype=np.int64),
@@ -184,7 +213,11 @@ def run_trials(inst: Instance, trials: int, rng_seed: int,
     Every trial places k centers by ``inst.ell`` sampling; output is
     identical to running each trial through :func:`seed` individually.
     Trials run in chunks of the :func:`rng.trial_chunks` grid, sized by
-    ``rng.CHUNK_ELEMS``; chunking bounds memory only.
+    ``rng.CHUNK_ELEMS`` = 2**16 elements per work array (163 trials at
+    k=200), so a chunk's arrays stay cache-sized; chunking bounds memory
+    only.  Below the spread guard ``core.PLAIN_SEEDING_SPREAD`` the picks
+    after the first run on plain doubles (see the module docstring); the
+    records are the same bits on either path.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")

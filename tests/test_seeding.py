@@ -106,15 +106,21 @@ def test_seed_parameter_validation(inst2):
             run_trials(inst2, 5, 1, **kw)
 
 
-def test_degenerate_instance_raises():
+def test_degenerate_instance_raises(monkeypatch, debug_checks):
     w = ExtScalar(1.0)
     zero = ExtScalar(0.0)
     locs = [WeightedLocation(1, TOP, zero, zero, w),
             WeightedLocation(1, BOTTOM, zero, zero, w)]
     inst = Instance(locs, 1, 1.0, 1.0, "kmeans")
     seed(inst, n_centers=1, rng_seed=0, trial_index=0)  # fine
+    # no nonzero weighted distance: the spread is 0 and the plain path applies
+    assert inst.plain_weighted_distpow() is not None
     with pytest.raises(DegenerateInstanceError):
         seed(inst, n_centers=2, rng_seed=0, trial_index=0)
+    with monkeypatch.context() as mp:
+        _packed_engine(mp)
+        with pytest.raises(DegenerateInstanceError):
+            seed(inst, n_centers=2, rng_seed=0, trial_index=0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,23 +156,83 @@ def test_per_pick_rows_match_matrix_rows(monkeypatch):
             got = run_trials(inst, 50, rng_seed=3, alpha=0.5, beta=0.5)
             traces = [seed(inst, rng_seed=3, trial_index=t) for t in range(4)]
             costs = [cost(inst, tr.centers) for tr in traces]
-        for field in ("trial_indices", "coverage", "final_m", "final_e", "early_miss"):
-            assert np.array_equal(getattr(ref, field), getattr(got, field)), field
+        _assert_same_arrays(ref, got)
         assert traces == ref_traces
         assert costs == ref_costs == [tr.final_cost for tr in traces]
 
 
+def _packed_engine(mp):
+    """Force the packed engine: no instance offers a plain-float matrix."""
+    mp.setattr(Instance, "plain_weighted_distpow", lambda self: None)
+
+
+def _assert_same_arrays(a, b):
+    for field in ("trial_indices", "coverage", "final_m", "final_e", "early_miss"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
 def test_batch_chunking_is_invisible(monkeypatch):
     from seedbounds import rng
-    inst = gen_kmeans_bad(4, 4.0, 1.0)
-    ref = run_trials(inst, 64, rng_seed=2)
-    monkeypatch.setattr(rng, "CHUNK_ELEMS", 64)  # force many tiny chunks
-    chopped = run_trials(inst, 64, rng_seed=2)
-    assert np.array_equal(ref.trial_indices, chopped.trial_indices)
-    assert np.array_equal(ref.coverage, chopped.coverage)
-    assert np.array_equal(ref.final_m, chopped.final_m)
-    assert np.array_equal(ref.final_e, chopped.final_e)
-    assert np.array_equal(ref.early_miss, chopped.early_miss)
+    # a k=200 row holds 400 locations: 163 trials per default chunk, and 400
+    # trials end in a partial chunk of 74
+    assert rng.CHUNK_ELEMS // 400 == 163
+    for packed in (False, True):
+        with monkeypatch.context() as mp:
+            if packed:
+                _packed_engine(mp)
+            for k, trials, tiny in ((4, 64, 64), (200, 400, 7 * 400)):
+                inst = gen_kmeans_bad(k, 4.0, 1.0)
+                assert (inst.plain_weighted_distpow() is None) == packed
+                ref = run_trials(inst, trials, rng_seed=2)
+                for chunk_elems in (tiny, 1 << 30):  # many small chunks, one chunk
+                    with monkeypatch.context() as mc:
+                        mc.setattr(rng, "CHUNK_ELEMS", chunk_elems)
+                        _assert_same_arrays(ref, run_trials(inst, trials, rng_seed=2))
+
+
+def _two_bar_instance(x):
+    """k=2 bars at x-distance x, ends 1/2 above and below the axis, unit weights.
+
+    Weighted squared distances are 1 within a bar and about x**2 across, so
+    the nonzero matrix entries span the binary orders of x**2.
+    """
+    w, h, zero = ExtScalar(1.0), ExtScalar(0.5), ExtScalar(0.0)
+    locs = [WeightedLocation(1, TOP, zero, h, w), WeightedLocation(1, BOTTOM, zero, h, w),
+            WeightedLocation(2, TOP, x, h, w), WeightedLocation(2, BOTTOM, x, h, w)]
+    return Instance(locs, 2, 1.0, 1.0, "kmeans")
+
+
+def _spread(inst):
+    m, e = inst.weighted_distpow()
+    nz = e[m != 0.0]
+    return int(nz.max() - nz.min())
+
+
+def test_plain_path_matches_packed_engine(monkeypatch, debug_checks):
+    from seedbounds.core import PLAIN_SEEDING_SPREAD
+    assert PLAIN_SEEDING_SPREAD == 1022 - 53
+    cases = [(gen_kmeans_bad(k, 4.0, 1.0), k <= 484) for k in (16, 200, 484, 485)]
+    cases += [(gen_kmedian_bad(k, 4.0, 1.0), True) for k in (16, 300)]
+    # x**2 = 2.25 * 2**968 and 2**970: spreads of exactly 969 and 970 orders
+    edge = [_two_bar_instance(ExtScalar(1.5, 484)), _two_bar_instance(ExtScalar(1.0, 485))]
+    assert [_spread(inst) for inst in edge] == [PLAIN_SEEDING_SPREAD, PLAIN_SEEDING_SPREAD + 1]
+    cases += [(edge[0], True), (edge[1], False)]
+    for inst, fast in cases:
+        label = f"{inst.variant} k={inst.k}"
+        assert (inst.plain_weighted_distpow() is not None) == fast, label
+        trials = 40 if inst.k <= 16 else 4
+        # the k=2 instances also trace all four picks
+        n_traced = (inst.k, inst.n_locations) if inst.k == 2 else (inst.k,)
+        ref = run_trials(inst, trials, rng_seed=11, alpha=0.5, beta=0.5)
+        ref_traces = [seed(inst, n, rng_seed=11, trial_index=t)
+                      for t in range(3) for n in n_traced]
+        with monkeypatch.context() as mp:
+            _packed_engine(mp)
+            got = run_trials(inst, trials, rng_seed=11, alpha=0.5, beta=0.5)
+            traces = [seed(inst, n, rng_seed=11, trial_index=t)
+                      for t in range(3) for n in n_traced]
+        _assert_same_arrays(ref, got)
+        assert traces == ref_traces, label
 
 
 def test_first_trial_offset_selects_same_streams():
