@@ -6,6 +6,20 @@ shrink geometrically stay exact.  All distance and cost arithmetic runs on
 packed (mantissa, exponent) numpy arrays with the same invariants as
 ExtScalar; the scalar type appears at API boundaries.
 
+Seeding and :func:`cost` read weighted rows ``weight_i * dist(j, i)**ell``
+from :meth:`Instance.weighted_row_source`: the cached (2k, 2k) matrix up
+to ``_MATRIX_MAX_ENTRIES`` entries, a bar-gap kernel above it.  Every
+packed operation depends only on mantissas and exponent differences, so
+where every bar from bar H on has the previous bar's packed x and y times
+2 and its weights times 2**-ell, W[j+2, i+2] equals W[j, i] bit for bit
+for j and i in those bars.  One row per end over every bar gap then serves
+every center's columns in bars >= H; on generated instances the run
+starts at cluster 55, below which x = (2**i - 2) * r is not a scaled power
+of two.  A center's columns in bars < H, once the center is far enough
+right (from about cluster 109 on), are the previous bar's with exponent
++ell; the kernel build verifies that for every center instead of assuming
+it.  Hand-built instances without such a run keep computing every row.
+
 Everything here is immutable after construction and safe to share across
 threads.
 """
@@ -13,10 +27,11 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import rng
 from .errors import CapacityError
 from .extfloat import ExtScalar
 
@@ -47,8 +62,10 @@ _SENT = -(1 << 40)
 # the double range contributes exactly nothing to a sum.
 _MIN_SHIFT = -1100
 
-# Seeding reads weighted rows from the cached (2k, 2k) matrix up to this many
-# entries and computes them per pick above (identical arithmetic either way).
+# Weighted rows come from the cached (2k, 2k) matrix up to this many entries
+# (k <= 1024) and from the bar-gap kernel above it; both hold the bits that
+# distpow_rows computes, the kernel because every packed operation is exact
+# under a common power-of-two scale (module docstring).
 _MATRIX_MAX_ENTRIES = 1 << 22
 
 # Seeding runs on plain doubles when the nonzero weighted-matrix entries span
@@ -93,6 +110,11 @@ def _ext_sqrt(m, e):
     ee = (e - odd) >> 1
     ee = np.where(mm == 0.0, _SENT, ee)
     return mm, ee
+
+
+def _scaled_exp(m, e, s):
+    """Exponents of packed values times 2**s; exact zeros keep the sentinel."""
+    return np.where(m == 0.0, e, e + s)
 
 
 def _ext_min_over_rows(m, e):
@@ -225,6 +247,7 @@ class Instance:
         self._x, self._y, (self._w_m, self._w_e) = _pack_locations(locs)
         self._wd = None
         self._wd_plain = None  # (W, E), or () where plain seeding does not apply
+        self._kernel = None    # _BarGapKernel, or () where the instance has none
 
     @property
     def ell(self) -> int:
@@ -237,18 +260,20 @@ class Instance:
 
     # -- packed-array machinery -------------------------------------------
 
-    def distpow_rows(self, idxs: np.ndarray):
-        """dist(loc[idxs[t]], loc[i]) ** ell as (mantissa, exponent) arrays.
+    def distpow_rows(self, idxs: np.ndarray, cols=slice(None)):
+        """dist(loc[idxs[t]], loc[i]) ** ell for i in ``cols``, packed.
 
-        Output shape is ``idxs.shape + (2k,)``.
+        Output shape is ``idxs.shape + (number of columns,)``; the default
+        takes all 2k locations.
         """
         idxs = np.asarray(idxs, dtype=np.int64)
         at = lambda m, e: (m[idxs][..., None], e[idxs][..., None])
-        return _distpow(at(*self._x), at(*self._y), self._x, self._y, self.ell)
+        of = lambda m, e: (m[cols], e[cols])
+        return _distpow(at(*self._x), at(*self._y), of(*self._x), of(*self._y), self.ell)
 
-    def _weighted_rows(self, idxs: np.ndarray):
+    def _weighted_rows(self, idxs: np.ndarray, cols=slice(None)):
         """weight_i * dist(loc[idxs[t]], loc[i]) ** ell, shaped like distpow_rows."""
-        return _ext_mul(*self.distpow_rows(idxs), self._w_m, self._w_e)
+        return _ext_mul(*self.distpow_rows(idxs, cols), self._w_m[cols], self._w_e[cols])
 
     def weighted_distpow(self):
         """Cached (2k, 2k) matrix W[j, i] = weight_i * dist(j, i)**ell."""
@@ -274,15 +299,123 @@ class Instance:
     def weighted_row_source(self):
         """``rows(idxs)`` -> (mantissa, exponent) of weight_i * dist(idxs[t], i)**ell.
 
-        Up to ``_MATRIX_MAX_ENTRIES`` entries the rows come from the cached
-        :meth:`weighted_distpow` matrix, built here so that callers allocate
-        their own work arrays after it; larger instances compute them from
-        :meth:`distpow_rows` on each call.
+        ``idxs`` is a flat index array.  Up to ``_MATRIX_MAX_ENTRIES``
+        entries the rows come from the cached :meth:`weighted_distpow`
+        matrix; larger instances read them from the cached bar-gap kernel
+        (module docstring), computing only rows of centers left of its tail
+        from :meth:`distpow_rows`.  Either cache is built here, so callers
+        allocate their own work arrays after it.  Every row holds the bits
+        :meth:`distpow_rows` would give.
         """
         if self.n_locations ** 2 <= _MATRIX_MAX_ENTRIES:
             wm, we = self.weighted_distpow()
             return lambda idxs: (wm[idxs], we[idxs])
-        return self._weighted_rows
+        if self._kernel is None:
+            self._kernel = _bar_gap_kernel(self) or ()
+        return self._kernel_rows if self._kernel else self._weighted_rows
+
+    def _kernel_rows(self, idxs: np.ndarray):
+        """Rows for a flat ``idxs`` from the bar-gap kernel; centers left of
+        its tail get :meth:`_weighted_rows`."""
+        kern = self._kernel
+        idxs = np.asarray(idxs, dtype=np.int64)
+        h = 2 * kern.tail
+        width = self.n_locations - h
+        base = kern.shift - 1  # centers right of this bar repeat its head columns
+        out_m = np.empty((idxs.size, self.n_locations))
+        out_e = np.empty((idxs.size, self.n_locations), dtype=np.int64)
+        near = []
+        for t, j in enumerate(idxs.tolist()):
+            bar, end = divmod(j, 2)
+            if bar < kern.tail:
+                near.append(t)
+                continue
+            # tail bar b sits at gap b - bar; kernel column 2 * (k-1-bar) holds
+            # gap tail - bar, and the row runs contiguously from there
+            o = 2 * (self.k - 1 - bar)
+            out_m[t, h:] = kern.tail_m[end, o:o + width]
+            out_e[t, h:] = kern.tail_e[end, o:o + width]
+            r = j - h if bar <= base else 2 * (base - kern.tail) + end
+            out_m[t, :h] = kern.head_m[r]
+            out_e[t, :h] = _scaled_exp(kern.head_m[r], kern.head_e[r],
+                                       self.ell * max(bar - base, 0))
+        if near:
+            out_m[near], out_e[near] = self._weighted_rows(idxs[near])
+        return out_m, out_e
+
+
+class _BarGapKernel(NamedTuple):
+    """Weighted rows of an instance whose bars from ``tail`` on repeat by scale.
+
+    ``tail_m/e[s]`` is the row of end s (0 top, 1 bottom) over bar gaps
+    -(n-1) .. n-1, n = k - tail bars: gap g, end s' at column
+    2 * (n-1+g) + s'.  ``head_m/e`` are the columns of bars < tail for the
+    centers in bars tail .. shift-1; a center in bar c >= shift has those of
+    bar shift-1 times 2**(ell * (c - shift + 1)).
+    """
+
+    tail: int
+    shift: int
+    tail_m: np.ndarray
+    tail_e: np.ndarray
+    head_m: np.ndarray
+    head_e: np.ndarray
+
+
+def _tail_start(inst: Instance) -> int:
+    """First bar (0-based) of the translation-invariant tail; k if none.
+
+    From that bar on, every bar's packed x and signed y are the previous
+    bar's with exponent +1 and its weights the previous bar's with exponent
+    -ell, mantissas equal.  A one-bar run shares no gap and counts as none.
+    """
+    def doubled(m, e, s):
+        # location i + 2 (same end, next bar) is location i times 2**s
+        return (m[2:] == m[:-2]) & (e[2:] == _scaled_exp(m[:-2], e[:-2], s))
+
+    ok = doubled(*inst._x, 1) & doubled(*inst._y, 1) & doubled(inst._w_m, inst._w_e, -inst.ell)
+    bad = np.flatnonzero(~(ok[0::2] & ok[1::2]))
+    start = int(bad[-1]) + 1 if bad.size else 0
+    return start if start < inst.k - 1 else inst.k
+
+
+def _head_shift_start(inst: Instance, tail: int) -> int:
+    """First bar B > tail (0-based) from which every bar's head columns are
+    the previous bar's with exponent +ell, mantissas equal.
+
+    Streams the head columns (bars < tail) of every center in bars
+    tail .. k-1, a chunk of about one full row's elements at a time.
+    """
+    h = 2 * tail
+    per = max(1, inst.k // max(h, 1))
+    shift = tail + 1
+    for lo in range(tail, inst.k - 1, per):
+        hi = min(lo + per + 1, inst.k)  # chunks overlap by one bar
+        m, e = (a.reshape(hi - lo, 2, h) for a in
+                inst._weighted_rows(np.arange(2 * lo, 2 * hi), slice(0, h)))
+        same = (m[1:] == m[:-1]) & (e[1:] == _scaled_exp(m[:-1], e[:-1], inst.ell))
+        bad = np.flatnonzero(~same.all(axis=(1, 2)))
+        if bad.size:
+            shift = lo + int(bad[-1]) + 2
+    return shift
+
+
+def _bar_gap_kernel(inst: Instance):
+    """The instance's :class:`_BarGapKernel`, or None when it has no tail."""
+    k, tail = inst.k, _tail_start(inst)
+    if tail == k:
+        return None
+    L, h = inst.n_locations, 2 * tail
+    # the last bar over the tail gives gaps -(n-1) .. 0, the first tail bar
+    # over the bars right of it gaps 1 .. n-1
+    left = inst._weighted_rows(np.array([L - 2, L - 1]), slice(h, L))
+    right = inst._weighted_rows(np.array([h, h + 1]), slice(h + 2, L))
+    shift = _head_shift_start(inst, tail)
+    head_m, head_e = inst._weighted_rows(np.arange(h, 2 * shift), slice(0, h))
+    return _BarGapKernel(tail, shift,
+                         np.concatenate([left[0], right[0]], axis=1),
+                         np.concatenate([left[1], right[1]], axis=1),
+                         head_m, head_e)
 
 
 def scaled_weighted_matrix(inst: Instance):
@@ -329,7 +462,13 @@ def cost(inst: Instance, centers: Sequence[int]) -> ExtScalar:
     idx = _validated_centers(inst, centers)
     if idx.size == 0:
         raise ValueError("center set must be nonempty")
-    mm, me = _ext_min_over_rows(*inst._weighted_rows(idx))
+    rows = inst.weighted_row_source()
+    # the minimum is exact, so streaming the centers in chunks changes no bit
+    mins = (_ext_min_over_rows(*rows(idx[lo:hi]))
+            for lo, hi in rng.trial_chunks(0, idx.size, inst.n_locations))
+    mm, me = next(mins)
+    for m, e in mins:
+        _ext_min_into(mm, me, m, e)
     _, prefix, E = _scaled_totals(mm, me)
     return ExtScalar(float(prefix[-1]), int(E))
 

@@ -29,6 +29,13 @@ costs are bit-identical to the packed engine.  Generated instances span
 k <= 969 take the fast path; larger ones, and instances above the matrix
 cap, run the packed engine.  The choice follows the instance alone; no
 option selects it.
+
+Above the matrix cap (k > 1024) the packed engine takes its rows from the
+instance's bar-gap kernel (``core`` module docstring): slices of one
+cached row per bar end, exact because every packed operation commutes
+with the power-of-two scale between consecutive bars.  Only picks in the
+bars left of the kernel's tail compute rows, so picks and costs are the
+same bits as with rows computed per pick.
 """
 
 from __future__ import annotations

@@ -82,6 +82,9 @@ def test_exact_subcommand(tmp_path):
      "2dccee5f96e6654b60345645547d3321887fd8ad228df3195bb3e6427c060b31"),
     (("exact", "--variant", "kmeans", "--k", 5),
      "038a7eb586194cb5a3c4c75f4a49d294d8c2ed9a60b821eb8308b7e413f4fa4c"),
+    # above the matrix cap: rows come from the bar-gap kernel
+    (("seed", "--k", 1100, "--trials", 3, "--seed", 7),
+     "f1abf90d6547817327b072ddc016f42b57e6a74034c59879b859f7d28afe3a34"),
 ])
 def test_output_bytes_are_pinned(tmp_path, args, digest):
     # a deliberate change to the numeric reference shows up here as a new digest

@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from seedbounds import core
 from seedbounds.core import (BOTTOM, TOP, Instance, WeightedLocation, cost,
                              coverage, dist_pow, write_instance_csv)
 from seedbounds.extfloat import EXT_ZERO, ExtScalar
-from seedbounds.instances import gen_kmeans_bad, reference_costs
+from seedbounds.instances import gen_kmeans_bad, gen_kmedian_bad, reference_costs
+from seedbounds.seeding import seed
 
 from conftest import assert_rel_close
 
@@ -235,3 +237,81 @@ def test_instance_csv_round_trip(tmp_path):
     w2 = ExtScalar.parse(rows[2][4]).to_float()
     w3 = ExtScalar.parse(rows[4][4]).to_float()
     assert w2 / w3 == 4.0
+
+
+# ---------------------------------------------------------------------------
+# weighted rows above the matrix cap: the bar-gap kernel
+# ---------------------------------------------------------------------------
+
+def _assert_rows_match(inst, idxs):
+    """Kernel rows equal the explicitly computed rows bit for bit."""
+    rows = inst.weighted_row_source()
+    for lo in range(0, len(idxs), 64):
+        chunk = np.asarray(idxs[lo:lo + 64])
+        (km, ke), (wm, we) = rows(chunk), inst._weighted_rows(chunk)
+        assert np.array_equal(km.view(np.int64), wm.view(np.int64)), chunk
+        assert np.array_equal(ke, we), chunk
+
+
+def test_kernel_rows_match_every_explicit_row():
+    inst = gen_kmeans_bad(1100, 4.0, 1.0)
+    assert inst.n_locations ** 2 > core._MATRIX_MAX_ENTRIES
+    _assert_rows_match(inst, np.arange(inst.n_locations))
+    kern = inst._kernel
+    # x = (2**i - 2) * r is a scaled power of two from bar 55 on; the head
+    # columns repeat by scale once bar 55's x is negligible beside the center's
+    assert (kern.tail, kern.shift) == (54, 108)
+    assert kern.tail_m.shape == (2, 2 * (2 * (1100 - 54) - 1))
+    assert kern.head_m.shape == (2 * (108 - 54), 2 * 54)
+
+
+def _geometric_instance(k, variant):
+    """Hand-built bars that double from the first on: the tail is every bar."""
+    ell = core.ELL[variant]
+    locs = []
+    for i in range(1, k + 1):
+        x, h, w = ExtScalar(1.5, i), ExtScalar(1.25, i - 2), ExtScalar(1.0, -ell * i)
+        locs += [WeightedLocation(i, TOP, x, h, w), WeightedLocation(i, BOTTOM, x, h, w)]
+    return Instance(locs, k, 1.0, 1.0, variant)
+
+
+def test_kernel_rows_match_sampled_rows(monkeypatch):
+    monkeypatch.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
+    rs = np.random.default_rng(5)
+    for gen in (gen_kmeans_bad, gen_kmedian_bad):
+        for r in (1.0, 3.0, 0.7):
+            for m in (1.0, 4.0):
+                inst = gen(300, m, r)
+                inst.weighted_row_source()
+                kern = inst._kernel
+                assert kern.tail < kern.shift < inst.k, (gen, r, m)
+                # both ends of the first and last bars and of each boundary bar
+                edges = [0, kern.tail - 1, kern.tail, kern.shift - 1, kern.shift, inst.k - 1]
+                idxs = [2 * b + s for b in edges for s in (0, 1)]
+                _assert_rows_match(inst, idxs + rs.choice(inst.n_locations, 40).tolist())
+    for variant in core.ELL:
+        inst = _geometric_instance(40, variant)
+        _assert_rows_match(inst, np.arange(inst.n_locations))
+        assert (inst._kernel.tail, inst._kernel.shift) == (0, 1)
+
+
+def test_hand_built_instance_has_no_kernel(monkeypatch):
+    monkeypatch.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
+    inst = _symmetric_instance()
+    assert core._tail_start(inst) == inst.k
+    assert inst.weighted_row_source() == inst._weighted_rows
+    assert inst._kernel == ()
+    # one bar off the doubling pattern, the last, leaves no run of two bars
+    geo = _geometric_instance(6, "kmeans")
+    locs = list(geo.locations[:-2]) + [
+        WeightedLocation(6, end, ExtScalar(1.0, 9), ExtScalar(1.25, 4), ExtScalar(1.0, -12))
+        for end in (TOP, BOTTOM)]
+    assert core._tail_start(Instance(locs, 6, 1.0, 1.0, "kmeans")) == 6
+
+
+def test_cost_above_the_cap_equals_seeding_cost():
+    inst = gen_kmeans_bad(1100, 4.0, 1.0)
+    assert inst.n_locations ** 2 > core._MATRIX_MAX_ENTRIES
+    for t in range(2):
+        tr = seed(inst, rng_seed=7, trial_index=t)
+        assert cost(inst, tr.centers) == tr.final_cost

@@ -143,19 +143,24 @@ def test_batch_equals_single_trials(debug_checks):
 
 def test_per_pick_rows_match_matrix_rows(monkeypatch):
     from seedbounds import core
-    for gen in (gen_kmeans_bad, gen_kmedian_bad):
-        inst = gen(6, 4.0, 1.0)
-        ref = run_trials(inst, 50, rng_seed=3, alpha=0.5, beta=0.5)
-        ref_traces = [seed(inst, rng_seed=3, trial_index=t) for t in range(4)]
+    # k=6 has no kernel and computes every row; k=300 reads the bar-gap
+    # kernel's tail and shifted head columns and computes rows near bar 1
+    for gen, k, trials, n_traces in ((gen_kmeans_bad, 6, 50, 4), (gen_kmedian_bad, 6, 50, 4),
+                                     (gen_kmeans_bad, 300, 12, 2),
+                                     (gen_kmedian_bad, 300, 12, 2)):
+        inst = gen(k, 4.0, 1.0)
+        ref = run_trials(inst, trials, rng_seed=3, alpha=0.5, beta=0.5)
+        ref_traces = [seed(inst, rng_seed=3, trial_index=t) for t in range(n_traces)]
         ref_costs = [cost(inst, tr.centers) for tr in ref_traces]
         with monkeypatch.context() as mp:
-            # every instance now takes the per-pick path; the matrix is never built
+            # every instance now takes the above-cap rows; the matrix is never built
             mp.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
             mp.setattr(Instance, "weighted_distpow", None)
-            inst = gen(6, 4.0, 1.0)
-            got = run_trials(inst, 50, rng_seed=3, alpha=0.5, beta=0.5)
-            traces = [seed(inst, rng_seed=3, trial_index=t) for t in range(4)]
+            inst = gen(k, 4.0, 1.0)
+            got = run_trials(inst, trials, rng_seed=3, alpha=0.5, beta=0.5)
+            traces = [seed(inst, rng_seed=3, trial_index=t) for t in range(n_traces)]
             costs = [cost(inst, tr.centers) for tr in traces]
+            assert (inst._kernel == ()) == (k == 6)
         _assert_same_arrays(ref, got)
         assert traces == ref_traces
         assert costs == ref_costs == [tr.final_cost for tr in traces]
