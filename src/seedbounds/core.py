@@ -20,6 +20,10 @@ right (from about cluster 109 on), are the previous bar's with exponent
 +ell; the kernel build verifies that for every center instead of assuming
 it.  Hand-built instances without such a run keep computing every row.
 
+Seeding's fast path and the enumeration oracles read one plain-double view,
+:meth:`Instance.plain_weighted_distpow`, under one limit,
+``PLAIN_SEEDING_SPREAD``; the oracles raise CapacityError where it is None.
+
 Everything here is immutable after construction and safe to share across
 threads.
 """
@@ -171,16 +175,21 @@ def _spread(m, e):
 
 
 def _plain(m, e):
-    """Packed values as plain floats scaled by 2**-E, E the largest exponent.
-
-    Raises CapacityError when a nonzero value lies more than 1022 binary
-    orders below the largest: its scaled double would be subnormal or zero.
-    """
-    spread = _spread(m, e)
-    if spread > 1022:
-        raise CapacityError(f"values span {spread} binary orders; a double holds 1022")
+    """``(values, E)``: packed values as plain floats scaled by 2**-E, E the
+    largest exponent; None when the nonzero values span more than
+    ``PLAIN_SEEDING_SPREAD`` binary orders."""
+    if _spread(m, e) > PLAIN_SEEDING_SPREAD:
+        return None
     E = int(e.max())
-    return np.ldexp(m, np.maximum(e - E, _MIN_SHIFT).astype(np.int32)), E
+    return _shift_to(m, e, E), E
+
+
+def _enumerable(plain):
+    """``plain`` for the enumeration oracles; CapacityError where it is None."""
+    if plain is None:
+        raise CapacityError(f"values span more than {PLAIN_SEEDING_SPREAD} binary orders,"
+                            " beyond the plain-double view the oracles enumerate on")
+    return plain
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +293,14 @@ class Instance:
     def plain_weighted_distpow(self):
         """Cached ``(W, E)``: :meth:`weighted_distpow` as doubles scaled by 2**-E.
 
-        E is the largest exponent of the matrix.  None, and seeding stays on
-        the packed rows, above ``_MATRIX_MAX_ENTRIES`` or when the nonzero
-        entries span more than ``PLAIN_SEEDING_SPREAD`` binary orders.
+        E is the largest exponent of the matrix.  None above
+        ``_MATRIX_MAX_ENTRIES`` or when the nonzero entries span more than
+        ``PLAIN_SEEDING_SPREAD`` binary orders: seeding then stays on the
+        packed rows and the enumeration oracles refuse the instance.
         """
         if self._wd_plain is None:
-            self._wd_plain = ()
-            if self.n_locations ** 2 <= _MATRIX_MAX_ENTRIES:
-                wd = self.weighted_distpow()
-                if _spread(*wd) <= PLAIN_SEEDING_SPREAD:
-                    self._wd_plain = _plain(*wd)
+            fits = self.n_locations ** 2 <= _MATRIX_MAX_ENTRIES
+            self._wd_plain = (fits and _plain(*self.weighted_distpow())) or ()
         return self._wd_plain or None
 
     def weighted_row_source(self):
@@ -416,17 +423,6 @@ def _bar_gap_kernel(inst: Instance):
                          np.concatenate([left[0], right[0]], axis=1),
                          np.concatenate([left[1], right[1]], axis=1),
                          head_m, head_e)
-
-
-def scaled_weighted_matrix(inst: Instance):
-    """The weighted distance-power matrix flattened to plain floats.
-
-    Entry [j, i] = weight_i * dist(j, i)**ell scaled by 2**-E with E the
-    global max exponent.  Raises CapacityError unless the whole exponent
-    spread fits a double, as it does for the small instances the enumeration
-    oracles handle.
-    """
-    return _plain(*inst.weighted_distpow())
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,12 @@ __all__ = [
 QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 
 TRIAL_COLUMNS = (
-    "trial_index", "k", "variant", "ell", "coverage_count",
+    "trial_index", "k", "variant", "coverage_count",
     "coverage_fraction", "final_cost", "ratio_discrete",
     "ratio_continuous", "early_miss",
 )
 
-_VERSION_LINE = "# seedbounds trials v1"
+_VERSION_LINE = "# seedbounds trials v2"
 
 
 def _fmt(x: float) -> str:
@@ -86,7 +86,7 @@ class ExperimentConfig:
     def echo(self) -> str:
         """Semantic parameters only: worker count and paths never alter results."""
         return (f"variant={self.variant} k={self.k} m={_fmt(self.m)} r={_fmt(self.r)}"
-                f" ell={self.resolved_ell()} trials={self.trials}"
+                f" trials={self.trials}"
                 f" master_seed={self.master_seed} alpha={_fmt(self.alpha)}"
                 f" beta={_fmt(self.beta)} eta={_fmt(self.eta)}")
 
@@ -96,13 +96,17 @@ class TrialRecord:
     trial_index: int
     k: int
     variant: str
-    ell: int
     coverage_count: int
     coverage_fraction: float
     final_cost: ExtScalar
     ratio_discrete: float
     ratio_continuous: float
     early_miss: bool
+
+    @property
+    def ell(self) -> int:
+        """Distance power of the variant (``core.ELL``)."""
+        return ELL[self.variant]
 
 
 def _instance_for(cfg: ExperimentConfig):
@@ -131,7 +135,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
         parts = [_run_block(inst, cfg, 0, cfg.trials)]
 
     opt = reference_costs(inst)
-    ell = cfg.resolved_ell()
     records = []
     for part in parts:
         for i in range(len(part.trial_indices)):
@@ -140,7 +143,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
                 trial_index=int(part.trial_indices[i]),
                 k=cfg.k,
                 variant=cfg.variant,
-                ell=ell,
                 coverage_count=int(part.coverage[i]),
                 coverage_fraction=int(part.coverage[i]) / cfg.k,
                 final_cost=final,
@@ -167,7 +169,6 @@ def write_trials_csv(records: list[TrialRecord], cfg: ExperimentConfig, path) ->
             str(rec.trial_index),
             str(rec.k),
             rec.variant,
-            str(rec.ell),
             str(rec.coverage_count),
             _fmt(rec.coverage_fraction),
             rec.final_cost.format_sci(),
@@ -182,18 +183,24 @@ def write_trials_csv(records: list[TrialRecord], cfg: ExperimentConfig, path) ->
 def read_trials_csv(path):
     """Returns (records, metadata dict parsed from the comment header).
 
-    Raises ConfigError unless the file opens with the version line, names
-    ``rng.ALGORITHM``, has a header config whose ell is its variant's
-    distance power (``core.ELL``), has only rows whose k, variant and ell
-    match the header config, and repeats no trial index.
+    Raises ConfigError unless the file opens with the v2 version line,
+    names ``rng.ALGORITHM``, has a header config whose variant is a key of
+    ``core.ELL``, has only rows whose k and variant match the header
+    config, and repeats no trial index.  A record's ``ell`` is its
+    variant's distance power, so the file does not store it.  Files of any
+    other version, v1 included, are refused: rerun ``seedbounds seed``
+    with the parameters of their config line.
     """
     meta: dict[str, str] = {}
     records: list[TrialRecord] = []
     seen: set[int] = set()
     with open(path, newline="") as fh:
         lines = (line for line in (raw.rstrip("\n") for raw in fh) if line)
-        if next(lines, None) != _VERSION_LINE:
-            raise ConfigError(f"{path} does not start with {_VERSION_LINE!r}")
+        first = next(lines, None)
+        if first != _VERSION_LINE:
+            raise ConfigError(f"{path} does not start with {_VERSION_LINE!r} but with"
+                              f" {first!r}; rerun `seedbounds seed` with the parameters"
+                              " of its config line")
         header = None
         for line in lines:
             if line.startswith("#"):
@@ -212,27 +219,26 @@ def read_trials_csv(path):
                 if meta.get("rng") != rng.ALGORITHM:
                     raise ConfigError(f"{path} names rng {meta.get('rng')!r},"
                                       f" not {rng.ALGORITHM!r}")
-                config = [meta.get("k"), meta.get("variant"), meta.get("ell")]
-                if config[2] != str(ELL.get(config[1])):
-                    raise ConfigError(f"{path}: header ell={config[2]} is not the"
-                                      f" distance power of variant={config[1]}")
+                config = [meta.get("k"), meta.get("variant")]
+                if config[1] not in ELL:
+                    raise ConfigError(f"{path}: header variant={config[1]} is not one"
+                                      f" of {', '.join(ELL)}")
                 continue
             f = line.split(",")
-            if f[1:4] != config:
+            if f[1:3] != config:
                 raise ConfigError(f"{path}: row {line!r} does not match the header's"
-                                  f" k={config[0]} variant={config[1]} ell={config[2]}")
+                                  f" k={config[0]} variant={config[1]}")
             try:
                 rec = TrialRecord(
                     trial_index=int(f[0]),
                     k=int(f[1]),
                     variant=f[2],
-                    ell=int(f[3]),
-                    coverage_count=int(f[4]),
-                    coverage_fraction=float(f[5]),
-                    final_cost=ExtScalar.parse(f[6]),
-                    ratio_discrete=float(f[7]),
-                    ratio_continuous=float(f[8]),
-                    early_miss=f[9] == "1",
+                    coverage_count=int(f[3]),
+                    coverage_fraction=float(f[4]),
+                    final_cost=ExtScalar.parse(f[5]),
+                    ratio_discrete=float(f[6]),
+                    ratio_continuous=float(f[7]),
+                    early_miss=f[8] == "1",
                 )
             except (ValueError, IndexError) as exc:
                 raise ConfigError(f"{path}: malformed row {line!r}") from exc
@@ -296,7 +302,6 @@ class SummaryStats:
     n_trials: int
     k: int
     variant: str
-    ell: int
     eta: float
     alpha: float
     beta: float
@@ -305,6 +310,11 @@ class SummaryStats:
     early_miss: BinomialStat
     high_coverage: BinomialStat
     bounds: tuple[BoundRow, ...]
+
+    @property
+    def ell(self) -> int:
+        """Distance power of the variant (``core.ELL``)."""
+        return ELL[self.variant]
 
 
 def _metric(values: np.ndarray) -> MetricStats:
@@ -328,10 +338,10 @@ def summarize(records: list[TrialRecord], eta: float = 0.999,
     bounds.check_fractions(alpha, beta, eta)
     if not records:
         raise ConfigError("summarize needs at least one record")
-    kinds = {(rec.k, rec.variant, rec.ell) for rec in records}
+    kinds = {(rec.k, rec.variant) for rec in records}
     if len(kinds) > 1:
-        raise ConfigError(f"records mix (k, variant, ell) values: {sorted(kinds)}")
-    (k, variant, ell), = kinds
+        raise ConfigError(f"records mix (k, variant) values: {sorted(kinds)}")
+    (k, variant), = kinds
     records = sorted(records, key=lambda rec: rec.trial_index)
     n = len(records)
     cov_frac = np.array([rec.coverage_fraction for rec in records])
@@ -361,7 +371,6 @@ def summarize(records: list[TrialRecord], eta: float = 0.999,
         n_trials=n,
         k=k,
         variant=variant,
-        ell=ell,
         eta=eta,
         alpha=alpha,
         beta=beta,

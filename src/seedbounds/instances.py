@@ -13,8 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import (BOTTOM, ELL, TOP, Instance, WeightedLocation, cost,
-                   scaled_weighted_matrix)
+from .core import BOTTOM, ELL, TOP, Instance, WeightedLocation, _enumerable, cost
 from .errors import CapacityError, ConfigError
 from .extfloat import ExtScalar
 
@@ -98,14 +97,14 @@ def brute_force_opt(inst: Instance):
 
     Returns ``(cost, best)`` where ``best`` is the lexicographically
     smallest argmin index tuple.  Refuses work beyond BRUTE_FORCE_LIMIT
-    subsets.
+    subsets, and instances without :meth:`Instance.plain_weighted_distpow`.
     """
     L = inst.n_locations
     total = math.comb(L, inst.k)
     if total > BRUTE_FORCE_LIMIT:
         raise CapacityError(
             f"C({L},{inst.k}) = {total} subsets exceeds the enumeration limit {BRUTE_FORCE_LIMIT}")
-    W, _ = scaled_weighted_matrix(inst)
+    W, _ = _enumerable(inst.plain_weighted_distpow())
     best_cost = math.inf
     best = None
     for subset in itertools.combinations(range(L), inst.k):

@@ -77,11 +77,6 @@ def uniform_matrix(seed: int, trial_indices: np.ndarray, n: int) -> np.ndarray:
     return (raw >> _SH11).astype(np.float64) * _TO_UNIT
 
 
-def uniforms(seed: int, trial_index: int, n: int) -> np.ndarray:
-    """The first ``n`` uniforms of one trial stream (same values as the matrix row)."""
-    return uniform_matrix(seed, np.array([trial_index], dtype=np.uint64), n)[0]
-
-
 def weighted_pick(prefix: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Cumulative-inversion pick along the last axis.
 

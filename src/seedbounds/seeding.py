@@ -14,12 +14,15 @@ engine computes every trial row-independently, so results never depend on
 chunking, execution order, or worker count, and a single-trial run
 reproduces any batch row bit for bit.
 
-The engine has one exact fast path.  The first pick always samples the
-packed (mantissa, exponent) weights.  From the second pick on, an instance
-whose cached weighted matrix has nonzero entries spanning at most
-``core.PLAIN_SEEDING_SPREAD`` = 1022 - 53 binary orders
-(:meth:`Instance.plain_weighted_distpow`) keeps its potentials as plain
-doubles scaled by one global 2**-E: ``np.minimum`` updates them and
+The first pick samples one packed weight row per chunk, prefix-summed once
+and shared by the chunk's trials; the potentials then start as the first
+centers' weighted rows.
+
+The engine has one exact fast path.  An instance whose cached weighted
+matrix has nonzero entries spanning at most ``core.PLAIN_SEEDING_SPREAD``
+= 1022 - 53 binary orders (:meth:`Instance.plain_weighted_distpow`) keeps
+its potentials as plain doubles scaled by one global 2**-E, and its chunks
+hold no packed arrays: ``np.minimum`` updates them and
 ``np.cumsum`` forms the prefix sums, with no per-row rescaling.  Within
 that spread every scaled entry, and ``u * total`` for every uniform
 u >= 2**-53, is a normal double, so the power-of-two scale commutes with
@@ -28,7 +31,9 @@ costs are bit-identical to the packed engine.  Generated instances span
 2k binary orders (kmeans) or k (kmedian), so kmeans k <= 484 and kmedian
 k <= 969 take the fast path; larger ones, and instances above the matrix
 cap, run the packed engine.  The choice follows the instance alone; no
-option selects it.
+option selects it.  :func:`exact_distribution` enumerates on the same
+plain view and raises CapacityError on an instance this path does not
+take.
 
 Above the matrix cap (k > 1024) the packed engine takes its rows from the
 instance's bar-gap kernel (``core`` module docstring): slices of one
@@ -47,8 +52,8 @@ import numpy as np
 
 from . import rng
 from .bounds import check_fractions
-from .core import (Instance, _ext_min_into, _norm, _plain, _scaled_totals,
-                   scaled_weighted_matrix)
+from .core import (Instance, _enumerable, _ext_min_into, _norm, _plain,
+                   _scaled_totals)
 from .errors import CapacityError, ConfigError, DegenerateInstanceError
 from .extfloat import ExtScalar
 
@@ -79,7 +84,6 @@ class SeedingTrace:
 
     k: int
     n_centers: int
-    ell: int
     centers: tuple[int, ...]
     cluster_ids: tuple[int, ...]
     coverage_counts: tuple[int, ...]
@@ -118,37 +122,27 @@ def _run_chunk(inst, n_centers, rng_seed, lo, hi, alpha_picks, beta_clusters,
                record=False):
     T = hi - lo
     U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), n_centers)
-    # sampling measure: location weights before the first pick, then
-    # weight * (min distance to chosen centers) ** ell
-    pot_m = np.tile(inst._w_m, (T, 1))
-    pot_e = np.tile(inst._w_e, (T, 1))
     covered = np.zeros((T, inst.k), dtype=bool)
     covcnt = np.zeros(T, dtype=np.int64)
     miss = np.ones(T, dtype=bool)
     row_ix = np.arange(T)
     # builds a small instance's matrix here, before the loop's temporaries
     plain = inst.plain_weighted_distpow()
-    weighted_rows = inst.weighted_row_source() if plain is None else None
-    # plain-float potentials, scaled by 2**-plain[1], from the second pick on
-    pot = None
+    rows = inst.weighted_row_source() if plain is None else plain[0].__getitem__
     picks = np.empty((T, n_centers), dtype=np.int64)
-    steps = [] if record else None
-
-    def totals():
-        if pot is None:
-            return _scaled_totals(pot_m, pot_e)
-        return pot, np.cumsum(pot, axis=1), np.full(T, plain[1], dtype=np.int64)
-
+    steps = [] if record else None  # per pick (total, E, coverage) of trial lo
+    # pick 0 samples the location weights: one row, broadcast over the trials;
+    # later picks sample weight * (min distance to chosen centers) ** ell
+    s, prefix, E = _scaled_totals(inst._w_m, inst._w_e)
     for step in range(n_centers):
-        s, prefix, E = totals()
-        total = prefix[:, -1]
+        total = prefix[..., -1]
         if not np.all(total > 0.0):
             raise DegenerateInstanceError(
                 "total potential reached zero before all centers were chosen")
         if DEBUG_CHECKS:
-            p = s / total[:, None]
+            p = s / np.expand_dims(total, -1)
             assert np.all((p >= 0.0) & (p <= 1.0))
-            assert np.all(np.abs(s.sum(axis=1) / total - 1.0) <= 1e-12)
+            assert np.all(np.abs(s.sum(axis=-1) / total - 1.0) <= 1e-12)
         pick = rng.weighted_pick(prefix, U[:, step])
         picks[:, step] = pick
         cl = inst._cluster[pick] - 1
@@ -157,21 +151,18 @@ def _run_chunk(inst, n_centers, rng_seed, lo, hi, alpha_picks, beta_clusters,
         covered[row_ix, cl] = True
         if step < alpha_picks:
             miss &= cl >= beta_clusters
-        if plain is None:
-            nm, ne = weighted_rows(pick)
-            if step == 0:
-                pot_m = np.array(nm, copy=True)
-                pot_e = np.array(ne, copy=True)
-            else:
-                _ext_min_into(pot_m, pot_e, nm, ne)
-        elif step == 0:
-            pot = plain[0][pick]
-        else:
-            np.minimum(pot, plain[0][pick], out=pot)
         if record:
-            steps.append((total.copy(), E.copy(), covcnt.copy()))
+            steps.append((float(np.ravel(total)[0]), int(np.ravel(E)[0]), int(covcnt[0])))
+        if step == 0:
+            pot = rows(pick)
+        elif plain is None:
+            _ext_min_into(*pot, *rows(pick))
+        else:
+            np.minimum(pot, rows(pick), out=pot)
+        # plain potentials are scaled by the matrix's one 2**-E
+        s, prefix, E = (_scaled_totals(*pot) if plain is None
+                        else (pot, np.cumsum(pot, axis=1), plain[1]))
 
-    _, prefix, E = totals()
     final_m, final_e = _norm(prefix[:, -1], E)
     arrays = TrialArrays(
         trial_indices=np.arange(lo, hi, dtype=np.int64),
@@ -201,11 +192,10 @@ def seed(inst: Instance, n_centers: int | None = None, ell: int | None = None,
     return SeedingTrace(
         k=inst.k,
         n_centers=n,
-        ell=inst.ell,
         centers=centers,
         cluster_ids=tuple(int(inst._cluster[c]) for c in centers),
-        coverage_counts=tuple(int(cov[0]) for _, _, cov in steps),
-        potentials=tuple(ExtScalar(float(t[0]), int(e[0])) for t, e, _ in steps),
+        coverage_counts=tuple(cov for _, _, cov in steps),
+        potentials=tuple(ExtScalar(t, e) for t, e, _ in steps),
         final_cost=ExtScalar(float(arrays.final_m[0]), int(arrays.final_e[0])),
         rng_seed=rng_seed,
         trial_index=trial_index,
@@ -222,9 +212,9 @@ def run_trials(inst: Instance, trials: int, rng_seed: int,
     Trials run in chunks of the :func:`rng.trial_chunks` grid, sized by
     ``rng.CHUNK_ELEMS`` = 2**16 elements per work array (163 trials at
     k=200), so a chunk's arrays stay cache-sized; chunking bounds memory
-    only.  Below the spread guard ``core.PLAIN_SEEDING_SPREAD`` the picks
-    after the first run on plain doubles (see the module docstring); the
-    records are the same bits on either path.
+    only.  Below the spread guard ``core.PLAIN_SEEDING_SPREAD`` the
+    potentials are plain doubles (see the module docstring); the records
+    are the same bits on either path.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -249,7 +239,9 @@ def exact_distribution(inst: Instance):
     reachable center sets with their exact pick probabilities
     (order integrated out, since future picks depend only on the chosen
     set).  Returns ``(CoverageDistribution, expected ratio of seeding cost
-    to the discrete reference optimum)``.
+    to the discrete reference optimum)``.  Raises CapacityError beyond the
+    enumeration limit, and where the weights or the weighted matrix span
+    more than ``core.PLAIN_SEEDING_SPREAD`` binary orders.
     """
     from .instances import reference_costs
 
@@ -257,8 +249,8 @@ def exact_distribution(inst: Instance):
     if L ** inst.k > _EXACT_SEQUENCE_LIMIT:
         raise CapacityError(
             f"{L}**{inst.k} ordered center sequences exceed the exact-oracle limit")
-    W, E = scaled_weighted_matrix(inst)
-    w, _ = _plain(inst._w_m, inst._w_e)
+    W, E = _enumerable(inst.plain_weighted_distpow())
+    w, _ = _enumerable(_plain(inst._w_m, inst._w_e))
 
     level = {0: 1.0}
     for step in range(inst.k):

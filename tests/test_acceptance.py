@@ -17,7 +17,7 @@ import pytest
 
 from seedbounds import bounds
 from seedbounds.cli import main as cli_main
-from seedbounds.core import cost, coverage, scaled_weighted_matrix
+from seedbounds.core import cost, coverage
 from seedbounds.harness import (ExperimentConfig, run_experiment,
                                 wilson_interval, write_trials_csv)
 from seedbounds.instances import (brute_force_opt, gen_kmeans_bad,
@@ -71,7 +71,7 @@ def test_acceptance_1_optimal_cost_reproduction(criterion):
                         assert abs(got.ratio(opt) - 1.0) <= 1e-9
                         assert coverage(inst, best)[0] == k
                         # every argmin covers all k clusters
-                        W, _ = scaled_weighted_matrix(inst)
+                        W, _ = inst.plain_weighted_distpow()
                         opt_scaled = W[best, :].min(axis=0).sum()
                         for subset in itertools.combinations(range(2 * k), k):
                             c = W[subset, :].min(axis=0).sum()
@@ -85,7 +85,7 @@ def test_acceptance_2_cost_floor_suite(criterion):
         for k in range(4, 11):
             inst = gen_kmeans_bad(k, 1.0, 1.0)
             opt = reference_costs(inst).discrete
-            W, E = scaled_weighted_matrix(inst)
+            W, E = inst.plain_weighted_distpow()
             opt_scaled = opt.m * 2.0 ** (opt.e - E)
             clusters = inst._cluster
             for _ in range(10**4):

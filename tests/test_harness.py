@@ -157,7 +157,7 @@ def test_read_rejects_foreign_rng(tmp_path, small_records):
         read_trials_csv(path)
 
 
-@pytest.mark.parametrize("column, value", [(1, "7"), (2, "kmedian"), (3, "1")])
+@pytest.mark.parametrize("column, value", [(1, "7"), (2, "kmedian")])
 def test_read_rejects_row_that_differs_from_header(tmp_path, small_records, column, value):
     def edit(lines):
         f = lines[-1].split(",")
@@ -168,20 +168,29 @@ def test_read_rejects_row_that_differs_from_header(tmp_path, small_records, colu
         read_trials_csv(path)
 
 
-def test_read_rejects_header_ell_other_than_the_variants(tmp_path, small_records):
-    # header and rows agree with each other, but kmeans samples and scores by ell=2
+def test_read_rejects_v1_file(tmp_path, small_records, capsys):
+    # v1 stored each variant's distance power as a header field and a column
     def edit(lines):
-        out = [line.replace(" ell=2 ", " ell=1 ") for line in lines[:4]]
-        for line in lines[4:]:
+        out = ["# seedbounds trials v1", lines[1].replace(" trials=", " ell=2 trials="),
+               lines[2]]
+        for line in lines[3:]:
             f = line.split(",")
-            f[3] = "1"
-            out.append(",".join(f))
+            out.append(",".join(f[:3] + ["ell" if f[0] == "trial_index" else "2"] + f[3:]))
         return out
     path = _edited_trials_csv(tmp_path, small_records, edit)
-    assert " ell=1 " in path.read_text()
-    with pytest.raises(ConfigError, match="not the distance power of variant=kmeans"):
+    with pytest.raises(ConfigError, match="rerun `seedbounds seed`"):
         read_trials_csv(path)
+    capsys.readouterr()
     assert cli.main(["report", str(path)]) == 2
+    assert "'# seedbounds trials v1'" in capsys.readouterr().err
+
+
+def test_read_rejects_unknown_header_variant(tmp_path, small_records):
+    # rows agree with the header, but no distance power belongs to the variant
+    path = _edited_trials_csv(tmp_path, small_records, lambda lines: [
+        line.replace("kmeans", "kmodes") for line in lines])
+    with pytest.raises(ConfigError, match="variant=kmodes is not one of kmeans, kmedian"):
+        read_trials_csv(path)
 
 
 def test_read_rejects_malformed_row(tmp_path, small_records):
@@ -207,7 +216,7 @@ def test_summarize_rejects_fractions_out_of_range(small_records):
 
 def test_summarize_rejects_mixed_records(small_records):
     _, records = small_records
-    for change in (dict(k=7), dict(variant="kmedian"), dict(ell=1)):
+    for change in (dict(k=7), dict(variant="kmedian")):
         mixed = records[:5] + [dataclasses.replace(records[5], **change)]
         with pytest.raises(ConfigError, match="mix"):
             summarize(mixed)

@@ -31,10 +31,10 @@ def test_urn_monte_carlo_does_not_depend_on_chunking(monkeypatch):
 
 
 def test_streams_are_deterministic_and_distinct():
-    a = rng.uniforms(3, 5, 32)
-    b = rng.uniforms(3, 5, 32)
-    c = rng.uniforms(3, 6, 32)
-    d = rng.uniforms(4, 5, 32)
+    a = rng.uniform_matrix(3, [5], 32)[0]
+    b = rng.uniform_matrix(3, [5], 32)[0]
+    c = rng.uniform_matrix(3, [6], 32)[0]
+    d = rng.uniform_matrix(4, [5], 32)[0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)

@@ -4,8 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seedbounds.core import (BOTTOM, TOP, Instance, WeightedLocation, cost, dist_pow,
-                             scaled_weighted_matrix)
+from seedbounds.core import BOTTOM, TOP, Instance, WeightedLocation, cost, dist_pow
 from seedbounds.errors import CapacityError, ConfigError, DegenerateInstanceError
 from seedbounds.extfloat import ExtScalar
 from seedbounds.instances import (brute_force_opt, gen_kmeans_bad, gen_kmedian_bad,
@@ -290,8 +289,25 @@ def test_oracles_reject_an_exponent_spread_beyond_a_double():
         exact_distribution(inst)
     with pytest.raises(CapacityError):
         brute_force_opt(inst)
+
+
+def test_oracles_take_the_seeding_spread_guard():
+    # the oracles enumerate on seeding's plain view: spread 969 fits, 970 does not
+    fits = _two_bar_instance(ExtScalar(1.5, 484))
+    wide = _two_bar_instance(ExtScalar(1.0, 485))
+    dist, _ = exact_distribution(fits)
+    assert_rel_close(dist.probs.sum(), 1.0, 1e-12)
+    assert brute_force_opt(fits)[1] == (0, 2)
     with pytest.raises(CapacityError):
-        scaled_weighted_matrix(inst)
+        exact_distribution(wide)
+    with pytest.raises(CapacityError):
+        brute_force_opt(wide)
+    # coincident ends: an all-zero matrix, but weights 1000 binary orders apart
+    zero = ExtScalar(0.0)
+    locs = [WeightedLocation(1, TOP, zero, zero, ExtScalar(1.0)),
+            WeightedLocation(1, BOTTOM, zero, zero, ExtScalar(1.0, -1000))]
+    with pytest.raises(CapacityError):
+        exact_distribution(Instance(locs, 1, 1.0, 1.0, "kmeans"))
 
 
 def test_exact_matches_monte_carlo_small():
@@ -335,7 +351,7 @@ def test_symmetric_instance_conditional_coverage():
 def _trace_with_clusters(k, cluster_ids):
     n = len(cluster_ids)
     one = ExtScalar(1.0)
-    return SeedingTrace(k=k, n_centers=n, ell=2,
+    return SeedingTrace(k=k, n_centers=n,
                         centers=tuple(range(n)),
                         cluster_ids=tuple(cluster_ids),
                         coverage_counts=tuple(range(1, n + 1)),
