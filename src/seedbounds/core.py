@@ -20,9 +20,18 @@ right (from about cluster 109 on), are the previous bar's with exponent
 +ell; the kernel build verifies that for every center instead of assuming
 it.  Hand-built instances without such a run keep computing every row.
 
-Seeding's fast path and the enumeration oracles read one plain-double view,
-:meth:`Instance.plain_weighted_distpow`, under one limit,
-``PLAIN_SEEDING_SPREAD``; the oracles raise CapacityError where it is None.
+Seeding reads the same rows as plain doubles from
+:meth:`Instance.plain_row_source`, every value scaled by one 2**-F with
+F = min(largest exponent, smallest nonzero exponent + ``PLAIN_SEEDING_SPREAD``),
+so every nonzero value is at least 2**-PLAIN_SEEDING_SPREAD and values
+beyond the double range are +inf.  Up to the matrix cap that is the cached
+matrix converted once; above it, a plain copy of the kernel's tail rows
+plus its head columns, shifted and converted per row.  Rows the kernel
+computes (centers left of its tail) come back None when a nonzero entry
+falls below the 2**-PLAIN_SEEDING_SPREAD floor.  The enumeration oracles
+read the matrix view, :meth:`Instance.plain_weighted_distpow`, only where
+it has no value of 2 or more (a spread of at most ``PLAIN_SEEDING_SPREAD``
+binary orders, F the largest exponent); they raise CapacityError elsewhere.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -72,9 +81,9 @@ _MIN_SHIFT = -1100
 # under a common power-of-two scale (module docstring).
 _MATRIX_MAX_ENTRIES = 1 << 22
 
-# Seeding runs on plain doubles when the nonzero weighted-matrix entries span
-# at most this many binary orders: each entry scaled by 2**-(largest exponent),
-# and u * total for any uniform u >= 2**-53, is then a normal double.
+# Plain-double rows keep every nonzero value at least 2**-PLAIN_SEEDING_SPREAD:
+# a potential in [2**-PLAIN_SEEDING_SPREAD, 2), and u * total for any uniform
+# u >= 2**-53, is then a normal double.
 PLAIN_SEEDING_SPREAD = 1022 - 53
 
 
@@ -168,25 +177,33 @@ def _distpow(ax, ay, bx, by, ell):
     return dm, de
 
 
-def _spread(m, e):
-    """Binary orders from the smallest to the largest nonzero packed value; 0 if none."""
-    nz = e[m != 0.0]
-    return int(nz.max() - nz.min()) if nz.size else 0
+def _as_plain(m, e, F):
+    """Packed values as doubles scaled by 2**-F; values too large for a double
+    become +inf, which is exact wherever they only meet a finite minimum."""
+    with np.errstate(over="ignore"):
+        return _shift_to(m, e, F)
+
+
+def _plain_scale(nz):
+    """F for nonzero exponents ``nz``: the largest, or the smallest plus
+    ``PLAIN_SEEDING_SPREAD`` if that is less; 0 if there are none."""
+    return int(min(nz.max(), nz.min() + PLAIN_SEEDING_SPREAD)) if nz.size else 0
 
 
 def _plain(m, e):
-    """``(values, E)``: packed values as plain floats scaled by 2**-E, E the
-    largest exponent; None when the nonzero values span more than
-    ``PLAIN_SEEDING_SPREAD`` binary orders."""
-    if _spread(m, e) > PLAIN_SEEDING_SPREAD:
-        return None
-    E = int(e.max())
-    return _shift_to(m, e, E), E
+    """``(values, F)``: packed values as doubles scaled by 2**-F (:func:`_plain_scale`).
+
+    Where the nonzero values span at most ``PLAIN_SEEDING_SPREAD`` binary
+    orders, F is the largest exponent and every value is below 2.
+    """
+    F = _plain_scale(e[m != 0.0])
+    return _as_plain(m, e, F), F
 
 
 def _enumerable(plain):
-    """``plain`` for the enumeration oracles; CapacityError where it is None."""
-    if plain is None:
+    """``plain`` for the enumeration oracles; CapacityError where it is None
+    or holds a value of 2 or more (a spread beyond ``PLAIN_SEEDING_SPREAD``)."""
+    if plain is None or not plain[0].max() < 2.0:
         raise CapacityError(f"values span more than {PLAIN_SEEDING_SPREAD} binary orders,"
                             " beyond the plain-double view the oracles enumerate on")
     return plain
@@ -227,8 +244,10 @@ class Instance:
 
     Immutable after construction.  Packs coordinates and weights into
     (mantissa, exponent) arrays used by every cost/sampling hot path, and
-    lazily caches the weighted distance-power matrix for small instances,
-    packed and, where seeding may use it, as plain doubles.
+    lazily caches the weighted rows seeding reads, packed and as plain
+    doubles: the full matrix up to ``_MATRIX_MAX_ENTRIES`` entries, the
+    bar-gap kernel above it.  The caches are plain arrays, so a built
+    instance pickles with them.
     """
 
     def __init__(self, locations: Iterable[WeightedLocation], k: int, m: float,
@@ -255,7 +274,7 @@ class Instance:
         self._cluster = np.array([loc.cluster_id for loc in locs], dtype=np.int64)
         self._x, self._y, (self._w_m, self._w_e) = _pack_locations(locs)
         self._wd = None
-        self._wd_plain = None  # (W, E), or () where plain seeding does not apply
+        self._wd_plain = None  # (W, F) of the cached matrix
         self._kernel = None    # _BarGapKernel, or () where the instance has none
 
     @property
@@ -291,17 +310,25 @@ class Instance:
         return self._wd
 
     def plain_weighted_distpow(self):
-        """Cached ``(W, E)``: :meth:`weighted_distpow` as doubles scaled by 2**-E.
+        """Cached ``(W, F)``: :meth:`weighted_distpow` as :func:`_plain` doubles
+        scaled by 2**-F; None above ``_MATRIX_MAX_ENTRIES``.
 
-        E is the largest exponent of the matrix.  None above
-        ``_MATRIX_MAX_ENTRIES`` or when the nonzero entries span more than
-        ``PLAIN_SEEDING_SPREAD`` binary orders: seeding then stays on the
-        packed rows and the enumeration oracles refuse the instance.
+        Where the nonzero entries span at most ``PLAIN_SEEDING_SPREAD``
+        binary orders, F is the largest exponent and every value is below
+        2; elsewhere the enumeration oracles refuse the view
+        (:func:`_enumerable`).
         """
+        if self.n_locations ** 2 > _MATRIX_MAX_ENTRIES:
+            return None
         if self._wd_plain is None:
-            fits = self.n_locations ** 2 <= _MATRIX_MAX_ENTRIES
-            self._wd_plain = (fits and _plain(*self.weighted_distpow())) or ()
-        return self._wd_plain or None
+            self._wd_plain = _plain(*self.weighted_distpow())
+        return self._wd_plain
+
+    def _bar_gap(self):
+        """The cached :class:`_BarGapKernel`, or () where the instance has none."""
+        if self._kernel is None:
+            self._kernel = _bar_gap_kernel(self) or ()
+        return self._kernel
 
     def weighted_row_source(self):
         """``rows(idxs)`` -> (mantissa, exponent) of weight_i * dist(idxs[t], i)**ell.
@@ -317,38 +344,54 @@ class Instance:
         if self.n_locations ** 2 <= _MATRIX_MAX_ENTRIES:
             wm, we = self.weighted_distpow()
             return lambda idxs: (wm[idxs], we[idxs])
-        if self._kernel is None:
-            self._kernel = _bar_gap_kernel(self) or ()
-        return self._kernel_rows if self._kernel else self._weighted_rows
+        return self._kernel_rows if self._bar_gap() else self._weighted_rows
+
+    def plain_row_source(self):
+        """``(rows, F)``: the rows of :meth:`weighted_row_source` as doubles
+        scaled by 2**-F, or None where the instance has no plain source.
+
+        F is :func:`_plain_scale` of the cached matrix or of the bar-gap
+        kernel, so every nonzero value the source holds is at least
+        2**-PLAIN_SEEDING_SPREAD; values beyond the double range are +inf.
+        Instances above ``_MATRIX_MAX_ENTRIES`` without a kernel have no
+        plain source.  ``rows(idxs)`` returns None when a row it computes
+        (a center left of the kernel's tail) has a nonzero value below
+        that floor.
+        """
+        if self.n_locations ** 2 <= _MATRIX_MAX_ENTRIES:
+            W, F = self.plain_weighted_distpow()
+            return W.__getitem__, F
+        kern = self._bar_gap()
+        return (self._plain_kernel_rows, kern.scale) if kern else None
 
     def _kernel_rows(self, idxs: np.ndarray):
-        """Rows for a flat ``idxs`` from the bar-gap kernel; centers left of
-        its tail get :meth:`_weighted_rows`."""
+        """Packed rows for a flat ``idxs`` from the bar-gap kernel; centers
+        left of its tail get :meth:`_weighted_rows`."""
         kern = self._kernel
         idxs = np.asarray(idxs, dtype=np.int64)
-        h = 2 * kern.tail
-        width = self.n_locations - h
-        base = kern.shift - 1  # centers right of this bar repeat its head columns
         out_m = np.empty((idxs.size, self.n_locations))
         out_e = np.empty((idxs.size, self.n_locations), dtype=np.int64)
-        near = []
-        for t, j in enumerate(idxs.tolist()):
-            bar, end = divmod(j, 2)
-            if bar < kern.tail:
-                near.append(t)
-                continue
-            # tail bar b sits at gap b - bar; kernel column 2 * (k-1-bar) holds
-            # gap tail - bar, and the row runs contiguously from there
-            o = 2 * (self.k - 1 - bar)
-            out_m[t, h:] = kern.tail_m[end, o:o + width]
-            out_e[t, h:] = kern.tail_e[end, o:o + width]
-            r = j - h if bar <= base else 2 * (base - kern.tail) + end
-            out_m[t, :h] = kern.head_m[r]
-            out_e[t, :h] = _scaled_exp(kern.head_m[r], kern.head_e[r],
-                                       self.ell * max(bar - base, 0))
+        near, hm, he, shift = kern.fill(idxs, (kern.tail_m, out_m), (kern.tail_e, out_e))
+        out_m[:, :2 * kern.tail] = hm
+        out_e[:, :2 * kern.tail] = _scaled_exp(hm, he, shift)
         if near:
             out_m[near], out_e[near] = self._weighted_rows(idxs[near])
         return out_m, out_e
+
+    def _plain_kernel_rows(self, idxs: np.ndarray):
+        """:meth:`_kernel_rows` as doubles scaled by 2**-kern.scale; None when
+        a computed row has a nonzero value below 2**-PLAIN_SEEDING_SPREAD."""
+        kern = self._kernel
+        idxs = np.asarray(idxs, dtype=np.int64)
+        out = np.empty((idxs.size, self.n_locations))
+        near, hm, he, shift = kern.fill(idxs, (kern.tail_plain, out))
+        out[:, :2 * kern.tail] = _as_plain(hm, he + shift, kern.scale)
+        if near:
+            m, e = self._weighted_rows(idxs[near])
+            if np.any(e[m != 0.0] < kern.scale - PLAIN_SEEDING_SPREAD):
+                return None
+            out[near] = _as_plain(m, e, kern.scale)
+        return out
 
 
 class _BarGapKernel(NamedTuple):
@@ -358,15 +401,40 @@ class _BarGapKernel(NamedTuple):
     -(n-1) .. n-1, n = k - tail bars: gap g, end s' at column
     2 * (n-1+g) + s'.  ``head_m/e`` are the columns of bars < tail for the
     centers in bars tail .. shift-1; a center in bar c >= shift has those of
-    bar shift-1 times 2**(ell * (c - shift + 1)).
+    bar shift-1 times 2**(ell * (c - shift + 1)).  ``index[j]`` places
+    location j: (end, tail offset, head row, head shift), the offset -1
+    for a center left of the tail.  ``tail_plain`` is ``tail_m/e`` as
+    doubles scaled by 2**-scale, scale the :func:`_plain_scale` of every
+    value the kernel serves.
     """
 
     tail: int
     shift: int
+    index: np.ndarray
     tail_m: np.ndarray
     tail_e: np.ndarray
     head_m: np.ndarray
     head_e: np.ndarray
+    scale: int
+    tail_plain: np.ndarray
+
+    def fill(self, idxs, *tails):
+        """Copy the tail columns of each row of a flat ``idxs`` from each
+        ``(tail, out)`` pair, tail one of ``tail_m``, ``tail_e`` and
+        ``tail_plain``.  Returns the positions of the centers left of the
+        tail, whose rows stay unset, and the rows' packed head columns with
+        the exponent shift each row adds to them."""
+        plan = self.index[idxs]
+        h = 2 * self.tail
+        near = []
+        for t, (end, off, _, _) in enumerate(plan.tolist()):
+            if off < 0:
+                near.append(t)
+                continue
+            for tail, out in tails:
+                out[t, h:] = tail[end, off:off + out.shape[1] - h]
+        row = plan[:, 2]
+        return near, self.head_m[row], self.head_e[row], plan[:, 3:]
 
 
 def _tail_start(inst: Instance) -> int:
@@ -417,12 +485,26 @@ def _bar_gap_kernel(inst: Instance):
     # over the bars right of it gaps 1 .. n-1
     left = inst._weighted_rows(np.array([L - 2, L - 1]), slice(h, L))
     right = inst._weighted_rows(np.array([h, h + 1]), slice(h + 2, L))
+    tail_m = np.concatenate([left[0], right[0]], axis=1)
+    tail_e = np.concatenate([left[1], right[1]], axis=1)
     shift = _head_shift_start(inst, tail)
     head_m, head_e = inst._weighted_rows(np.arange(h, 2 * shift), slice(0, h))
-    return _BarGapKernel(tail, shift,
-                         np.concatenate([left[0], right[0]], axis=1),
-                         np.concatenate([left[1], right[1]], axis=1),
-                         head_m, head_e)
+
+    j = np.arange(L)
+    bar, end = j // 2, j % 2
+    base = shift - 1  # centers right of this bar repeat its head columns
+    # tail bar b sits at gap b - bar; kernel column 2 * (k-1-bar) holds gap
+    # tail - bar, and the row runs contiguously from there
+    head_row = np.where(bar <= base, j - h, 2 * (base - tail) + end)
+    index = np.stack([end, 2 * (k - 1 - bar), head_row, inst.ell * np.maximum(bar - base, 0)],
+                     axis=1)
+    index[bar < tail] = (0, -1, 0, 0)
+    # the last bar's head columns: bar shift-1's, shifted the most
+    top = _scaled_exp(head_m[-2:], head_e[-2:], inst.ell * (k - shift))
+    scale = _plain_scale(np.concatenate(
+        [e[m != 0.0] for m, e in ((tail_m, tail_e), (head_m, head_e), (head_m[-2:], top))]))
+    return _BarGapKernel(tail, shift, index, tail_m, tail_e, head_m, head_e,
+                         scale, _as_plain(tail_m, tail_e, scale))
 
 
 # ---------------------------------------------------------------------------

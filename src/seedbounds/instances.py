@@ -97,7 +97,8 @@ def brute_force_opt(inst: Instance):
 
     Returns ``(cost, best)`` where ``best`` is the lexicographically
     smallest argmin index tuple.  Refuses work beyond BRUTE_FORCE_LIMIT
-    subsets, and instances without :meth:`Instance.plain_weighted_distpow`.
+    subsets, and instances whose :meth:`Instance.plain_weighted_distpow`
+    values span more than ``core.PLAIN_SEEDING_SPREAD`` binary orders.
     """
     L = inst.n_locations
     total = math.comb(L, inst.k)

@@ -18,24 +18,33 @@ The first pick samples one packed weight row per chunk, prefix-summed once
 and shared by the chunk's trials; the potentials then start as the first
 centers' weighted rows.
 
-The engine has one exact fast path.  An instance whose cached weighted
-matrix has nonzero entries spanning at most ``core.PLAIN_SEEDING_SPREAD``
-= 1022 - 53 binary orders (:meth:`Instance.plain_weighted_distpow`) keeps
-its potentials as plain doubles scaled by one global 2**-E, and its chunks
-hold no packed arrays: ``np.minimum`` updates them and
-``np.cumsum`` forms the prefix sums, with no per-row rescaling.  Within
-that spread every scaled entry, and ``u * total`` for every uniform
-u >= 2**-53, is a normal double, so the power-of-two scale commutes with
-each rounding of the sums, the minimum and the pick comparison: picks and
-costs are bit-identical to the packed engine.  Generated instances span
-2k binary orders (kmeans) or k (kmedian), so kmeans k <= 484 and kmedian
-k <= 969 take the fast path; larger ones, and instances above the matrix
-cap, run the packed engine.  The choice follows the instance alone; no
-option selects it.  :func:`exact_distribution` enumerates on the same
-plain view and raises CapacityError on an instance this path does not
-take.
+The engine has one exact fast path, the plain-double engine; every chunk
+that passes a per-chunk guard takes it.  Its rows come from
+:meth:`Instance.plain_row_source`: weighted rows as plain doubles scaled by
+one 2**-F, chosen so that every nonzero value is at least
+2**-(1022 - 53) (``core.PLAIN_SEEDING_SPREAD``), with values beyond the
+double range +inf.  After pick 0 the chunk checks its first potentials
+once: if all are finite and below 2, it keeps them as plain doubles and
+holds no packed arrays: ``np.minimum`` updates them and ``np.cumsum`` forms
+the prefix sums, with no per-row rescaling.  Later potentials are
+elementwise at most the first ones, and each nonzero one is a row value,
+so every scaled potential stays in [2**-969, 2), and ``u * total`` for
+every uniform u >= 2**-53 is a normal double.  The power-of-two scale then
+commutes with each rounding of the sums, the minimum and the pick
+comparison: picks and costs are bit-identical to the packed engine.  A
+chunk whose first potentials fail the check runs the packed engine, and
+one that meets a computed row below the floor (a center left of the
+kernel's tail, above the matrix cap) goes on from that pick on it: its
+plain potentials are the packed ones times 2**-F exactly, so either way
+every output bit is the same.  Generated instances pass the check in
+practice: their first pick lands in the heavy first bars.  The packed
+engine also serves instances without a plain row source (hand-built ones
+above the matrix cap).  No option selects the engine.
+:func:`exact_distribution` enumerates on the matrix view
+:meth:`Instance.plain_weighted_distpow` and raises CapacityError where its
+values span more than ``core.PLAIN_SEEDING_SPREAD`` binary orders.
 
-Above the matrix cap (k > 1024) the packed engine takes its rows from the
+Above the matrix cap (k > 1024) both engines take their rows from the
 instance's bar-gap kernel (``core`` module docstring): slices of one
 cached row per bar end, exact because every packed operation commutes
 with the power-of-two scale between consecutive bars.  Only picks in the
@@ -118,6 +127,20 @@ def floor_frac(x: float, k: int) -> int:
     return int(math.floor(x * k + 1e-12))
 
 
+def _plain_start(inst, pick0):
+    """The per-chunk guard: ``(rows, F, first potentials)`` of the plain-double
+    engine, or None where the instance has no plain row source or the
+    potentials after the first picks are not all below 2 (scaled by 2**-F)."""
+    src = inst.plain_row_source()
+    if src is None:
+        return None
+    rows, F = src
+    pot = rows(pick0)
+    if pot is None or not np.all(pot < 2.0):
+        return None
+    return rows, F, pot
+
+
 def _run_chunk(inst, n_centers, rng_seed, lo, hi, alpha_picks, beta_clusters,
                record=False):
     T = hi - lo
@@ -126,9 +149,6 @@ def _run_chunk(inst, n_centers, rng_seed, lo, hi, alpha_picks, beta_clusters,
     covcnt = np.zeros(T, dtype=np.int64)
     miss = np.ones(T, dtype=bool)
     row_ix = np.arange(T)
-    # builds a small instance's matrix here, before the loop's temporaries
-    plain = inst.plain_weighted_distpow()
-    rows = inst.weighted_row_source() if plain is None else plain[0].__getitem__
     picks = np.empty((T, n_centers), dtype=np.int64)
     steps = [] if record else None  # per pick (total, E, coverage) of trial lo
     # pick 0 samples the location weights: one row, broadcast over the trials;
@@ -154,14 +174,27 @@ def _run_chunk(inst, n_centers, rng_seed, lo, hi, alpha_picks, beta_clusters,
         if record:
             steps.append((float(np.ravel(total)[0]), int(np.ravel(E)[0]), int(covcnt[0])))
         if step == 0:
-            pot = rows(pick)
-        elif plain is None:
-            _ext_min_into(*pot, *rows(pick))
+            start = _plain_start(inst, pick)
+            plain = start is not None
+            if plain:
+                rows, E, pot = start
+            else:
+                rows = inst.weighted_row_source()
+                pot = rows(pick)
+        elif plain:
+            row = rows(pick)
+            if row is None:
+                # a computed row below the floor: the plain potentials are the
+                # packed ones times 2**-E exactly, so the chunk goes on packed
+                pot, rows, plain = _norm(pot, E), inst.weighted_row_source(), False
+                _ext_min_into(*pot, *rows(pick))
+            else:
+                np.minimum(pot, row, out=pot)
         else:
-            np.minimum(pot, rows(pick), out=pot)
-        # plain potentials are scaled by the matrix's one 2**-E
-        s, prefix, E = (_scaled_totals(*pot) if plain is None
-                        else (pot, np.cumsum(pot, axis=1), plain[1]))
+            _ext_min_into(*pot, *rows(pick))
+        # plain potentials are scaled by the row source's one 2**-F
+        s, prefix, E = (_scaled_totals(*pot) if not plain
+                        else (pot, np.cumsum(pot, axis=1), E))
 
     final_m, final_e = _norm(prefix[:, -1], E)
     arrays = TrialArrays(
@@ -212,9 +245,9 @@ def run_trials(inst: Instance, trials: int, rng_seed: int,
     Trials run in chunks of the :func:`rng.trial_chunks` grid, sized by
     ``rng.CHUNK_ELEMS`` = 2**16 elements per work array (163 trials at
     k=200), so a chunk's arrays stay cache-sized; chunking bounds memory
-    only.  Below the spread guard ``core.PLAIN_SEEDING_SPREAD`` the
-    potentials are plain doubles (see the module docstring); the records
-    are the same bits on either path.
+    only.  Each chunk whose potentials after pick 0 pass the per-chunk
+    guard runs on plain doubles, the others on the packed engine (see the
+    module docstring); the records are the same bits on either path.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")

@@ -85,6 +85,9 @@ def test_exact_subcommand(tmp_path):
     # above the matrix cap: rows come from the bar-gap kernel
     (("seed", "--k", 1100, "--trials", 3, "--seed", 7),
      "f07734754641a77ffc656279c63c56bb6ff04c1a43c5f89b27b8e0c2211ac87b"),
+    # spans 1200 binary orders: plain rows reach 2**231, past the oracles' view
+    (("seed", "--k", 600, "--trials", 4, "--seed", 7),
+     "3609abb280a8eeb8601d2b61f7a3cbf568d265cc11b6ca122b8e6772ea0ccd93"),
 ])
 def test_output_bytes_are_pinned(tmp_path, args, digest):
     # a deliberate change to the numeric reference shows up here as a new digest

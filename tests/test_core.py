@@ -244,13 +244,16 @@ def test_instance_csv_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _assert_rows_match(inst, idxs):
-    """Kernel rows equal the explicitly computed rows bit for bit."""
+    """Kernel rows equal the explicitly computed rows bit for bit, packed and
+    as the plain copy's doubles."""
     rows = inst.weighted_row_source()
+    plain, F = inst.plain_row_source()
     for lo in range(0, len(idxs), 64):
         chunk = np.asarray(idxs[lo:lo + 64])
         (km, ke), (wm, we) = rows(chunk), inst._weighted_rows(chunk)
         assert np.array_equal(km.view(np.int64), wm.view(np.int64)), chunk
         assert np.array_equal(ke, we), chunk
+        assert np.array_equal(plain(chunk), core._as_plain(wm, we, F)), chunk
 
 
 def test_kernel_rows_match_every_explicit_row():
@@ -301,6 +304,7 @@ def test_hand_built_instance_has_no_kernel(monkeypatch):
     assert core._tail_start(inst) == inst.k
     assert inst.weighted_row_source() == inst._weighted_rows
     assert inst._kernel == ()
+    assert inst.plain_row_source() is None
     # one bar off the doubling pattern, the last, leaves no run of two bars
     geo = _geometric_instance(6, "kmeans")
     locs = list(geo.locations[:-2]) + [

@@ -1,9 +1,11 @@
 import pickle
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from seedbounds import core, seeding
 from seedbounds.core import BOTTOM, TOP, Instance, WeightedLocation, cost, dist_pow
 from seedbounds.errors import CapacityError, ConfigError, DegenerateInstanceError
 from seedbounds.extfloat import ExtScalar
@@ -51,6 +53,28 @@ def test_instance_and_trace_pickle():
         assert seed(copy, rng_seed=42, trial_index=3) == tr
         assert copy.locations == inst.locations
         assert pickle.loads(pickle.dumps(tr)) == tr
+
+
+def test_built_instance_pickles_with_its_caches():
+    # above the matrix cap seed() builds the bar-gap kernel and its plain copy
+    inst = gen_kmeans_bad(1100, 4.0, 1.0)
+    fresh = len(pickle.dumps(inst))
+    tr = seed(inst, rng_seed=42, trial_index=3)
+    assert inst._kernel
+    built = pickle.dumps(inst)
+    assert len(built) < 3 * fresh
+    assert seed(pickle.loads(built), rng_seed=42, trial_index=3) == tr
+
+
+def test_plain_rows_beyond_the_double_range_warn_nothing():
+    # k=600 spans 1200 binary orders, so its plain rows reach 2**231; at
+    # k=1100 the kernel's rows reach past the double range and become +inf
+    for k in (600, 1100):
+        inst = gen_kmeans_bad(k, 4.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seed(inst, rng_seed=1, trial_index=0)
+    assert np.isinf(inst._kernel.tail_plain).any()
 
 
 def test_seed_trace_structure(inst2, debug_checks):
@@ -141,7 +165,6 @@ def test_batch_equals_single_trials(debug_checks):
 
 
 def test_per_pick_rows_match_matrix_rows(monkeypatch):
-    from seedbounds import core
     # k=6 has no kernel and computes every row; k=300 reads the bar-gap
     # kernel's tail and shifted head columns and computes rows near bar 1
     for gen, k, trials, n_traces in ((gen_kmeans_bad, 6, 50, 4), (gen_kmedian_bad, 6, 50, 4),
@@ -160,14 +183,37 @@ def test_per_pick_rows_match_matrix_rows(monkeypatch):
             traces = [seed(inst, rng_seed=3, trial_index=t) for t in range(n_traces)]
             costs = [cost(inst, tr.centers) for tr in traces]
             assert (inst._kernel == ()) == (k == 6)
+            # without a kernel there is no plain source: the packed engine runs
+            assert (inst.plain_row_source() is None) == (k == 6)
         _assert_same_arrays(ref, got)
         assert traces == ref_traces
         assert costs == ref_costs == [tr.final_cost for tr in traces]
 
 
 def _packed_engine(mp):
-    """Force the packed engine: no instance offers a plain-float matrix."""
-    mp.setattr(Instance, "plain_weighted_distpow", lambda self: None)
+    """Force the packed engine: every chunk fails the per-chunk guard."""
+    mp.setattr(seeding, "_plain_start", lambda inst, pick0: None)
+
+
+def _spy_engine(mp):
+    """Record the engine each chunk ran: "plain", "packed", or "switched" for
+    a plain chunk that went on packed at a computed row below the floor."""
+    runs = []
+    plain_start, row_source = seeding._plain_start, Instance.weighted_row_source
+
+    def spy_plain_start(inst, pick0):
+        start = plain_start(inst, pick0)
+        runs.append("packed" if start is None else "plain")
+        return start
+
+    def spy_row_source(self):
+        if runs[-1] == "plain":  # only the packed engine asks for packed rows
+            runs[-1] = "switched"
+        return row_source(self)
+
+    mp.setattr(seeding, "_plain_start", spy_plain_start)
+    mp.setattr(Instance, "weighted_row_source", spy_row_source)
+    return runs
 
 
 def _assert_same_arrays(a, b):
@@ -178,20 +224,22 @@ def _assert_same_arrays(a, b):
 def test_batch_chunking_is_invisible(monkeypatch):
     from seedbounds import rng
     # a k=200 row holds 400 locations: 163 trials per default chunk, and 400
-    # trials end in a partial chunk of 74
+    # trials end in a partial chunk of 74; above the cap k=1100 runs 29 per
+    # chunk, and 5 trials split 2 + 2 + 1 at the small size
     assert rng.CHUNK_ELEMS // 400 == 163
+    cases = [(gen_kmeans_bad(4, 4.0, 1.0), 64, 64), (gen_kmeans_bad(200, 4.0, 1.0), 400, 7 * 400),
+             (gen_kmedian_bad(1100, 4.0, 1.0), 5, 2 * 2200)]
     for packed in (False, True):
-        with monkeypatch.context() as mp:
-            if packed:
-                _packed_engine(mp)
-            for k, trials, tiny in ((4, 64, 64), (200, 400, 7 * 400)):
-                inst = gen_kmeans_bad(k, 4.0, 1.0)
-                assert (inst.plain_weighted_distpow() is None) == packed
+        for inst, trials, tiny in cases:
+            with monkeypatch.context() as mp:
+                if packed:
+                    _packed_engine(mp)
+                runs = _spy_engine(mp)
                 ref = run_trials(inst, trials, rng_seed=2)
+                assert runs and set(runs) == {"packed" if packed else "plain"}
                 for chunk_elems in (tiny, 1 << 30):  # many small chunks, one chunk
-                    with monkeypatch.context() as mc:
-                        mc.setattr(rng, "CHUNK_ELEMS", chunk_elems)
-                        _assert_same_arrays(ref, run_trials(inst, trials, rng_seed=2))
+                    mp.setattr(rng, "CHUNK_ELEMS", chunk_elems)
+                    _assert_same_arrays(ref, run_trials(inst, trials, rng_seed=2))
 
 
 def _two_bar_instance(x):
@@ -212,31 +260,81 @@ def _spread(inst):
     return int(nz.max() - nz.min())
 
 
+def _bar_one_below_the_floor(monkeypatch):
+    """Six bars, above a zero matrix cap, whose first bar is 2**-599 tall: the
+    computed rows of its centers hold 2**-6 * 2**-1198, below the kernel's floor."""
+    monkeypatch.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
+    locs = []
+    for i in range(1, 7):
+        x, h, w = ExtScalar(1.5, i), ExtScalar(1.25, i - 2), ExtScalar(1.0, -2 * i)
+        if i == 1:  # off the doubling pattern: the kernel's tail starts at bar 2
+            x, h, w = ExtScalar(0.0), ExtScalar(1.0, -600), ExtScalar(1.0, -6)
+        locs += [WeightedLocation(i, TOP, x, h, w), WeightedLocation(i, BOTTOM, x, h, w)]
+    inst = Instance(locs, 6, 1.0, 1.0, "kmeans")
+    rows, _ = inst.plain_row_source()
+    assert inst._kernel.tail == 1
+    assert rows(np.array([2, 3])) is not None and rows(np.array([0])) is None
+    return inst
+
+
 def test_plain_path_matches_packed_engine(monkeypatch, debug_checks):
     from seedbounds.core import PLAIN_SEEDING_SPREAD
     assert PLAIN_SEEDING_SPREAD == 1022 - 53
-    cases = [(gen_kmeans_bad(k, 4.0, 1.0), k <= 484) for k in (16, 200, 484, 485)]
-    cases += [(gen_kmedian_bad(k, 4.0, 1.0), True) for k in (16, 300)]
-    # x**2 = 2.25 * 2**968 and 2**970: spreads of exactly 969 and 970 orders
-    edge = [_two_bar_instance(ExtScalar(1.5, 484)), _two_bar_instance(ExtScalar(1.0, 485))]
-    assert [_spread(inst) for inst in edge] == [PLAIN_SEEDING_SPREAD, PLAIN_SEEDING_SPREAD + 1]
-    cases += [(edge[0], True), (edge[1], False)]
+    # the old whole-matrix guard sent kmeans k > 484 and kmedian k > 969 to the
+    # packed engine; now every generated chunk passes the per-chunk guard
+    cases = [(gen_kmeans_bad(k, 4.0, 1.0), True) for k in (16, 200, 484, 485, 1024, 1100, 2000)]
+    cases += [(gen_kmedian_bad(k, 4.0, 1.0), True) for k in (16, 300, 970, 1100)]
+    # x**2 = 2.25 * 2**968 and 2**970: spreads of exactly 969 and 970 orders;
+    # at 970 the potentials after pick 0 reach 2, at x = 2**1000 they are +inf
+    edge = [_two_bar_instance(ExtScalar(1.5, 484)), _two_bar_instance(ExtScalar(1.0, 485)),
+            _two_bar_instance(ExtScalar(1.0, 1000))]
+    assert [_spread(inst) for inst in edge[:2]] == [PLAIN_SEEDING_SPREAD, PLAIN_SEEDING_SPREAD + 1]
+    cases += [(edge[0], True), (edge[1], False), (edge[2], False)]
     for inst, fast in cases:
         label = f"{inst.variant} k={inst.k}"
-        assert (inst.plain_weighted_distpow() is not None) == fast, label
-        trials = 40 if inst.k <= 16 else 4
+        trials = 40 if inst.k <= 16 else 4 if inst.k <= 1100 else 2
         # the k=2 instances also trace all four picks
         n_traced = (inst.k, inst.n_locations) if inst.k == 2 else (inst.k,)
-        ref = run_trials(inst, trials, rng_seed=11, alpha=0.5, beta=0.5)
-        ref_traces = [seed(inst, n, rng_seed=11, trial_index=t)
-                      for t in range(3) for n in n_traced]
+        traced = range(3 if inst.k <= 485 else 1)
+        with monkeypatch.context() as mp:
+            runs = _spy_engine(mp)
+            ref = run_trials(inst, trials, rng_seed=11, alpha=0.5, beta=0.5)
+            ref_traces = [seed(inst, n, rng_seed=11, trial_index=t)
+                          for t in traced for n in n_traced]
+        assert set(runs) == {"plain" if fast else "packed"}, label
         with monkeypatch.context() as mp:
             _packed_engine(mp)
             got = run_trials(inst, trials, rng_seed=11, alpha=0.5, beta=0.5)
             traces = [seed(inst, n, rng_seed=11, trial_index=t)
-                      for t in range(3) for n in n_traced]
+                      for t in traced for n in n_traced]
         _assert_same_arrays(ref, got)
         assert traces == ref_traces, label
+
+
+def test_rows_below_the_floor_switch_to_packed(monkeypatch, debug_checks):
+    inst = _bar_one_below_the_floor(monkeypatch)
+    switches = 0
+    with monkeypatch.context() as mp:
+        runs = _spy_engine(mp)
+        ref = run_trials(inst, 200, rng_seed=11, alpha=0.5, beta=0.5)
+        # a pick 0 in bar 1 fails the guard: the one chunk runs packed throughout
+        assert runs == ["packed"]
+        ref_traces = []
+        for t in range(20):
+            runs.clear()
+            tr = seed(inst, rng_seed=11, trial_index=t)
+            ref_traces.append(tr)
+            # a trial that picks bar 1 later goes on packed from that pick
+            assert runs == ["packed" if tr.cluster_ids[0] == 1 else
+                            "switched" if 1 in tr.cluster_ids else "plain"]
+            switches += runs == ["switched"]
+    assert switches
+    with monkeypatch.context() as mp:
+        _packed_engine(mp)
+        got = run_trials(inst, 200, rng_seed=11, alpha=0.5, beta=0.5)
+        traces = [seed(inst, rng_seed=11, trial_index=t) for t in range(20)]
+    _assert_same_arrays(ref, got)
+    assert traces == ref_traces
 
 
 def test_first_trial_offset_selects_same_streams():
