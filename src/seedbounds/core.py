@@ -6,32 +6,38 @@ shrink geometrically stay exact.  All distance and cost arithmetic runs on
 packed (mantissa, exponent) numpy arrays with the same invariants as
 ExtScalar; the scalar type appears at API boundaries.
 
-Seeding and :func:`cost` read weighted rows ``weight_i * dist(j, i)**ell``
-from :meth:`Instance.weighted_row_source`: the cached (2k, 2k) matrix up
-to ``_MATRIX_MAX_ENTRIES`` entries, a bar-gap kernel above it.  Every
-packed operation depends only on mantissas and exponent differences, so
-where every bar from bar H on has the previous bar's packed x and y times
-2 and its weights times 2**-ell, W[j+2, i+2] equals W[j, i] bit for bit
-for j and i in those bars.  One row per end over every bar gap then serves
-every center's columns in bars >= H; on generated instances the run
-starts at cluster 55, below which x = (2**i - 2) * r is not a scaled power
-of two.  A center's columns in bars < H, once the center is far enough
-right (from about cluster 109 on), are the previous bar's with exponent
-+ell; the kernel build verifies that for every center instead of assuming
-it.  Hand-built instances without such a run keep computing every row.
+Seeding, :func:`cost` and the enumeration oracles read weighted rows
+``weight_i * dist(j, i)**ell`` from one row cache per instance, built on
+first use, packed from :meth:`Instance.weighted_row_source` and as plain
+doubles from :meth:`Instance.plain_row_source`.  Up to
+``_MATRIX_MAX_ENTRIES`` entries, and for any instance without a bar-gap
+tail, the cache is the full (2k, 2k) matrix.  Above the cap it is a
+bar-gap kernel.  Every packed operation depends only on mantissas and
+exponent differences, so where every bar from bar H on has the previous
+bar's packed x and y times 2 and its weights times 2**-ell, W[j+2, i+2]
+equals W[j, i] bit for bit for j and i in those bars.  One row per end
+over every bar gap then serves every center's columns in bars >= H; on
+generated instances the run starts at cluster 55, below which
+x = (2**i - 2) * r is not a scaled power of two.  The rows of the centers
+in bars < H come from one near block over the columns of bars < S, the
+bar from which (about cluster 109 on) a center's columns in bars < H are
+the previous bar's with exponent +ell; from bar S - 1 on those rows are
+constant.  The same block, transposed, gives every other center's columns
+in bars < H: weights that share a mantissa make W[j, i] equal W[i, j]
+times 2**(exponent of weight_i - exponent of weight_j).  The kernel build
+verifies the head shift for every center and the transpose over bars
+H .. S-1 instead of assuming them; an instance that fails either check
+keeps the full matrix.
 
-Seeding reads the same rows as plain doubles from
-:meth:`Instance.plain_row_source`, every value scaled by one 2**-F with
-F = min(largest exponent, smallest nonzero exponent + ``PLAIN_SEEDING_SPREAD``),
-so every nonzero value is at least 2**-PLAIN_SEEDING_SPREAD and values
-beyond the double range are +inf.  Up to the matrix cap that is the cached
-matrix converted once; above it, a plain copy of the kernel's tail rows
-plus its head columns, shifted and converted per row.  Rows the kernel
-computes (centers left of its tail) come back None when a nonzero entry
-falls below the 2**-PLAIN_SEEDING_SPREAD floor.  The enumeration oracles
-read the matrix view, :meth:`Instance.plain_weighted_distpow`, only where
-it has no value of 2 or more (a spread of at most ``PLAIN_SEEDING_SPREAD``
-binary orders, F the largest exponent); they raise CapacityError elsewhere.
+The plain rows are every value scaled by one 2**-F with
+F = min(largest exponent, smallest nonzero exponent + ``PLAIN_SEEDING_SPREAD``)
+over every value the cache serves, so every nonzero value is at least
+2**-PLAIN_SEEDING_SPREAD and values beyond the double range are +inf.  The
+kernel holds its near block only as such doubles; the build checks that
+they give back the packed values exactly.  The enumeration oracles take
+the plain rows only where they have no value of 2 or more (a spread of at
+most ``PLAIN_SEEDING_SPREAD`` binary orders, F the largest exponent); they
+raise CapacityError elsewhere.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -43,6 +49,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
 from .errors import CapacityError
@@ -75,8 +82,8 @@ _SENT = -(1 << 40)
 # the double range contributes exactly nothing to a sum.
 _MIN_SHIFT = -1100
 
-# Weighted rows come from the cached (2k, 2k) matrix up to this many entries
-# (k <= 1024) and from the bar-gap kernel above it; both hold the bits that
+# The row cache is the full (2k, 2k) matrix up to this many entries
+# (k <= 1024) and the bar-gap kernel above it; both hold the bits that
 # distpow_rows computes, the kernel because every packed operation is exact
 # under a common power-of-two scale (module docstring).
 _MATRIX_MAX_ENTRIES = 1 << 22
@@ -201,9 +208,9 @@ def _plain(m, e):
 
 
 def _enumerable(plain):
-    """``plain`` for the enumeration oracles; CapacityError where it is None
-    or holds a value of 2 or more (a spread beyond ``PLAIN_SEEDING_SPREAD``)."""
-    if plain is None or not plain[0].max() < 2.0:
+    """``plain`` for the enumeration oracles; CapacityError where it holds a
+    value of 2 or more (a spread beyond ``PLAIN_SEEDING_SPREAD``)."""
+    if not plain[0].max() < 2.0:
         raise CapacityError(f"values span more than {PLAIN_SEEDING_SPREAD} binary orders,"
                             " beyond the plain-double view the oracles enumerate on")
     return plain
@@ -244,10 +251,11 @@ class Instance:
 
     Immutable after construction.  Packs coordinates and weights into
     (mantissa, exponent) arrays used by every cost/sampling hot path, and
-    lazily caches the weighted rows seeding reads, packed and as plain
-    doubles: the full matrix up to ``_MATRIX_MAX_ENTRIES`` entries, the
-    bar-gap kernel above it.  The caches are plain arrays, so a built
-    instance pickles with them.
+    caches on first use every weighted row, packed and as plain doubles:
+    the full matrix up to ``_MATRIX_MAX_ENTRIES`` entries and for instances
+    without a bar-gap tail, the bar-gap kernel otherwise (module
+    docstring).  The cache is plain arrays, so a built instance pickles
+    with it.
     """
 
     def __init__(self, locations: Iterable[WeightedLocation], k: int, m: float,
@@ -273,9 +281,7 @@ class Instance:
 
         self._cluster = np.array([loc.cluster_id for loc in locs], dtype=np.int64)
         self._x, self._y, (self._w_m, self._w_e) = _pack_locations(locs)
-        self._wd = None
-        self._wd_plain = None  # (W, F) of the cached matrix
-        self._kernel = None    # _BarGapKernel, or () where the instance has none
+        self._rows = None  # _Matrix or _BarGapKernel, built on first use
 
     @property
     def ell(self) -> int:
@@ -303,138 +309,111 @@ class Instance:
         """weight_i * dist(loc[idxs[t]], loc[i]) ** ell, shaped like distpow_rows."""
         return _ext_mul(*self.distpow_rows(idxs, cols), self._w_m[cols], self._w_e[cols])
 
-    def weighted_distpow(self):
-        """Cached (2k, 2k) matrix W[j, i] = weight_i * dist(j, i)**ell."""
-        if self._wd is None:
-            self._wd = self._weighted_rows(np.arange(self.n_locations))
-        return self._wd
-
-    def plain_weighted_distpow(self):
-        """Cached ``(W, F)``: :meth:`weighted_distpow` as :func:`_plain` doubles
-        scaled by 2**-F; None above ``_MATRIX_MAX_ENTRIES``.
-
-        Where the nonzero entries span at most ``PLAIN_SEEDING_SPREAD``
-        binary orders, F is the largest exponent and every value is below
-        2; elsewhere the enumeration oracles refuse the view
-        (:func:`_enumerable`).
-        """
-        if self.n_locations ** 2 > _MATRIX_MAX_ENTRIES:
-            return None
-        if self._wd_plain is None:
-            self._wd_plain = _plain(*self.weighted_distpow())
-        return self._wd_plain
-
-    def _bar_gap(self):
-        """The cached :class:`_BarGapKernel`, or () where the instance has none."""
-        if self._kernel is None:
-            self._kernel = _bar_gap_kernel(self) or ()
-        return self._kernel
+    def _row_cache(self):
+        """The row cache (class docstring), built on first use."""
+        if self._rows is None:
+            kern = self.n_locations ** 2 > _MATRIX_MAX_ENTRIES and _bar_gap_kernel(self)
+            self._rows = kern or _matrix(self)
+        return self._rows
 
     def weighted_row_source(self):
         """``rows(idxs)`` -> (mantissa, exponent) of weight_i * dist(idxs[t], i)**ell.
 
-        ``idxs`` is a flat index array.  Up to ``_MATRIX_MAX_ENTRIES``
-        entries the rows come from the cached :meth:`weighted_distpow`
-        matrix; larger instances read them from the cached bar-gap kernel
-        (module docstring), computing only rows of centers left of its tail
-        from :meth:`distpow_rows`.  Either cache is built here, so callers
-        allocate their own work arrays after it.  Every row holds the bits
+        ``idxs`` is a flat index array.  The rows come from the instance's
+        row cache (class docstring), built here, so callers allocate their
+        own work arrays after it; every row holds the bits
         :meth:`distpow_rows` would give.
         """
-        if self.n_locations ** 2 <= _MATRIX_MAX_ENTRIES:
-            wm, we = self.weighted_distpow()
-            return lambda idxs: (wm[idxs], we[idxs])
-        return self._kernel_rows if self._bar_gap() else self._weighted_rows
+        return self._row_cache().sources()[0]
 
     def plain_row_source(self):
         """``(rows, F)``: the rows of :meth:`weighted_row_source` as doubles
-        scaled by 2**-F, or None where the instance has no plain source.
+        scaled by 2**-F.
 
-        F is :func:`_plain_scale` of the cached matrix or of the bar-gap
-        kernel, so every nonzero value the source holds is at least
-        2**-PLAIN_SEEDING_SPREAD; values beyond the double range are +inf.
-        Instances above ``_MATRIX_MAX_ENTRIES`` without a kernel have no
-        plain source.  ``rows(idxs)`` returns None when a row it computes
-        (a center left of the kernel's tail) has a nonzero value below
-        that floor.
+        F is :func:`_plain_scale` of every value the row cache serves, so
+        every nonzero value is at least 2**-PLAIN_SEEDING_SPREAD; values
+        beyond the double range are +inf.
         """
-        if self.n_locations ** 2 <= _MATRIX_MAX_ENTRIES:
-            W, F = self.plain_weighted_distpow()
-            return W.__getitem__, F
-        kern = self._bar_gap()
-        return (self._plain_kernel_rows, kern.scale) if kern else None
+        cache = self._row_cache()
+        return cache.sources()[1], cache.scale
 
-    def _kernel_rows(self, idxs: np.ndarray):
-        """Packed rows for a flat ``idxs`` from the bar-gap kernel; centers
-        left of its tail get :meth:`_weighted_rows`."""
-        kern = self._kernel
-        idxs = np.asarray(idxs, dtype=np.int64)
-        out_m = np.empty((idxs.size, self.n_locations))
-        out_e = np.empty((idxs.size, self.n_locations), dtype=np.int64)
-        near, hm, he, shift = kern.fill(idxs, (kern.tail_m, out_m), (kern.tail_e, out_e))
-        out_m[:, :2 * kern.tail] = hm
-        out_e[:, :2 * kern.tail] = _scaled_exp(hm, he, shift)
-        if near:
-            out_m[near], out_e[near] = self._weighted_rows(idxs[near])
-        return out_m, out_e
 
-    def _plain_kernel_rows(self, idxs: np.ndarray):
-        """:meth:`_kernel_rows` as doubles scaled by 2**-kern.scale; None when
-        a computed row has a nonzero value below 2**-PLAIN_SEEDING_SPREAD."""
-        kern = self._kernel
-        idxs = np.asarray(idxs, dtype=np.int64)
-        out = np.empty((idxs.size, self.n_locations))
-        near, hm, he, shift = kern.fill(idxs, (kern.tail_plain, out))
-        out[:, :2 * kern.tail] = _as_plain(hm, he + shift, kern.scale)
-        if near:
-            m, e = self._weighted_rows(idxs[near])
-            if np.any(e[m != 0.0] < kern.scale - PLAIN_SEEDING_SPREAD):
-                return None
-            out[near] = _as_plain(m, e, kern.scale)
-        return out
+class _Matrix(NamedTuple):
+    """The full (2k, 2k) matrix W[j, i] = weight_i * dist(j, i)**ell, packed
+    and as ``plain`` doubles scaled by 2**-scale."""
+
+    m: np.ndarray
+    e: np.ndarray
+    plain: np.ndarray
+    scale: int
+
+    def sources(self):
+        """``(rows, plain_rows)`` as for :meth:`_BarGapKernel.sources`."""
+        return (lambda idxs: (self.m[idxs], self.e[idxs])), self.plain.__getitem__
+
+
+def _matrix(inst: Instance) -> _Matrix:
+    m, e = inst._weighted_rows(np.arange(inst.n_locations))
+    return _Matrix(m, e, *_plain(m, e))
 
 
 class _BarGapKernel(NamedTuple):
     """Weighted rows of an instance whose bars from ``tail`` on repeat by scale.
 
     ``tail_m/e[s]`` is the row of end s (0 top, 1 bottom) over bar gaps
-    -(n-1) .. n-1, n = k - tail bars: gap g, end s' at column
-    2 * (n-1+g) + s'.  ``head_m/e`` are the columns of bars < tail for the
-    centers in bars tail .. shift-1; a center in bar c >= shift has those of
-    bar shift-1 times 2**(ell * (c - shift + 1)).  ``index[j]`` places
-    location j: (end, tail offset, head row, head shift), the offset -1
-    for a center left of the tail.  ``tail_plain`` is ``tail_m/e`` as
-    doubles scaled by 2**-scale, scale the :func:`_plain_scale` of every
-    value the kernel serves.
+    -(n-1) .. n-1, n = k - tail bars, after h = 2 * tail zeros: gap g, end
+    s' at column h + 2 * (n-1+g) + s'; ``tail_plain`` is it as doubles
+    scaled by 2**-scale.  ``near``, as such doubles, holds the rows of the
+    centers in bars < tail over the columns of bars < shift, from whose
+    last column pair on each of those rows is constant.  ``index[j]``
+    places location j: its end, the start of its row in the tail rows (0
+    for a center left of the tail) and its column in ``near``, the same end
+    in bar min(its bar, shift-1).  A center right of the tail takes that
+    column, transposed and times 2**(w_e[i] - w_e[j]), as its columns i of
+    bars < tail.
     """
 
-    tail: int
-    shift: int
     index: np.ndarray
+    w_e: np.ndarray
     tail_m: np.ndarray
     tail_e: np.ndarray
-    head_m: np.ndarray
-    head_e: np.ndarray
-    scale: int
     tail_plain: np.ndarray
+    near: np.ndarray
+    scale: int
 
-    def fill(self, idxs, *tails):
-        """Copy the tail columns of each row of a flat ``idxs`` from each
-        ``(tail, out)`` pair, tail one of ``tail_m``, ``tail_e`` and
-        ``tail_plain``.  Returns the positions of the centers left of the
-        tail, whose rows stay unset, and the rows' packed head columns with
-        the exponent shift each row adds to them."""
-        plan = self.index[idxs]
-        h = 2 * self.tail
-        near = []
-        for t, (end, off, _, _) in enumerate(plan.tolist()):
-            if off < 0:
-                near.append(t)
-                continue
-            for tail, out in tails:
-                out[t, h:] = tail[end, off:off + out.shape[1] - h]
-        row = plan[:, 2]
-        return near, self.head_m[row], self.head_e[row], plan[:, 3:]
+    def sources(self):
+        """``(rows, plain_rows)``: packed rows and rows as doubles scaled by
+        2**-scale, each for a flat index array."""
+        h, cols = len(self.near), self.index[:, 2]
+        m_win, e_win, plain_win = (sliding_window_view(t, len(self.index), axis=1)
+                                   for t in (self.tail_m, self.tail_e, self.tail_plain))
+
+        def gather(idxs, *wins):
+            # rows right in the columns of bars >= tail, the head columns as
+            # near values with the exponent shift of each row, and the rows
+            # left of the tail
+            end, off, col = self.index[idxs].T
+            shift = (self.w_e[:h] - self.w_e[idxs, None]).astype(np.int32)
+            return *(w[end, off] for w in wins), self.near[:, col].T, shift, idxs < h
+
+        def rows(idxs):
+            idxs = np.asarray(idxs, dtype=np.int64)
+            m, e, head, shift, near = gather(idxs, m_win, e_win)
+            m[:, :h], e[:, :h] = _norm(head, self.scale + shift)
+            if near.any():
+                m[near], e[near] = _norm(self.near[idxs[near]][:, cols], self.scale)
+            return m, e
+
+        def plain_rows(idxs):
+            idxs = np.asarray(idxs, dtype=np.int64)
+            out, head, shift, near = gather(idxs, plain_win)
+            with np.errstate(over="ignore"):
+                np.ldexp(head, shift, out=out[:, :h])
+            if near.any():
+                out[near] = self.near[idxs[near]][:, cols]
+            return out
+
+        return rows, plain_rows
 
 
 def _tail_start(inst: Instance) -> int:
@@ -476,35 +455,45 @@ def _head_shift_start(inst: Instance, tail: int) -> int:
 
 
 def _bar_gap_kernel(inst: Instance):
-    """The instance's :class:`_BarGapKernel`, or None when it has no tail."""
+    """The instance's :class:`_BarGapKernel`, or None when it has no tail or
+    the near block does not serve its rows exactly."""
     k, tail = inst.k, _tail_start(inst)
     if tail == k:
         return None
-    L, h = inst.n_locations, 2 * tail
+    L, h, w_e = inst.n_locations, 2 * tail, inst._w_e
     # the last bar over the tail gives gaps -(n-1) .. 0, the first tail bar
     # over the bars right of it gaps 1 .. n-1
     left = inst._weighted_rows(np.array([L - 2, L - 1]), slice(h, L))
     right = inst._weighted_rows(np.array([h, h + 1]), slice(h + 2, L))
-    tail_m = np.concatenate([left[0], right[0]], axis=1)
-    tail_e = np.concatenate([left[1], right[1]], axis=1)
+    pad = (np.zeros((2, h)), np.full((2, h), _SENT))
+    tail_m, tail_e = (np.concatenate(parts, axis=1) for parts in zip(pad, left, right))
     shift = _head_shift_start(inst, tail)
+    # columns of bars < tail, then of bars tail .. shift-1: two calls, each
+    # about the size of the head block below, keep the build's memory peak
+    near_m, near_e = (np.concatenate(parts, axis=1) for parts in zip(*(
+        inst._weighted_rows(np.arange(h), cols) for cols in (slice(0, h), slice(h, 2 * shift)))))
+    # the head columns of the centers in bars tail .. shift-1 must be the
+    # near block's, transposed, with the weight exponents' difference added
     head_m, head_e = inst._weighted_rows(np.arange(h, 2 * shift), slice(0, h))
+    if not (np.array_equal(near_m[:, h:].T, head_m) and np.array_equal(
+            _scaled_exp(head_m, near_e[:, h:].T, w_e[:h] - w_e[h:2 * shift, None]), head_e)):
+        return None
+    # the last bar's head columns: bar shift-1's, shifted the most
+    top = _scaled_exp(head_m[-2:], head_e[-2:], inst.ell * (k - shift))
+    scale = _plain_scale(np.concatenate([e[m != 0.0] for m, e in (
+        (tail_m, tail_e), (near_m, near_e), (head_m, head_e), (head_m[-2:], top))]))
+    near = _as_plain(near_m, near_e, scale)
+    if not all(map(np.array_equal, _norm(near, scale), (near_m, near_e))):
+        return None
 
     j = np.arange(L)
     bar, end = j // 2, j % 2
-    base = shift - 1  # centers right of this bar repeat its head columns
-    # tail bar b sits at gap b - bar; kernel column 2 * (k-1-bar) holds gap
-    # tail - bar, and the row runs contiguously from there
-    head_row = np.where(bar <= base, j - h, 2 * (base - tail) + end)
-    index = np.stack([end, 2 * (k - 1 - bar), head_row, inst.ell * np.maximum(bar - base, 0)],
-                     axis=1)
-    index[bar < tail] = (0, -1, 0, 0)
-    # the last bar's head columns: bar shift-1's, shifted the most
-    top = _scaled_exp(head_m[-2:], head_e[-2:], inst.ell * (k - shift))
-    scale = _plain_scale(np.concatenate(
-        [e[m != 0.0] for m, e in ((tail_m, tail_e), (head_m, head_e), (head_m[-2:], top))]))
-    return _BarGapKernel(tail, shift, index, tail_m, tail_e, head_m, head_e,
-                         scale, _as_plain(tail_m, tail_e, scale))
+    # tail bar b sits at gap b - bar; a center's row starts at gap tail - bar,
+    # tail column h + 2 * (k-1-bar), which a window from 2 * (k-1-bar) puts at h
+    off = np.where(bar < tail, 0, 2 * (k - 1 - bar))
+    index = np.stack([end, off, np.minimum(j, 2 * (shift - 1) + end)], axis=1)
+    return _BarGapKernel(index, w_e, tail_m, tail_e, _as_plain(tail_m, tail_e, scale),
+                         near, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import BOTTOM, ELL, TOP, Instance, WeightedLocation, _enumerable, cost
 from .errors import CapacityError, ConfigError
 from .extfloat import ExtScalar
@@ -97,15 +99,16 @@ def brute_force_opt(inst: Instance):
 
     Returns ``(cost, best)`` where ``best`` is the lexicographically
     smallest argmin index tuple.  Refuses work beyond BRUTE_FORCE_LIMIT
-    subsets, and instances whose :meth:`Instance.plain_weighted_distpow`
-    values span more than ``core.PLAIN_SEEDING_SPREAD`` binary orders.
+    subsets, and instances whose :meth:`Instance.plain_row_source` rows
+    span more than ``core.PLAIN_SEEDING_SPREAD`` binary orders.
     """
     L = inst.n_locations
     total = math.comb(L, inst.k)
     if total > BRUTE_FORCE_LIMIT:
         raise CapacityError(
             f"C({L},{inst.k}) = {total} subsets exceeds the enumeration limit {BRUTE_FORCE_LIMIT}")
-    W, _ = _enumerable(inst.plain_weighted_distpow())
+    rows, F = inst.plain_row_source()
+    W, _ = _enumerable((rows(np.arange(L)), F))
     best_cost = math.inf
     best = None
     for subset in itertools.combinations(range(L), inst.k):

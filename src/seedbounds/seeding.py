@@ -32,24 +32,19 @@ so every scaled potential stays in [2**-969, 2), and ``u * total`` for
 every uniform u >= 2**-53 is a normal double.  The power-of-two scale then
 commutes with each rounding of the sums, the minimum and the pick
 comparison: picks and costs are bit-identical to the packed engine.  A
-chunk whose first potentials fail the check runs the packed engine, and
-one that meets a computed row below the floor (a center left of the
-kernel's tail, above the matrix cap) goes on from that pick on it: its
-plain potentials are the packed ones times 2**-F exactly, so either way
-every output bit is the same.  Generated instances pass the check in
-practice: their first pick lands in the heavy first bars.  The packed
-engine also serves instances without a plain row source (hand-built ones
-above the matrix cap).  No option selects the engine.
-:func:`exact_distribution` enumerates on the matrix view
-:meth:`Instance.plain_weighted_distpow` and raises CapacityError where its
-values span more than ``core.PLAIN_SEEDING_SPREAD`` binary orders.
+chunk whose first potentials fail the check runs the packed engine from
+pick 0, with the same output bits.  Generated instances pass the check in
+practice: their first pick lands in the heavy first bars.  No option
+selects the engine.  :func:`exact_distribution` enumerates on the same
+plain rows and raises CapacityError where their values span more than
+``core.PLAIN_SEEDING_SPREAD`` binary orders.
 
-Above the matrix cap (k > 1024) both engines take their rows from the
-instance's bar-gap kernel (``core`` module docstring): slices of one
-cached row per bar end, exact because every packed operation commutes
-with the power-of-two scale between consecutive bars.  Only picks in the
-bars left of the kernel's tail compute rows, so picks and costs are the
-same bits as with rows computed per pick.
+Both engines read every row from the instance's row cache (``core``
+module docstring): the full matrix up to the cap (k <= 1024) and for
+instances without a bar-gap tail, a bar-gap kernel otherwise, whose rows
+are the same bits because every packed operation commutes with the
+power-of-two scale between consecutive bars.  Once the cache is built no
+pick computes a distance.
 """
 
 from __future__ import annotations
@@ -129,16 +124,11 @@ def floor_frac(x: float, k: int) -> int:
 
 def _plain_start(inst, pick0):
     """The per-chunk guard: ``(rows, F, first potentials)`` of the plain-double
-    engine, or None where the instance has no plain row source or the
-    potentials after the first picks are not all below 2 (scaled by 2**-F)."""
-    src = inst.plain_row_source()
-    if src is None:
-        return None
-    rows, F = src
+    engine, or None where the potentials after the first picks are not all
+    below 2 (scaled by 2**-F)."""
+    rows, F = inst.plain_row_source()
     pot = rows(pick0)
-    if pot is None or not np.all(pot < 2.0):
-        return None
-    return rows, F, pot
+    return (rows, F, pot) if np.all(pot < 2.0) else None
 
 
 def _run_chunk(inst, n_centers, rng_seed, lo, hi, alpha_picks, beta_clusters,
@@ -182,14 +172,7 @@ def _run_chunk(inst, n_centers, rng_seed, lo, hi, alpha_picks, beta_clusters,
                 rows = inst.weighted_row_source()
                 pot = rows(pick)
         elif plain:
-            row = rows(pick)
-            if row is None:
-                # a computed row below the floor: the plain potentials are the
-                # packed ones times 2**-E exactly, so the chunk goes on packed
-                pot, rows, plain = _norm(pot, E), inst.weighted_row_source(), False
-                _ext_min_into(*pot, *rows(pick))
-            else:
-                np.minimum(pot, row, out=pot)
+            np.minimum(pot, rows(pick), out=pot)
         else:
             _ext_min_into(*pot, *rows(pick))
         # plain potentials are scaled by the row source's one 2**-F
@@ -272,8 +255,9 @@ def exact_distribution(inst: Instance):
     reachable center sets with their exact pick probabilities
     (order integrated out, since future picks depend only on the chosen
     set).  Returns ``(CoverageDistribution, expected ratio of seeding cost
-    to the discrete reference optimum)``.  Raises CapacityError beyond the
-    enumeration limit, and where the weights or the weighted matrix span
+    to the discrete reference optimum)``.  Enumerates on every row of
+    :meth:`Instance.plain_row_source`.  Raises CapacityError beyond the
+    enumeration limit, and where the weights or the weighted rows span
     more than ``core.PLAIN_SEEDING_SPREAD`` binary orders.
     """
     from .instances import reference_costs
@@ -282,7 +266,8 @@ def exact_distribution(inst: Instance):
     if L ** inst.k > _EXACT_SEQUENCE_LIMIT:
         raise CapacityError(
             f"{L}**{inst.k} ordered center sequences exceed the exact-oracle limit")
-    W, E = _enumerable(inst.plain_weighted_distpow())
+    rows, F = inst.plain_row_source()
+    W, E = _enumerable((rows(np.arange(L)), F))
     w, _ = _enumerable(_plain(inst._w_m, inst._w_e))
 
     level = {0: 1.0}

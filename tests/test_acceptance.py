@@ -71,7 +71,8 @@ def test_acceptance_1_optimal_cost_reproduction(criterion):
                         assert abs(got.ratio(opt) - 1.0) <= 1e-9
                         assert coverage(inst, best)[0] == k
                         # every argmin covers all k clusters
-                        W, _ = inst.plain_weighted_distpow()
+                        rows, _ = inst.plain_row_source()
+                        W = rows(np.arange(2 * k))
                         opt_scaled = W[best, :].min(axis=0).sum()
                         for subset in itertools.combinations(range(2 * k), k):
                             c = W[subset, :].min(axis=0).sum()
@@ -85,7 +86,8 @@ def test_acceptance_2_cost_floor_suite(criterion):
         for k in range(4, 11):
             inst = gen_kmeans_bad(k, 1.0, 1.0)
             opt = reference_costs(inst).discrete
-            W, E = inst.plain_weighted_distpow()
+            rows, E = inst.plain_row_source()
+            W = rows(np.arange(2 * k))
             opt_scaled = opt.m * 2.0 ** (opt.e - E)
             clusters = inst._cluster
             for _ in range(10**4):

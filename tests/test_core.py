@@ -240,16 +240,16 @@ def test_instance_csv_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# weighted rows above the matrix cap: the bar-gap kernel
+# the row cache: the full matrix, or the bar-gap kernel above the cap
 # ---------------------------------------------------------------------------
 
-def _assert_rows_match(inst, idxs):
-    """Kernel rows equal the explicitly computed rows bit for bit, packed and
-    as the plain copy's doubles."""
+def _assert_rows_match(inst):
+    """Every cached row, near rows included, equals the explicitly computed
+    row bit for bit, packed and as the plain source's doubles."""
     rows = inst.weighted_row_source()
     plain, F = inst.plain_row_source()
-    for lo in range(0, len(idxs), 64):
-        chunk = np.asarray(idxs[lo:lo + 64])
+    for lo in range(0, inst.n_locations, 64):
+        chunk = np.arange(lo, min(lo + 64, inst.n_locations))
         (km, ke), (wm, we) = rows(chunk), inst._weighted_rows(chunk)
         assert np.array_equal(km.view(np.int64), wm.view(np.int64)), chunk
         assert np.array_equal(ke, we), chunk
@@ -257,15 +257,18 @@ def _assert_rows_match(inst, idxs):
 
 
 def test_kernel_rows_match_every_explicit_row():
-    inst = gen_kmeans_bad(1100, 4.0, 1.0)
-    assert inst.n_locations ** 2 > core._MATRIX_MAX_ENTRIES
-    _assert_rows_match(inst, np.arange(inst.n_locations))
-    kern = inst._kernel
-    # x = (2**i - 2) * r is a scaled power of two from bar 55 on; the head
-    # columns repeat by scale once bar 55's x is negligible beside the center's
-    assert (kern.tail, kern.shift) == (54, 108)
-    assert kern.tail_m.shape == (2, 2 * (2 * (1100 - 54) - 1))
-    assert kern.head_m.shape == (2 * (108 - 54), 2 * 54)
+    for k in (1025, 1100):
+        inst = gen_kmeans_bad(k, 4.0, 1.0)
+        assert inst.n_locations ** 2 > core._MATRIX_MAX_ENTRIES
+        _assert_rows_match(inst)
+        kern = inst._rows
+        # 108 zeros, then both ends of every bar gap -(n-1) .. n-1, n = k - 54
+        assert kern.tail_m.shape == (2, 2 * 54 + 2 * (2 * (k - 54) - 1))
+        # x = (2**i - 2) * r is a scaled power of two from bar 55 on; the head
+        # columns repeat by scale once bar 55's x is negligible beside the
+        # center's, from bar 109 on: the near block holds bars 1..54 over 1..108
+        assert kern.near.shape == (2 * 54, 2 * 108)
+        assert kern.near.nbytes == 186_624
 
 
 def _geometric_instance(k, variant):
@@ -278,39 +281,53 @@ def _geometric_instance(k, variant):
     return Instance(locs, k, 1.0, 1.0, variant)
 
 
-def test_kernel_rows_match_sampled_rows(monkeypatch):
+def test_kernel_rows_match_every_row_under_a_zero_cap(monkeypatch):
     monkeypatch.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
-    rs = np.random.default_rng(5)
     for gen in (gen_kmeans_bad, gen_kmedian_bad):
-        for r in (1.0, 3.0, 0.7):
-            for m in (1.0, 4.0):
-                inst = gen(300, m, r)
-                inst.weighted_row_source()
-                kern = inst._kernel
-                assert kern.tail < kern.shift < inst.k, (gen, r, m)
-                # both ends of the first and last bars and of each boundary bar
-                edges = [0, kern.tail - 1, kern.tail, kern.shift - 1, kern.shift, inst.k - 1]
-                idxs = [2 * b + s for b in edges for s in (0, 1)]
-                _assert_rows_match(inst, idxs + rs.choice(inst.n_locations, 40).tolist())
+        # k=55 has no run of two bars past bar 54; k=56 and 60 have no center
+        # whose head columns repeat by scale; from k=109 on some do
+        for k in (55, 56, 60, 109, 110, 300):
+            for r in (0.7, 1.0, 3.0):
+                for m in (1.0, 4.0):
+                    inst = gen(k, m, r)
+                    _assert_rows_match(inst)
+                    assert isinstance(inst._rows, core._Matrix) == (k == 55), (gen, k, r, m)
     for variant in core.ELL:
         inst = _geometric_instance(40, variant)
-        _assert_rows_match(inst, np.arange(inst.n_locations))
-        assert (inst._kernel.tail, inst._kernel.shift) == (0, 1)
+        _assert_rows_match(inst)
+        assert inst._rows.near.shape == (0, 2)  # the tail is every bar
+
+
+def _bar_one_replaced(inst, x, h, w):
+    """``inst`` with both ends of bar 1 at x, +/-h and weight w."""
+    one = [WeightedLocation(1, end, x, h, w) for end in (TOP, BOTTOM)]
+    return Instance(one + list(inst.locations[2:]), inst.k, 1.0, 1.0, inst.variant)
 
 
 def test_hand_built_instance_has_no_kernel(monkeypatch):
+    # whatever its size, an instance without a bar-gap tail caches the full
+    # matrix, and reads its plain rows from it
     monkeypatch.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
     inst = _symmetric_instance()
     assert core._tail_start(inst) == inst.k
-    assert inst.weighted_row_source() == inst._weighted_rows
-    assert inst._kernel == ()
-    assert inst.plain_row_source() is None
+    _assert_rows_match(inst)
+    assert isinstance(inst._rows, core._Matrix)
+    rows, F = inst.plain_row_source()
+    assert rows == inst._rows.plain.__getitem__ and F == inst._rows.scale
     # one bar off the doubling pattern, the last, leaves no run of two bars
     geo = _geometric_instance(6, "kmeans")
     locs = list(geo.locations[:-2]) + [
         WeightedLocation(6, end, ExtScalar(1.0, 9), ExtScalar(1.25, 4), ExtScalar(1.0, -12))
         for end in (TOP, BOTTOM)]
     assert core._tail_start(Instance(locs, 6, 1.0, 1.0, "kmeans")) == 6
+    # a tail from bar 2 on, but bar 1's weight has another mantissa, so its
+    # rows are not the others' head columns transposed; or bar 1 is 2**600
+    # away, so the near block holds values beyond the double range
+    for x, w in ((ExtScalar(0.0), ExtScalar(1.5, -2)), (ExtScalar(1.0, 600), ExtScalar(1.0, -2))):
+        odd = _bar_one_replaced(geo, x, ExtScalar(1.0, -600), w)
+        assert core._tail_start(odd) == 1
+        _assert_rows_match(odd)
+        assert isinstance(odd._rows, core._Matrix)
 
 
 def test_cost_above_the_cap_equals_seeding_cost():

@@ -56,11 +56,11 @@ def test_instance_and_trace_pickle():
 
 
 def test_built_instance_pickles_with_its_caches():
-    # above the matrix cap seed() builds the bar-gap kernel and its plain copy
+    # above the matrix cap seed() builds the bar-gap kernel with its near block
     inst = gen_kmeans_bad(1100, 4.0, 1.0)
     fresh = len(pickle.dumps(inst))
     tr = seed(inst, rng_seed=42, trial_index=3)
-    assert inst._kernel
+    assert isinstance(inst._rows, core._BarGapKernel)
     built = pickle.dumps(inst)
     assert len(built) < 3 * fresh
     assert seed(pickle.loads(built), rng_seed=42, trial_index=3) == tr
@@ -74,7 +74,7 @@ def test_plain_rows_beyond_the_double_range_warn_nothing():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             seed(inst, rng_seed=1, trial_index=0)
-    assert np.isinf(inst._kernel.tail_plain).any()
+    assert np.isinf(inst._rows.tail_plain).any()
 
 
 def test_seed_trace_structure(inst2, debug_checks):
@@ -137,7 +137,7 @@ def test_degenerate_instance_raises(monkeypatch, debug_checks):
     inst = Instance(locs, 1, 1.0, 1.0, "kmeans")
     seed(inst, n_centers=1, rng_seed=0, trial_index=0)  # fine
     # no nonzero weighted distance: the spread is 0 and the plain path applies
-    assert inst.plain_weighted_distpow() is not None
+    assert seeding._plain_start(inst, np.array([0])) is not None
     with pytest.raises(DegenerateInstanceError):
         seed(inst, n_centers=2, rng_seed=0, trial_index=0)
     with monkeypatch.context() as mp:
@@ -165,8 +165,8 @@ def test_batch_equals_single_trials(debug_checks):
 
 
 def test_per_pick_rows_match_matrix_rows(monkeypatch):
-    # k=6 has no kernel and computes every row; k=300 reads the bar-gap
-    # kernel's tail and shifted head columns and computes rows near bar 1
+    # above a zero cap k=6, without a bar-gap tail, still caches the full
+    # matrix; k=300 reads the bar-gap kernel's tail rows and near block
     for gen, k, trials, n_traces in ((gen_kmeans_bad, 6, 50, 4), (gen_kmedian_bad, 6, 50, 4),
                                      (gen_kmeans_bad, 300, 12, 2),
                                      (gen_kmedian_bad, 300, 12, 2)):
@@ -175,16 +175,14 @@ def test_per_pick_rows_match_matrix_rows(monkeypatch):
         ref_traces = [seed(inst, rng_seed=3, trial_index=t) for t in range(n_traces)]
         ref_costs = [cost(inst, tr.centers) for tr in ref_traces]
         with monkeypatch.context() as mp:
-            # every instance now takes the above-cap rows; the matrix is never built
             mp.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
-            mp.setattr(Instance, "weighted_distpow", None)
             inst = gen(k, 4.0, 1.0)
+            runs = _spy_engine(mp)
             got = run_trials(inst, trials, rng_seed=3, alpha=0.5, beta=0.5)
             traces = [seed(inst, rng_seed=3, trial_index=t) for t in range(n_traces)]
             costs = [cost(inst, tr.centers) for tr in traces]
-            assert (inst._kernel == ()) == (k == 6)
-            # without a kernel there is no plain source: the packed engine runs
-            assert (inst.plain_row_source() is None) == (k == 6)
+            assert isinstance(inst._rows, core._Matrix) == (k == 6)
+            assert set(runs) == {"plain"}
         _assert_same_arrays(ref, got)
         assert traces == ref_traces
         assert costs == ref_costs == [tr.final_cost for tr in traces]
@@ -196,23 +194,16 @@ def _packed_engine(mp):
 
 
 def _spy_engine(mp):
-    """Record the engine each chunk ran: "plain", "packed", or "switched" for
-    a plain chunk that went on packed at a computed row below the floor."""
+    """Record the engine each chunk ran: "plain" or "packed"."""
     runs = []
-    plain_start, row_source = seeding._plain_start, Instance.weighted_row_source
+    plain_start = seeding._plain_start
 
     def spy_plain_start(inst, pick0):
         start = plain_start(inst, pick0)
         runs.append("packed" if start is None else "plain")
         return start
 
-    def spy_row_source(self):
-        if runs[-1] == "plain":  # only the packed engine asks for packed rows
-            runs[-1] = "switched"
-        return row_source(self)
-
     mp.setattr(seeding, "_plain_start", spy_plain_start)
-    mp.setattr(Instance, "weighted_row_source", spy_row_source)
     return runs
 
 
@@ -255,14 +246,15 @@ def _two_bar_instance(x):
 
 
 def _spread(inst):
-    m, e = inst.weighted_distpow()
+    m, e = inst.weighted_row_source()(np.arange(inst.n_locations))
     nz = e[m != 0.0]
     return int(nz.max() - nz.min())
 
 
 def _bar_one_below_the_floor(monkeypatch):
     """Six bars, above a zero matrix cap, whose first bar is 2**-599 tall: the
-    computed rows of its centers hold 2**-6 * 2**-1198, below the kernel's floor."""
+    near rows of its centers hold 2**-6 * 2**-1198, 1213 binary orders below
+    the kernel's largest value."""
     monkeypatch.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
     locs = []
     for i in range(1, 7):
@@ -271,9 +263,8 @@ def _bar_one_below_the_floor(monkeypatch):
             x, h, w = ExtScalar(0.0), ExtScalar(1.0, -600), ExtScalar(1.0, -6)
         locs += [WeightedLocation(i, TOP, x, h, w), WeightedLocation(i, BOTTOM, x, h, w)]
     inst = Instance(locs, 6, 1.0, 1.0, "kmeans")
-    rows, _ = inst.plain_row_source()
-    assert inst._kernel.tail == 1
-    assert rows(np.array([2, 3])) is not None and rows(np.array([0])) is None
+    inst.weighted_row_source()
+    assert len(inst._rows.near) == 2  # the kernel's tail starts at bar 2
     return inst
 
 
@@ -311,30 +302,45 @@ def test_plain_path_matches_packed_engine(monkeypatch, debug_checks):
         assert traces == ref_traces, label
 
 
-def test_rows_below_the_floor_switch_to_packed(monkeypatch, debug_checks):
+def test_rows_spanning_past_the_plain_spread_match_packed(monkeypatch, debug_checks):
     inst = _bar_one_below_the_floor(monkeypatch)
-    switches = 0
+    idxs = np.arange(inst.n_locations)
+    (m, e), (plain, F) = inst.weighted_row_source()(idxs), inst.plain_row_source()
+    values = plain(idxs)
+    assert m.shape == values.shape == (12, 12)
+    # F spans the near rows too: nothing the cache serves is below 2**-969
+    nz = values[(values != 0.0) & np.isfinite(values)]
+    assert nz.size and nz.min() >= 2.0 ** -969
+    assert F == int(e[m != 0.0].min()) + core.PLAIN_SEEDING_SPREAD
     with monkeypatch.context() as mp:
         runs = _spy_engine(mp)
         ref = run_trials(inst, 200, rng_seed=11, alpha=0.5, beta=0.5)
-        # a pick 0 in bar 1 fails the guard: the one chunk runs packed throughout
-        assert runs == ["packed"]
-        ref_traces = []
-        for t in range(20):
-            runs.clear()
-            tr = seed(inst, rng_seed=11, trial_index=t)
-            ref_traces.append(tr)
-            # a trial that picks bar 1 later goes on packed from that pick
-            assert runs == ["packed" if tr.cluster_ids[0] == 1 else
-                            "switched" if 1 in tr.cluster_ids else "plain"]
-            switches += runs == ["switched"]
-    assert switches
+        ref_traces = [seed(inst, rng_seed=11, trial_index=t) for t in range(20)]
+    # the far rows reach 2**244 at that scale: every chunk runs packed
+    assert set(runs) == {"packed"}
+    assert any(1 in tr.cluster_ids[1:] for tr in ref_traces)
     with monkeypatch.context() as mp:
         _packed_engine(mp)
         got = run_trials(inst, 200, rng_seed=11, alpha=0.5, beta=0.5)
         traces = [seed(inst, rng_seed=11, trial_index=t) for t in range(20)]
     _assert_same_arrays(ref, got)
     assert traces == ref_traces
+
+
+def test_seeding_computes_no_row_once_the_cache_is_built(monkeypatch):
+    # picks in bars 1..54 above the cap come from the near block
+    distpow_rows, calls = Instance.distpow_rows, []
+
+    def spy(self, *args):
+        calls.append(args)
+        return distpow_rows(self, *args)
+
+    for inst in (gen_kmeans_bad(1100, 4.0, 1.0), gen_kmedian_bad(2000, 4.0, 1.0)):
+        inst.plain_row_source()
+        with monkeypatch.context() as mp:
+            mp.setattr(Instance, "distpow_rows", spy)
+            run_trials(inst, 2, rng_seed=5)
+        assert len(calls) == 0, inst.variant
 
 
 def test_first_trial_offset_selects_same_streams():
