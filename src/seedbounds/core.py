@@ -9,10 +9,11 @@ ExtScalar; the scalar type appears at API boundaries.
 Seeding, :func:`cost` and the enumeration oracles read weighted rows
 ``weight_i * dist(j, i)**ell`` from one row cache per instance, built on
 first use, packed from :meth:`Instance.weighted_row_source` and as plain
-doubles from :meth:`Instance.plain_row_source`.  Up to
-``_MATRIX_MAX_ENTRIES`` entries, and for any instance without a bar-gap
-tail, the cache is the full (2k, 2k) matrix.  Above the cap it is a
-bar-gap kernel.  Every packed operation depends only on mantissas and
+doubles from :meth:`Instance.plain_row_source`: a bar-gap kernel above
+``_MATRIX_MAX_ENTRIES`` entries, else the full (2k, 2k) matrix, filled in
+row blocks on the ``rng.trial_chunks`` grid from the kernel's rows, or
+from ``Instance._weighted_rows`` for an instance without a kernel, F from
+its exponents.  Every packed operation depends only on mantissas and
 exponent differences, so where every bar from bar H on has the previous
 bar's packed x and y times 2 and its weights times 2**-ell, W[j+2, i+2]
 equals W[j, i] bit for bit for j and i in those bars.  One row per end
@@ -82,10 +83,10 @@ _SENT = -(1 << 40)
 # the double range contributes exactly nothing to a sum.
 _MIN_SHIFT = -1100
 
-# The row cache is the full (2k, 2k) matrix up to this many entries
-# (k <= 1024) and the bar-gap kernel above it; both hold the bits that
-# distpow_rows computes, the kernel because every packed operation is exact
-# under a common power-of-two scale (module docstring).
+# The row cache is the full (2k, 2k) matrix, copied from the bar-gap kernel's
+# rows, up to this many entries (k <= 1024) and the kernel above it; both hold
+# the bits of Instance._weighted_rows (weight times distance power), the kernel
+# because every packed operation is exact under a power-of-two scale.
 _MATRIX_MAX_ENTRIES = 1 << 22
 
 # Plain-double rows keep every nonzero value at least 2**-PLAIN_SEEDING_SPREAD:
@@ -252,10 +253,10 @@ class Instance:
     Immutable after construction.  Packs coordinates and weights into
     (mantissa, exponent) arrays used by every cost/sampling hot path, and
     caches on first use every weighted row, packed and as plain doubles:
-    the full matrix up to ``_MATRIX_MAX_ENTRIES`` entries and for instances
-    without a bar-gap tail, the bar-gap kernel otherwise (module
-    docstring).  The cache is plain arrays, so a built instance pickles
-    with it.
+    the bar-gap kernel above ``_MATRIX_MAX_ENTRIES`` entries, and up to it
+    or without a kernel the full matrix, copied in row blocks from the
+    kernel's rows (module docstring).  The cache is plain arrays, so a
+    built instance pickles with it.
     """
 
     def __init__(self, locations: Iterable[WeightedLocation], k: int, m: float,
@@ -312,8 +313,9 @@ class Instance:
     def _row_cache(self):
         """The row cache (class docstring), built on first use."""
         if self._rows is None:
-            kern = self.n_locations ** 2 > _MATRIX_MAX_ENTRIES and _bar_gap_kernel(self)
-            self._rows = kern or _matrix(self)
+            kern = _bar_gap_kernel(self)
+            small = self.n_locations ** 2 <= _MATRIX_MAX_ENTRIES
+            self._rows = _matrix(self, kern) if small or not kern else kern
         return self._rows
 
     def weighted_row_source(self):
@@ -321,8 +323,8 @@ class Instance:
 
         ``idxs`` is a flat index array.  The rows come from the instance's
         row cache (class docstring), built here, so callers allocate their
-        own work arrays after it; every row holds the bits
-        :meth:`distpow_rows` would give.
+        own work arrays after it; every row holds the bits of
+        :meth:`_weighted_rows`, weight_i times :meth:`distpow_rows`.
         """
         return self._row_cache().sources()[0]
 
@@ -352,9 +354,19 @@ class _Matrix(NamedTuple):
         return (lambda idxs: (self.m[idxs], self.e[idxs])), self.plain.__getitem__
 
 
-def _matrix(inst: Instance) -> _Matrix:
-    m, e = inst._weighted_rows(np.arange(inst.n_locations))
-    return _Matrix(m, e, *_plain(m, e))
+def _matrix(inst: Instance, kern) -> _Matrix:
+    """The full matrix, filled in row blocks (module docstring)."""
+    L, rows = inst.n_locations, kern.sources()[0] if kern else inst._weighted_rows
+    m, e, plain = np.empty((L, L)), np.empty((L, L), dtype=np.int64), np.empty((L, L))
+    blocks, ends = list(rng.trial_chunks(0, L, L)), []
+    for lo, hi in blocks:
+        m[lo:hi], e[lo:hi] = rows(np.arange(lo, hi))
+        nz = e[lo:hi][m[lo:hi] != 0.0]
+        ends += [nz.min(), nz.max()] if nz.size else []
+    F = _plain_scale(np.array(ends, dtype=np.int64))
+    for lo, hi in blocks:
+        plain[lo:hi] = _as_plain(m[lo:hi], e[lo:hi], F)
+    return _Matrix(m, e, plain, F)
 
 
 class _BarGapKernel(NamedTuple):
@@ -438,15 +450,13 @@ def _head_shift_start(inst: Instance, tail: int) -> int:
     the previous bar's with exponent +ell, mantissas equal.
 
     Streams the head columns (bars < tail) of every center in bars
-    tail .. k-1, a chunk of about one full row's elements at a time.
+    tail .. k-1 on the grid :func:`cost` streams its centers on, the bars
+    lo .. hi of each chunk overlapping the next chunk by one bar.
     """
-    h = 2 * tail
-    per = max(1, inst.k // max(h, 1))
-    shift = tail + 1
-    for lo in range(tail, inst.k - 1, per):
-        hi = min(lo + per + 1, inst.k)  # chunks overlap by one bar
-        m, e = (a.reshape(hi - lo, 2, h) for a in
-                inst._weighted_rows(np.arange(2 * lo, 2 * hi), slice(0, h)))
+    h, shift = 2 * tail, tail + 1
+    for lo, hi in rng.trial_chunks(tail, inst.k - 1 - tail, inst.n_locations):
+        m, e = (a.reshape(hi + 1 - lo, 2, h) for a in
+                inst._weighted_rows(np.arange(2 * lo, 2 * hi + 2), slice(0, h)))
         same = (m[1:] == m[:-1]) & (e[1:] == _scaled_exp(m[:-1], e[:-1], inst.ell))
         bad = np.flatnonzero(~same.all(axis=(1, 2)))
         if bad.size:

@@ -40,11 +40,11 @@ plain rows and raises CapacityError where their values span more than
 ``core.PLAIN_SEEDING_SPREAD`` binary orders.
 
 Both engines read every row from the instance's row cache (``core``
-module docstring): the full matrix up to the cap (k <= 1024) and for
-instances without a bar-gap tail, a bar-gap kernel otherwise, whose rows
+module docstring): a bar-gap kernel above the cap (k > 1024), whose rows
 are the same bits because every packed operation commutes with the
-power-of-two scale between consecutive bars.  Once the cache is built no
-pick computes a distance.
+power-of-two scale between consecutive bars, and otherwise the full
+matrix, copied from the kernel's rows where the instance has one.  Once
+the cache is built no pick computes a distance.
 """
 
 from __future__ import annotations

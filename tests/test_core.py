@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,20 +283,40 @@ def _geometric_instance(k, variant):
 
 
 def test_kernel_rows_match_every_row_under_a_zero_cap(monkeypatch):
+    # under a zero cap every instance with a kernel caches it; under the real
+    # cap the same instances cache the full matrix, copied from its rows
+    real_cap = core._MATRIX_MAX_ENTRIES
+    for cap, ks in ((0, (55, 56, 60, 109, 110, 300)), (real_cap, (56, 109, 300))):
+        monkeypatch.setattr(core, "_MATRIX_MAX_ENTRIES", cap)
+        for gen in (gen_kmeans_bad, gen_kmedian_bad):
+            # k=55 has no run of two bars past bar 54; k=56 and 60 have no
+            # center whose head columns repeat by scale; from k=109 on some do
+            for k, r, m in itertools.product(ks, (0.7, 1.0, 3.0), (1.0, 4.0)):
+                inst = gen(k, m, r)
+                _assert_rows_match(inst)
+                is_matrix = isinstance(inst._rows, core._Matrix)
+                assert is_matrix == (cap > 0 or k == 55), (cap, gen, k, r, m)
+                if cap:
+                    assert inst._rows.scale == core._bar_gap_kernel(inst).scale
     monkeypatch.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
-    for gen in (gen_kmeans_bad, gen_kmedian_bad):
-        # k=55 has no run of two bars past bar 54; k=56 and 60 have no center
-        # whose head columns repeat by scale; from k=109 on some do
-        for k in (55, 56, 60, 109, 110, 300):
-            for r in (0.7, 1.0, 3.0):
-                for m in (1.0, 4.0):
-                    inst = gen(k, m, r)
-                    _assert_rows_match(inst)
-                    assert isinstance(inst._rows, core._Matrix) == (k == 55), (gen, k, r, m)
     for variant in core.ELL:
         inst = _geometric_instance(40, variant)
         _assert_rows_match(inst)
         assert inst._rows.near.shape == (0, 2)  # the tail is every bar
+
+
+def test_matrix_build_peaks_below_twice_the_cache():
+    # the matrix is filled from the kernel's rows in row blocks, so its build
+    # holds little beyond the packed and plain arrays it returns
+    inst = gen_kmeans_bad(600, 4.0, 1.0)
+    tracemalloc.start()
+    try:
+        cache = inst._row_cache()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(cache, core._Matrix)
+    assert peak < 2 * (cache.m.nbytes + cache.e.nbytes + cache.plain.nbytes)
 
 
 def _bar_one_replaced(inst, x, h, w):
