@@ -186,7 +186,9 @@ def read_trials_csv(path):
     Raises ConfigError unless the file opens with the v2 version line,
     names ``rng.ALGORITHM``, has a header config whose variant is a key of
     ``core.ELL``, has only rows whose k and variant match the header
-    config, and repeats no trial index.  A record's ``ell`` is its
+    config, and repeats no trial index.  A row is malformed unless it has
+    one field per column, a trial index in 0 .. 2**63 - 1, parseable
+    numbers and an ``early_miss`` of 0 or 1.  A record's ``ell`` is its
     variant's distance power, so the file does not store it.  Files of any
     other version, v1 included, are refused: rerun ``seedbounds seed``
     with the parameters of their config line.
@@ -229,6 +231,8 @@ def read_trials_csv(path):
                 raise ConfigError(f"{path}: row {line!r} does not match the header's"
                                   f" k={config[0]} variant={config[1]}")
             try:
+                if len(f) != len(TRIAL_COLUMNS) or f[8] not in ("0", "1"):
+                    raise ValueError("wrong field count or early_miss flag")
                 rec = TrialRecord(
                     trial_index=int(f[0]),
                     k=int(f[1]),
@@ -240,7 +244,9 @@ def read_trials_csv(path):
                     ratio_continuous=float(f[7]),
                     early_miss=f[8] == "1",
                 )
-            except (ValueError, IndexError) as exc:
+                if not 0 <= rec.trial_index <= np.iinfo(np.int64).max:
+                    raise ValueError("trial index out of range")
+            except ValueError as exc:
                 raise ConfigError(f"{path}: malformed row {line!r}") from exc
             if rec.trial_index in seen:
                 raise ConfigError(f"{path}: trial index {rec.trial_index} repeats")

@@ -12,7 +12,11 @@ index.
 Trials are pure functions of ``(rng_seed, trial_index)``.  The batched
 engine computes every trial row-independently, so results never depend on
 chunking, execution order, or worker count, and a single-trial run
-reproduces any batch row bit for bit.
+reproduces any batch row bit for bit.  The engine only samples: per chunk
+it returns each trial's picks and packed final cost.  Every other outcome
+comes from the picks, computed in one place each: :func:`run_trials`
+derives a chunk's coverage and early miss (one rule, shared with
+:func:`early_miss_event`), and :func:`seed` its coverage counts.
 
 The first pick samples one packed weight row per chunk, prefix-summed once
 and shared by the chunk's trials; the potentials then start as the first
@@ -117,11 +121,6 @@ class TrialArrays:
     early_miss: np.ndarray
 
 
-def floor_frac(x: float, k: int) -> int:
-    """floor(x * k) robust to binary representation of decimals like 0.1."""
-    return int(math.floor(x * k + 1e-12))
-
-
 def _plain_start(inst, pick0):
     """The per-chunk guard: ``(rows, F, first potentials)`` of the plain-double
     engine, or None where the potentials after the first picks are not all
@@ -131,16 +130,20 @@ def _plain_start(inst, pick0):
     return (rows, F, pot) if np.all(pot < 2.0) else None
 
 
-def _run_chunk(inst, n_centers, rng_seed, lo, hi, alpha_picks, beta_clusters,
-               record=False):
-    T = hi - lo
+def _check_trials(first, count):
+    """ConfigError unless trials ``first .. first + count - 1`` are at least
+    one and lie in 0 .. 2**63 - 1, the range of the int64 trial indices."""
+    if not 0 <= first <= first + count - 1 <= np.iinfo(np.int64).max:
+        raise ConfigError(f"trials must be at least one, with indices in 0..2**63 - 1;"
+                          f" got {first}..{first + count - 1}")
+
+
+def _run_chunk(inst, n_centers, rng_seed, lo, hi):
+    """Sample trials lo..hi-1: their (T, n_centers) picks, their packed final
+    costs ``(m, e)``, and trial lo's ``(total, E)`` before each pick."""
     U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), n_centers)
-    covered = np.zeros((T, inst.k), dtype=bool)
-    covcnt = np.zeros(T, dtype=np.int64)
-    miss = np.ones(T, dtype=bool)
-    row_ix = np.arange(T)
-    picks = np.empty((T, n_centers), dtype=np.int64)
-    steps = [] if record else None  # per pick (total, E, coverage) of trial lo
+    picks = np.empty((hi - lo, n_centers), dtype=np.int64)
+    steps = []
     # pick 0 samples the location weights: one row, broadcast over the trials;
     # later picks sample weight * (min distance to chosen centers) ** ell
     s, prefix, E = _scaled_totals(inst._w_m, inst._w_e)
@@ -155,14 +158,7 @@ def _run_chunk(inst, n_centers, rng_seed, lo, hi, alpha_picks, beta_clusters,
             assert np.all(np.abs(s.sum(axis=-1) / total - 1.0) <= 1e-12)
         pick = rng.weighted_pick(prefix, U[:, step])
         picks[:, step] = pick
-        cl = inst._cluster[pick] - 1
-        newly = ~covered[row_ix, cl]
-        covcnt += newly
-        covered[row_ix, cl] = True
-        if step < alpha_picks:
-            miss &= cl >= beta_clusters
-        if record:
-            steps.append((float(np.ravel(total)[0]), int(np.ravel(E)[0]), int(covcnt[0])))
+        steps.append((float(np.ravel(total)[0]), int(np.ravel(E)[0])))
         if step == 0:
             start = _plain_start(inst, pick)
             plain = start is not None
@@ -178,41 +174,44 @@ def _run_chunk(inst, n_centers, rng_seed, lo, hi, alpha_picks, beta_clusters,
         # plain potentials are scaled by the row source's one 2**-F
         s, prefix, E = (_scaled_totals(*pot) if not plain
                         else (pot, np.cumsum(pot, axis=1), E))
+    return picks, _norm(prefix[:, -1], E), steps
 
-    final_m, final_e = _norm(prefix[:, -1], E)
-    arrays = TrialArrays(
-        trial_indices=np.arange(lo, hi, dtype=np.int64),
-        coverage=covcnt,
-        final_m=final_m,
-        final_e=final_e,
-        early_miss=miss,
-    )
-    return arrays, picks, steps
+
+def _early_miss(cluster_ids, k, alpha, beta):
+    """Per row of ``cluster_ids``: True iff none of its first floor(alpha*k)
+    ids lies in clusters 1..floor(beta*k).  The floors allow for the binary
+    representation of decimals like 0.1."""
+    a, b = (math.floor(x * k + 1e-12) for x in (alpha, beta))
+    return np.all(np.asarray(cluster_ids)[..., :a] > b, axis=-1)
 
 
 def seed(inst: Instance, n_centers: int | None = None, ell: int | None = None,
          rng_seed: int = 0, trial_index: int = 0) -> SeedingTrace:
     """Run one seeding trial; fully deterministic given (rng_seed, trial_index).
 
-    Samples by ``inst.ell``; an ``ell`` other than that raises ConfigError.
+    Samples by ``inst.ell``; an ``ell`` other than that, or a trial index
+    outside 0 .. 2**63 - 1, raises ConfigError.  Entry j of
+    ``coverage_counts`` counts the distinct clusters of picks 0..j.
     """
     n = inst.k if n_centers is None else int(n_centers)
     if not 1 <= n <= inst.n_locations:
         raise ConfigError(f"n_centers must be in 1..{inst.n_locations}, got {n}")
     if ell is not None and ell != inst.ell:
         raise ConfigError(f"{inst.variant} seeding samples by ell={inst.ell}, got {ell}")
-    arrays, picks, steps = _run_chunk(
-        inst, n, rng_seed, trial_index, trial_index + 1,
-        alpha_picks=0, beta_clusters=0, record=True)
-    centers = tuple(int(c) for c in picks[0])
+    _check_trials(trial_index, 1)
+    picks, (final_m, final_e), steps = _run_chunk(inst, n, rng_seed, trial_index,
+                                                  trial_index + 1)
+    cluster_ids = inst._cluster[picks[0]]
+    # pick j adds coverage iff it is the first pick in its cluster
+    new = np.isin(np.arange(n), np.unique(cluster_ids, return_index=True)[1])
     return SeedingTrace(
         k=inst.k,
         n_centers=n,
-        centers=centers,
-        cluster_ids=tuple(int(inst._cluster[c]) for c in centers),
-        coverage_counts=tuple(cov for _, _, cov in steps),
-        potentials=tuple(ExtScalar(t, e) for t, e, _ in steps),
-        final_cost=ExtScalar(float(arrays.final_m[0]), int(arrays.final_e[0])),
+        centers=tuple(picks[0].tolist()),
+        cluster_ids=tuple(cluster_ids.tolist()),
+        coverage_counts=tuple(np.cumsum(new).tolist()),
+        potentials=tuple(ExtScalar(t, e) for t, e in steps),
+        final_cost=ExtScalar(float(final_m[0]), int(final_e[0])),
         rng_seed=rng_seed,
         trial_index=trial_index,
     )
@@ -231,21 +230,20 @@ def run_trials(inst: Instance, trials: int, rng_seed: int,
     only.  Each chunk whose potentials after pick 0 pass the per-chunk
     guard runs on plain doubles, the others on the packed engine (see the
     module docstring); the records are the same bits on either path.
+    Coverage (a trial's distinct clusters) and early miss are derived from
+    each chunk's picks.  Raises ConfigError before any sampling.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    _check_trials(first_trial, trials)
     check_fractions(alpha, beta)
-    alpha_picks = floor_frac(alpha, inst.k)
-    beta_clusters = floor_frac(beta, inst.k)
-    parts = [_run_chunk(inst, inst.k, rng_seed, lo, hi, alpha_picks, beta_clusters)[0]
-             for lo, hi in rng.trial_chunks(first_trial, trials, inst.n_locations)]
-    return TrialArrays(
-        trial_indices=np.concatenate([p.trial_indices for p in parts]),
-        coverage=np.concatenate([p.coverage for p in parts]),
-        final_m=np.concatenate([p.final_m for p in parts]),
-        final_e=np.concatenate([p.final_e for p in parts]),
-        early_miss=np.concatenate([p.early_miss for p in parts]),
-    )
+    parts = []  # per chunk: the TrialArrays fields in order
+    for lo, hi in rng.trial_chunks(first_trial, trials, inst.n_locations):
+        picks, (final_m, final_e), _ = _run_chunk(inst, inst.k, rng_seed, lo, hi)
+        cluster_ids = inst._cluster[picks]
+        covered = np.zeros((hi - lo, inst.k), dtype=bool)
+        covered[np.arange(hi - lo)[:, None], cluster_ids - 1] = True
+        parts.append((np.arange(lo, hi, dtype=np.int64), np.count_nonzero(covered, axis=1),
+                      final_m, final_e, _early_miss(cluster_ids, inst.k, alpha, beta)))
+    return TrialArrays(*(np.concatenate(column) for column in zip(*parts)))
 
 
 def exact_distribution(inst: Instance):
@@ -301,6 +299,4 @@ def early_miss_event(trace: SeedingTrace, alpha: float, beta: float) -> bool:
     """True iff none of the first floor(alpha*k) centers lies in clusters
     1..floor(beta*k)."""
     check_fractions(alpha, beta)
-    a = floor_frac(alpha, trace.k)
-    b = floor_frac(beta, trace.k)
-    return all(cid > b for cid in trace.cluster_ids[:a])
+    return bool(_early_miss(trace.cluster_ids, trace.k, alpha, beta))

@@ -88,6 +88,9 @@ def test_exact_subcommand(tmp_path):
     # spans 1200 binary orders: plain rows reach 2**231, past the oracles' view
     (("seed", "--k", 600, "--trials", 4, "--seed", 7),
      "3609abb280a8eeb8601d2b61f7a3cbf568d265cc11b6ca122b8e6772ea0ccd93"),
+    # alpha != beta: 72 early misses in 300 trials, 2 with the two swapped
+    (("seed", "--k", 64, "--trials", 300, "--seed", 7, "--alpha", 0.05, "--beta", 0.02),
+     "344f017687ae637eadbfbd993070e1a635a1f114f8d80326382af6f791d424d6"),
 ])
 def test_output_bytes_are_pinned(tmp_path, args, digest):
     # a deliberate change to the numeric reference shows up here as a new digest

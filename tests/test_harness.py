@@ -193,9 +193,15 @@ def test_read_rejects_unknown_header_variant(tmp_path, small_records):
         read_trials_csv(path)
 
 
-def test_read_rejects_malformed_row(tmp_path, small_records):
-    path = _edited_trials_csv(tmp_path, small_records, lambda lines: lines + [
-        "x" + lines[-1][lines[-1].index(","):]])
+@pytest.mark.parametrize("edit_row", [
+    lambda row: "x" + row[row.index(","):],
+    lambda row: row + ",0",
+    lambda row: row[:-1] + "7",
+    lambda row: "-5" + row[row.index(","):],
+], ids=["index-not-a-number", "tenth-field", "early-miss-7", "negative-index"])
+def test_read_rejects_malformed_row(tmp_path, small_records, edit_row):
+    path = _edited_trials_csv(tmp_path, small_records,
+                              lambda lines: lines[:-1] + [edit_row(lines[-1])])
     with pytest.raises(ConfigError, match="malformed row"):
         read_trials_csv(path)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seedbounds.core import cost
+from seedbounds.core import cost, coverage
 from seedbounds.instances import gen_kmeans_bad, gen_kmedian_bad
 from seedbounds.seeding import seed
 
@@ -32,6 +32,9 @@ def test_seeding_trace_properties(variant, k, m, r, rng_seed, trial_index):
     # coverage never decreases
     cov = tr.coverage_counts
     assert all(a <= b for a, b in zip(cov, cov[1:]))
+    # and counts the distinct clusters of the centers so far
+    assert all(cov[j] == len(set(tr.cluster_ids[:j + 1])) for j in range(len(cov)))
+    assert coverage(inst, tr.centers)[0] == cov[-1]
     # the trace's final cost is the cost of its centers
     assert_ext_rel_close(tr.final_cost, ext_to_fraction(cost(inst, tr.centers)),
                          Fraction(1e-9))

@@ -127,6 +127,17 @@ def test_seed_parameter_validation(inst2):
     for kw in (dict(alpha=0.0, beta=0.0), dict(alpha=0.0), dict(beta=1.5)):
         with pytest.raises(ConfigError, match="alpha and beta"):
             run_trials(inst2, 5, 1, **kw)
+    # trial indices are int64: every one must lie in 0 .. 2**63 - 1
+    for t in (-1, 2**63):
+        with pytest.raises(ConfigError, match="indices in 0..2"):
+            seed(inst2, trial_index=t)
+    for trials, first in ((5, -2), (3, 2**63 - 2)):
+        with pytest.raises(ConfigError, match="indices in 0..2"):
+            run_trials(inst2, trials, 1, first_trial=first)
+    last = run_trials(inst2, 2, 1, first_trial=2**63 - 2)
+    assert last.trial_indices.tolist() == [2**63 - 2, 2**63 - 1]
+    tr = seed(inst2, rng_seed=1, trial_index=2**63 - 1)
+    assert last.coverage[-1] == tr.coverage_counts[-1]
 
 
 def test_degenerate_instance_raises(monkeypatch, debug_checks):
