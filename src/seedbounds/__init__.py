@@ -7,7 +7,7 @@ from .core import (BOTTOM, TOP, Instance, WeightedLocation, cost, coverage,
                    dist_pow, write_instance_csv)
 from .errors import CapacityError, ConfigError, DegenerateInstanceError
 from .extfloat import EXT_ZERO, ExtParseError, ExtRangeError, ExtScalar
-from .harness import (ExperimentConfig, SummaryStats, TrialRecord,
+from .harness import (ExperimentConfig, SummaryStats, TrialRecord, TrialTable,
                       read_trials_csv, report, run_experiment, summarize,
                       wilson_interval, write_trials_csv)
 from .instances import (OptimalCosts, brute_force_opt, gen_kmeans_bad,

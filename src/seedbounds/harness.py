@@ -3,17 +3,24 @@
 ``run_experiment`` builds the instance once and executes independent
 seeding trials, optionally across worker processes that each receive the
 instance and one contiguous trial range; for a fixed master seed the
-records are identical whatever the worker count, because every trial's
+results are identical whatever the worker count, because every trial's
 randomness is a pure function of (master_seed, trial_index).
-``summarize``/``report`` turn records into a byte-stable text or CSV
-document comparing empirical tails against the closed-form bounds.
+
+Results travel as one columnar ``TrialTable`` from ``run_experiment``
+through ``write_trials_csv``, ``read_trials_csv`` and ``summarize``; a
+``TrialRecord`` is its per-row view.  Final costs repeat heavily (361
+distinct of 30,000 at kmedian k=16), so each distinct cost is divided by
+the reference optima, formatted and parsed once, with ``ExtScalar``'s
+``ratio``, ``format_sci`` and ``parse`` as the only arithmetic and text
+code.  ``summarize``/``report`` turn a table into a byte-stable text or
+CSV document comparing empirical tails against the closed-form bounds.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -27,6 +34,7 @@ from .seeding import TrialArrays, run_trials
 __all__ = [
     "ExperimentConfig",
     "TrialRecord",
+    "TrialTable",
     "TRIAL_COLUMNS",
     "SummaryStats",
     "run_experiment",
@@ -93,6 +101,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial's outcome: a row of a ``TrialTable``."""
+
     trial_index: int
     k: int
     variant: str
@@ -109,6 +119,100 @@ class TrialRecord:
         return ELL[self.variant]
 
 
+# The per-trial columns of a TrialTable; final_cost is the (final_m, final_e) pair.
+_TABLE_COLUMNS = (
+    "trial_index", "coverage_count", "coverage_fraction", "final_m", "final_e",
+    "ratio_discrete", "ratio_continuous", "early_miss",
+)
+
+
+@dataclass(frozen=True, eq=False)
+class TrialTable:
+    """Trial outcomes of one (k, variant) as numpy columns, one row per trial.
+
+    ``final_m``/``final_e`` hold each final cost as its ``ExtScalar``
+    mantissa and exponent.  ``table[i]`` and iteration give ``TrialRecord``
+    rows, with Python ints, floats and bools and an ``ExtScalar`` final
+    cost; a slice gives a table.  Tables compare equal when k, variant and
+    every column are equal.
+    """
+
+    k: int
+    variant: str
+    trial_index: np.ndarray       # int64
+    coverage_count: np.ndarray    # int64
+    coverage_fraction: np.ndarray
+    final_m: np.ndarray
+    final_e: np.ndarray           # int64
+    ratio_discrete: np.ndarray
+    ratio_continuous: np.ndarray
+    early_miss: np.ndarray        # bool
+
+    @classmethod
+    def from_records(cls, records) -> "TrialTable":
+        """The table of a sequence of ``TrialRecord``, in its order."""
+        records = list(records)
+        kinds = {(rec.k, rec.variant) for rec in records}
+        if len(kinds) > 1:
+            raise ConfigError(f"records mix (k, variant) values: {sorted(kinds)}")
+        if not kinds:
+            raise ConfigError("a trial table needs at least one record")
+        (k, variant), = kinds
+        return cls(
+            k, variant,
+            trial_index=np.array([r.trial_index for r in records], dtype=np.int64),
+            coverage_count=np.array([r.coverage_count for r in records], dtype=np.int64),
+            coverage_fraction=np.array([r.coverage_fraction for r in records], dtype=float),
+            final_m=np.array([r.final_cost.m for r in records], dtype=float),
+            final_e=np.array([r.final_cost.e for r in records], dtype=np.int64),
+            ratio_discrete=np.array([r.ratio_discrete for r in records], dtype=float),
+            ratio_continuous=np.array([r.ratio_continuous for r in records], dtype=float),
+            early_miss=np.array([r.early_miss for r in records], dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        return len(self.trial_index)
+
+    def _record(self, t, count, frac, m, e, ratio_d, ratio_c, miss) -> TrialRecord:
+        return TrialRecord(t, self.k, self.variant, count, frac, ExtScalar(m, e),
+                           ratio_d, ratio_c, miss)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return replace(self, **{name: getattr(self, name)[i] for name in _TABLE_COLUMNS})
+        return self._record(*(getattr(self, name)[i].item() for name in _TABLE_COLUMNS))
+
+    def __iter__(self):
+        for row in zip(*(getattr(self, name).tolist() for name in _TABLE_COLUMNS)):
+            yield self._record(*row)
+
+    def __eq__(self, other):
+        if not isinstance(other, TrialTable):
+            return NotImplemented
+        return ((self.k, self.variant) == (other.k, other.variant)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in _TABLE_COLUMNS))
+
+
+def _as_table(records) -> TrialTable:
+    return records if isinstance(records, TrialTable) else TrialTable.from_records(records)
+
+
+def _distinct_costs(final_m: np.ndarray, final_e: np.ndarray):
+    """(the distinct (m, e) pairs as ExtScalars, each row's index among them).
+
+    One key per row from the ranks of its mantissa bits and its exponent:
+    three 1-D sorts, where a unique over (m, e) rows sorts opaque records.
+    """
+    m_vals, m_rank = np.unique(final_m.view(np.int64), return_inverse=True)
+    e_vals, e_rank = np.unique(final_e, return_inverse=True)
+    keys, inverse = np.unique(e_rank * len(m_vals) + m_rank, return_inverse=True)
+    e_of, m_of = np.divmod(keys, len(m_vals))
+    costs = [ExtScalar(m, e) for m, e in zip(m_vals[m_of].view(np.float64).tolist(),
+                                             e_vals[e_of].tolist())]
+    return costs, inverse.reshape(-1)
+
+
 def _instance_for(cfg: ExperimentConfig):
     gen = gen_kmeans_bad if cfg.variant == "kmeans" else gen_kmedian_bad
     return gen(cfg.k, cfg.m, cfg.r)
@@ -120,82 +224,155 @@ def _run_block(inst, cfg: ExperimentConfig, lo: int, hi: int) -> TrialArrays:
                       first_trial=lo)
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
-    """Run cfg.trials independent seeding trials; records in trial-index order."""
+def run_experiment(cfg: ExperimentConfig) -> TrialTable:
+    """Run cfg.trials independent seeding trials; a table in trial-index order.
+
+    The workers' ``TrialArrays`` are concatenated.  Each distinct final
+    cost becomes one ``ExtScalar``, whose ``ratio`` to the two reference
+    optima is taken once for all the trials that share it.
+    """
     cfg.validate()
     inst = _instance_for(cfg)
     step = -(-cfg.trials // cfg.workers)
     los = range(0, cfg.trials, step)
     his = [min(lo + step, cfg.trials) for lo in los]
     if len(los) > 1:
+        # imported here: the process pool's modules take about 16 ms to import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(los)) as pool:
             parts = list(pool.map(_run_block, [inst] * len(los), [cfg] * len(los),
                                   los, his))
     else:
         parts = [_run_block(inst, cfg, 0, cfg.trials)]
+    trials = TrialArrays(*(np.concatenate([getattr(p, f.name) for p in parts])
+                           for f in fields(TrialArrays)))
 
     opt = reference_costs(inst)
-    records = []
-    for part in parts:
-        for i in range(len(part.trial_indices)):
-            final = ExtScalar(float(part.final_m[i]), int(part.final_e[i]))
-            records.append(TrialRecord(
-                trial_index=int(part.trial_indices[i]),
-                k=cfg.k,
-                variant=cfg.variant,
-                coverage_count=int(part.coverage[i]),
-                coverage_fraction=int(part.coverage[i]) / cfg.k,
-                final_cost=final,
-                ratio_discrete=final.ratio(opt.discrete),
-                ratio_continuous=final.ratio(opt.continuous),
-                early_miss=bool(part.early_miss[i]),
-            ))
-    return records
+    costs, inverse = _distinct_costs(trials.final_m, trials.final_e)
+    return TrialTable(
+        cfg.k, cfg.variant,
+        trial_index=trials.trial_indices,
+        coverage_count=trials.coverage,
+        coverage_fraction=trials.coverage / cfg.k,
+        final_m=np.array([c.m for c in costs])[inverse],
+        final_e=np.array([c.e for c in costs], dtype=np.int64)[inverse],
+        ratio_discrete=np.array([c.ratio(opt.discrete) for c in costs])[inverse],
+        ratio_continuous=np.array([c.ratio(opt.continuous) for c in costs])[inverse],
+        early_miss=trials.early_miss,
+    )
 
 
 # ---------------------------------------------------------------------------
 # trials.csv
 # ---------------------------------------------------------------------------
 
-def write_trials_csv(records: list[TrialRecord], cfg: ExperimentConfig, path) -> None:
-    lines = [
-        _VERSION_LINE,
-        f"# config {cfg.echo()}",
-        f"# rng {rng.ALGORITHM}",
-        ",".join(TRIAL_COLUMNS),
-    ]
-    for rec in records:
-        lines.append(",".join([
-            str(rec.trial_index),
-            str(rec.k),
-            rec.variant,
-            str(rec.coverage_count),
-            _fmt(rec.coverage_fraction),
-            rec.final_cost.format_sci(),
-            _fmt(rec.ratio_discrete),
-            _fmt(rec.ratio_continuous),
-            "1" if rec.early_miss else "0",
-        ]))
+def _texts(values: np.ndarray, fmt) -> np.ndarray:
+    """``fmt`` of each entry of ``values`` as an object array, called once per
+    distinct value (distinct by bits, so 0.0 and -0.0 stay apart)."""
+    bits = values.view(np.dtype(f"i{values.itemsize}"))
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([fmt(v) for v in distinct.view(values.dtype).tolist()], dtype=object)
+    return text[inverse.reshape(-1)]
+
+
+def write_trials_csv(records, cfg: ExperimentConfig, path) -> None:
+    """Write a TrialTable, or a sequence of TrialRecord, as trials.csv v2.
+
+    Each distinct value of a column is formatted once (``format_sci`` for
+    the final cost, ``_fmt`` for the floats), and the rows are written in
+    blocks of the ``rng.trial_chunks`` grid, so the file never exists as
+    one string.
+    """
+    table = _as_table(records)
+    costs, inverse = _distinct_costs(table.final_m, table.final_e)
+    columns = (
+        _texts(table.coverage_count, str),
+        _texts(table.coverage_fraction, _fmt),
+        np.array([c.format_sci() for c in costs], dtype=object)[inverse],
+        _texts(table.ratio_discrete, _fmt),
+        _texts(table.ratio_continuous, _fmt),
+        _texts(table.early_miss, lambda miss: "1" if miss else "0"),
+    )
+    header = [_VERSION_LINE, f"# config {cfg.echo()}", f"# rng {rng.ALGORITHM}",
+              ",".join(TRIAL_COLUMNS)]
+    fixed = f",{table.k},{table.variant},"
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        for lo, hi in rng.trial_chunks(0, len(table), len(TRIAL_COLUMNS)):
+            rest = map(",".join, zip(*(col[lo:hi].tolist() for col in columns)))
+            fh.write("".join([f"{t}{fixed}{r}\n" for t, r in
+                              zip(table.trial_index[lo:hi].tolist(), rest)]))
+
+
+_MAX_TRIAL_INDEX = int(np.iinfo(np.int64).max)
+
+
+def _int_field(text: str) -> int:
+    """The int a field holds; ValueError unless it is in ``str(int)`` form."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not written as {value}")
+    return value
+
+
+def _coverage_fields(count_text: str, k_text: str):
+    """(coverage count in 1..k, the writer's text of count / k, its float)."""
+    k, count = _int_field(k_text), _int_field(count_text)
+    if not 1 <= count <= k:
+        raise ValueError(f"coverage count {count} outside 1..{k}")
+    frac = _fmt(count / k)
+    return count, frac, float(frac)
+
+
+def _cost_fields(text: str):
+    cost = ExtScalar.parse(text)
+    return cost.m, cost.e
+
+
+class _Memo(dict):
+    """``parse`` of each distinct field string, called once per string.
+
+    It holds at most ``rng.CHUNK_ELEMS`` strings and then starts over, so a
+    column of mostly distinct values keeps bounded memory.
+    """
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text):
+        if len(self) >= rng.CHUNK_ELEMS:
+            self.clear()
+        value = self[text] = self.parse(text)
+        return value
 
 
 def read_trials_csv(path):
-    """Returns (records, metadata dict parsed from the comment header).
+    """Returns (TrialTable, metadata dict parsed from the comment header).
+
+    The file is streamed line by line into typed columns.  The coverage,
+    cost and ratio fields go through memos of the strings already parsed,
+    so ``ExtScalar.parse`` and ``float`` run once per distinct string.
 
     Raises ConfigError unless the file opens with the v2 version line,
     names ``rng.ALGORITHM``, has a header config whose variant is a key of
-    ``core.ELL``, has only rows whose k and variant match the header
-    config, and repeats no trial index.  A row is malformed unless it has
-    one field per column, a trial index in 0 .. 2**63 - 1, parseable
-    numbers and an ``early_miss`` of 0 or 1.  A record's ``ell`` is its
+    ``core.ELL``, has at least one row, has only rows whose k and variant
+    match the header config, and repeats no trial index.  A row is
+    malformed unless it has one field per column, every integer field in
+    its ``str(int)`` form, a trial index in 0 .. 2**63 - 1, a coverage
+    count in 1 .. k, a coverage fraction written as the writer writes
+    count / k, parseable numbers and an ``early_miss`` of 0 or 1.  Every
+    refusal names the first offending line.  A record's ``ell`` is its
     variant's distance power, so the file does not store it.  Files of any
     other version, v1 included, are refused: rerun ``seedbounds seed``
     with the parameters of their config line.
     """
     meta: dict[str, str] = {}
-    records: list[TrialRecord] = []
-    seen: set[int] = set()
+    columns = {name: array(code) for name, code in zip(_TABLE_COLUMNS, "qqddqddb")}
+    (add_index, add_count, add_frac, add_m, add_e, add_ratio_d, add_ratio_c,
+     add_miss) = (col.append for col in columns.values())
+    floats, costs = _Memo(float), _Memo(_cost_fields)
+    last, seen = -1, None   # largest trial index so far; all of them once out of order
     with open(path, newline="") as fh:
         lines = (line for line in (raw.rstrip("\n") for raw in fh) if line)
         first = next(lines, None)
@@ -225,6 +402,7 @@ def read_trials_csv(path):
                 if config[1] not in ELL:
                     raise ConfigError(f"{path}: header variant={config[1]} is not one"
                                       f" of {', '.join(ELL)}")
+                counts = _Memo(lambda text: _coverage_fields(text, config[0]))
                 continue
             f = line.split(",")
             if f[1:3] != config:
@@ -233,28 +411,37 @@ def read_trials_csv(path):
             try:
                 if len(f) != len(TRIAL_COLUMNS) or f[8] not in ("0", "1"):
                     raise ValueError("wrong field count or early_miss flag")
-                rec = TrialRecord(
-                    trial_index=int(f[0]),
-                    k=int(f[1]),
-                    variant=f[2],
-                    coverage_count=int(f[3]),
-                    coverage_fraction=float(f[4]),
-                    final_cost=ExtScalar.parse(f[5]),
-                    ratio_discrete=float(f[6]),
-                    ratio_continuous=float(f[7]),
-                    early_miss=f[8] == "1",
-                )
-                if not 0 <= rec.trial_index <= np.iinfo(np.int64).max:
-                    raise ValueError("trial index out of range")
+                t = int(f[0])
+                if not 0 <= t <= _MAX_TRIAL_INDEX or str(t) != f[0]:
+                    raise ValueError("trial index out of range or not in str(int) form")
+                count, frac_text, frac = counts[f[3]]
+                if f[4] != frac_text:
+                    raise ValueError("coverage fraction disagrees with the count")
+                m, e = costs[f[5]]
+                ratio_d, ratio_c = floats[f[6]], floats[f[7]]
             except ValueError as exc:
                 raise ConfigError(f"{path}: malformed row {line!r}") from exc
-            if rec.trial_index in seen:
-                raise ConfigError(f"{path}: trial index {rec.trial_index} repeats")
-            seen.add(rec.trial_index)
-            records.append(rec)
-    if header is None:
+            if seen is None and t <= last:   # out of trial order: index the rows so far
+                seen = set(columns["trial_index"])
+            if seen is None:
+                last = t
+            elif t in seen:
+                raise ConfigError(f"{path}: trial index {t} repeats")
+            else:
+                seen.add(t)
+            add_index(t)
+            add_count(count)
+            add_frac(frac)
+            add_m(m)
+            add_e(e)
+            add_ratio_d(ratio_d)
+            add_ratio_c(ratio_c)
+            add_miss(f[8] == "1")
+    if not columns["trial_index"]:
         raise ConfigError(f"{path} contains no trial rows")
-    return records, meta
+    table = {name: np.frombuffer(col, dtype=col.typecode) for name, col in columns.items()}
+    table["early_miss"] = table["early_miss"].view(bool)
+    return TrialTable(int(config[0]), config[1], **table), meta
 
 
 # ---------------------------------------------------------------------------
@@ -338,22 +525,23 @@ def _binomial(label: str, count: int, n: int) -> BinomialStat:
     return BinomialStat(label=label, count=count, n=n, p=p, low=lo, high=hi)
 
 
-def summarize(records: list[TrialRecord], eta: float = 0.999,
+def summarize(records, eta: float = 0.999,
               alpha: float = 0.1, beta: float = 0.1) -> SummaryStats:
-    """Aggregate records (sorted first, so aggregation is order-independent)."""
+    """Aggregate a TrialTable, or a sequence of TrialRecord of one (k, variant).
+
+    The rows are taken in trial-index order, so aggregation is
+    order-independent.
+    """
     bounds.check_fractions(alpha, beta, eta)
-    if not records:
+    if not len(records):
         raise ConfigError("summarize needs at least one record")
-    kinds = {(rec.k, rec.variant) for rec in records}
-    if len(kinds) > 1:
-        raise ConfigError(f"records mix (k, variant) values: {sorted(kinds)}")
-    (k, variant), = kinds
-    records = sorted(records, key=lambda rec: rec.trial_index)
-    n = len(records)
-    cov_frac = np.array([rec.coverage_fraction for rec in records])
-    ratio_d = np.array([rec.ratio_discrete for rec in records])
-    ratio_c = np.array([rec.ratio_continuous for rec in records])
-    miss = np.array([rec.early_miss for rec in records])
+    table = _as_table(records)
+    k, variant, n = table.k, table.variant, len(table)
+    order = np.argsort(table.trial_index, kind="stable")
+    cov_frac = table.coverage_fraction[order]
+    ratio_d = table.ratio_discrete[order]
+    ratio_c = table.ratio_continuous[order]
+    miss = table.early_miss
 
     thresholds = (
         (f"ratio_discrete<(9-eta)/8={_fmt((9.0 - eta) / 8.0)}", (9.0 - eta) / 8.0),

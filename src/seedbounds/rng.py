@@ -31,9 +31,10 @@ _SH11 = np.uint64(11)
 _TO_UNIT = 2.0 ** -53
 
 # The one chunking constant: a chunk of any batched trial loop (and of the
-# centers core.cost streams) holds at most this many elements of its
-# (trials, row_elems) work array.  2**16 doubles (512 KiB) keep a seeding
-# step's arrays near cache size.
+# centers core.cost streams, and of the rows trials.csv is written in) holds
+# at most this many elements of its (trials, row_elems) work array; a
+# trials.csv reader's memo holds at most this many field strings.  2**16
+# doubles (512 KiB) keep a seeding step's arrays near cache size.
 CHUNK_ELEMS = 1 << 16
 
 

@@ -75,6 +75,9 @@ def test_exact_subcommand(tmp_path):
     assert abs(sum(probs) - 1.0) < 1e-12
 
 
+_KMEDIAN_30K = "1faf551d91b2404a0ce1558e0500fd869ad51e282173b6f68f25994f81a81268"
+
+
 @pytest.mark.parametrize("args, digest", [
     (("seed", "--k", 64, "--trials", 300, "--seed", 7),
      "b9ba1a11e93e033c1e17d9fd7768014f5c51c377826a3a06905b5db713152764"),
@@ -91,12 +94,30 @@ def test_exact_subcommand(tmp_path):
     # alpha != beta: 72 early misses in 300 trials, 2 with the two swapped
     (("seed", "--k", 64, "--trials", 300, "--seed", 7, "--alpha", 0.05, "--beta", 0.02),
      "344f017687ae637eadbfbd993070e1a635a1f114f8d80326382af6f791d424d6"),
+    # 30,000 rows in 5 blocks of the writer, 361 distinct final costs
+    (("seed", "--variant", "kmedian", "--k", 16, "--trials", 30000, "--seed", 7),
+     _KMEDIAN_30K),
+    (("seed", "--variant", "kmedian", "--k", 16, "--trials", 30000, "--seed", 7,
+      "--workers", 2), _KMEDIAN_30K),
 ])
 def test_output_bytes_are_pinned(tmp_path, args, digest):
     # a deliberate change to the numeric reference shows up here as a new digest
     out = tmp_path / "out.csv"
     assert run(*args, "--out", out) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_report_bytes_are_pinned(tmp_path):
+    trials = tmp_path / "trials.csv"
+    assert run("seed", "--variant", "kmedian", "--k", 16, "--trials", 30000, "--seed", 7,
+               "--out", trials) == 0
+    assert hashlib.sha256(trials.read_bytes()).hexdigest() == _KMEDIAN_30K
+    for fmt, digest in (
+            ("text", "78e0fd90652fa8c5da44b15be86ac47e9b87a7c23993beefd5a96c5b784c8ec2"),
+            ("csv", "2ffef0d2db9e4a027fb30cc7a9ca2fe9cd436a9b150709da81c1919c4e04b271")):
+        out = tmp_path / f"report.{fmt}"
+        assert run("report", trials, "--format", fmt, "--out", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_exact_capacity_exit_code(tmp_path):

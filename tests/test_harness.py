@@ -3,15 +3,20 @@ import dataclasses
 import io
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from seedbounds import cli
 from seedbounds.errors import ConfigError
-from seedbounds.harness import (ExperimentConfig, read_trials_csv, report,
+from seedbounds.extfloat import ExtScalar
+from seedbounds.harness import (ExperimentConfig, TrialRecord, TrialTable, _fmt,
+                                _instance_for, read_trials_csv, report,
                                 run_experiment, summarize, wilson_interval,
                                 write_trials_csv)
+from seedbounds.instances import reference_costs
+from seedbounds.seeding import run_trials
 
 from conftest import assert_rel_close
 
@@ -90,7 +95,68 @@ def test_worker_count_does_not_change_records(monkeypatch):
 
 def test_trial_record_pickles(small_records):
     _, records = small_records
+    rows = list(records[:5])
+    assert pickle.loads(pickle.dumps(rows)) == rows
     assert pickle.loads(pickle.dumps(records[:5])) == records[:5]
+
+
+@pytest.mark.parametrize("variant, k, r, trials", [("kmeans", 2000, 1e300, 2),
+                                                   ("kmedian", 16, 1.0, 3000)])
+def test_table_matches_per_row_reference(tmp_path, variant, k, r, trials):
+    # the columnar table, the writer and the reader against records built,
+    # formatted and parsed one row at a time with the ExtScalar reference;
+    # kmeans k=2000 at r=1e300 has final costs near 2**2006, past the doubles
+    cfg = ExperimentConfig(variant=variant, k=k, r=r, trials=trials, master_seed=5)
+    table = run_experiment(cfg)
+    inst = _instance_for(cfg)
+    arrays = run_trials(inst, trials, cfg.master_seed, alpha=cfg.alpha, beta=cfg.beta)
+    opt = reference_costs(inst)
+    expected = []
+    for i in range(trials):
+        final = ExtScalar(float(arrays.final_m[i]), int(arrays.final_e[i]))
+        count = int(arrays.coverage[i])
+        expected.append(TrialRecord(
+            int(arrays.trial_indices[i]), k, variant, count, count / k, final,
+            final.ratio(opt.discrete), final.ratio(opt.continuous),
+            bool(arrays.early_miss[i])))
+    assert list(table) == expected
+    assert [table[i] for i in range(trials)] == expected and table[-1] == expected[-1]
+    assert table == TrialTable.from_records(expected)
+    assert isinstance(table[1:], TrialTable) and list(table[1:]) == expected[1:]
+
+    path = tmp_path / "trials.csv"
+    write_trials_csv(table, cfg, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[4:]]
+    assert rows == [[str(r.trial_index), str(k), variant, str(r.coverage_count),
+                     _fmt(r.coverage_fraction), r.final_cost.format_sci(),
+                     _fmt(r.ratio_discrete), _fmt(r.ratio_continuous),
+                     "1" if r.early_miss else "0"] for r in expected]
+    back, _ = read_trials_csv(path)
+    assert list(back) == [
+        TrialRecord(int(f[0]), int(f[1]), f[2], int(f[3]), float(f[4]),
+                    ExtScalar.parse(f[5]), float(f[6]), float(f[7]), f[8] == "1")
+        for f in rows]
+
+
+def test_trials_csv_write_and_read_hold_no_object_per_row(tmp_path):
+    # formatting once per distinct value and streaming the file keep the
+    # write and the read near the table's own column bytes; per-row records
+    # and the whole file as one string cost several times that
+    cfg = ExperimentConfig(variant="kmedian", k=16, trials=30_000, master_seed=7)
+    table = run_experiment(cfg)
+    nbytes = sum(getattr(table, name).nbytes for name in (
+        "trial_index", "coverage_count", "coverage_fraction", "final_m", "final_e",
+        "ratio_discrete", "ratio_continuous", "early_miss"))
+    path = tmp_path / "trials.csv"
+    tracemalloc.start()
+    try:
+        write_trials_csv(table, cfg, path)
+        back, _ = read_trials_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.trial_index, table.trial_index)
+    assert peak < 4 * nbytes
 
 
 def test_mean_ratio_matches_exact_oracle():
@@ -193,12 +259,22 @@ def test_read_rejects_unknown_header_variant(tmp_path, small_records):
         read_trials_csv(path)
 
 
+def _with_field(row, column, value):
+    f = row.split(",")
+    f[column] = value
+    return ",".join(f)
+
+
 @pytest.mark.parametrize("edit_row", [
     lambda row: "x" + row[row.index(","):],
     lambda row: row + ",0",
     lambda row: row[:-1] + "7",
     lambda row: "-5" + row[row.index(","):],
-], ids=["index-not-a-number", "tenth-field", "early-miss-7", "negative-index"])
+    lambda row: _with_field(row, 0, "1_9"),
+    lambda row: _with_field(row, 3, "99"),
+    lambda row: _with_field(row, 4, "0.9"),
+], ids=["index-not-a-number", "tenth-field", "early-miss-7", "negative-index",
+        "index-digit-separator", "coverage-out-of-range", "fraction-disagrees"])
 def test_read_rejects_malformed_row(tmp_path, small_records, edit_row):
     path = _edited_trials_csv(tmp_path, small_records,
                               lambda lines: lines[:-1] + [edit_row(lines[-1])])
@@ -210,6 +286,21 @@ def test_read_rejects_repeated_trial_index(tmp_path, small_records):
     path = _edited_trials_csv(tmp_path, small_records, lambda lines: lines + lines[-1:])
     with pytest.raises(ConfigError, match="trial index 19 repeats"):
         read_trials_csv(path)
+    # rows out of trial order: 10..19, then 0..9, then 15 again
+    path = _edited_trials_csv(tmp_path, small_records, lambda lines: (
+        lines[:4] + lines[14:] + lines[4:14] + lines[19:20]))
+    with pytest.raises(ConfigError, match="trial index 15 repeats"):
+        read_trials_csv(path)
+
+
+def test_read_keeps_rows_out_of_trial_order(tmp_path, small_records):
+    in_order, _ = read_trials_csv(_edited_trials_csv(tmp_path, small_records,
+                                                     lambda lines: lines))
+    path = _edited_trials_csv(tmp_path, small_records,
+                              lambda lines: lines[:4] + lines[:3:-1])
+    back, _ = read_trials_csv(path)
+    assert list(back) == list(in_order)[::-1]
+    assert report(summarize(back), "csv") == report(summarize(in_order), "csv")
 
 
 def test_summarize_rejects_fractions_out_of_range(small_records):
@@ -223,7 +314,7 @@ def test_summarize_rejects_fractions_out_of_range(small_records):
 def test_summarize_rejects_mixed_records(small_records):
     _, records = small_records
     for change in (dict(k=7), dict(variant="kmedian")):
-        mixed = records[:5] + [dataclasses.replace(records[5], **change)]
+        mixed = list(records[:5]) + [dataclasses.replace(records[5], **change)]
         with pytest.raises(ConfigError, match="mix"):
             summarize(mixed)
 
