@@ -138,12 +138,6 @@ def _scaled_exp(m, e, s):
     return np.where(m == 0.0, e, e + s)
 
 
-def _ext_min_over_rows(m, e):
-    e_min = e.min(axis=0)
-    masked = np.where(e == e_min[None, :], m, np.inf)
-    return masked.min(axis=0), e_min
-
-
 def _ext_min_into(m1, e1, m2, e2):
     take = (e2 < e1) | ((e2 == e1) & (m2 < m1))
     np.copyto(m1, m2, where=take)
@@ -534,18 +528,26 @@ def _validated_centers(inst: Instance, centers: Sequence[int]) -> np.ndarray:
 def cost(inst: Instance, centers: Sequence[int]) -> ExtScalar:
     """Sum over locations of weight * (min distance to a center)**ell.
 
-    A location that is itself a center contributes exactly zero.
+    A location that is itself a center contributes exactly zero.  The
+    centers stream in chunks on the :func:`rng.trial_chunks` grid; each
+    chunk's minima go into the same two work arrays.
     """
     idx = _validated_centers(inst, centers)
     if idx.size == 0:
         raise ValueError("center set must be nonempty")
-    rows = inst.weighted_row_source()
+    rows, L = inst.weighted_row_source(), inst.n_locations
     # the minimum is exact, so streaming the centers in chunks changes no bit
-    mins = (_ext_min_over_rows(*rows(idx[lo:hi]))
-            for lo, hi in rng.trial_chunks(0, idx.size, inst.n_locations))
-    mm, me = next(mins)
-    for m, e in mins:
-        _ext_min_into(mm, me, m, e)
+    m_min, e_min = np.empty(L), np.empty(L, dtype=np.int64)
+    for lo, hi in rng.trial_chunks(0, idx.size, L):
+        m, e = rows(idx[lo:hi])
+        # per column: the least mantissa among the rows of the least exponent
+        e.min(axis=0, out=e_min)
+        np.copyto(m, np.inf, where=e != e_min)
+        m.min(axis=0, out=m_min)
+        if lo == 0:
+            mm, me = m_min.copy(), e_min.copy()
+        else:
+            _ext_min_into(mm, me, m_min, e_min)
     _, prefix, E = _scaled_totals(mm, me)
     return ExtScalar(float(prefix[-1]), int(E))
 

@@ -324,7 +324,13 @@ def _coverage_fields(count_text: str, k_text: str):
     return count, frac, float(frac)
 
 
-def _cost_fields(text: str):
+def _cost_fields(text: str, k_text: str):
+    """(m, e) of a final cost whose decimal exponent is at most 1000 + k in
+    absolute value (:func:`read_trials_csv`), checked before it is parsed."""
+    digits = text.rpartition("e")[2].lstrip("+-").lstrip("0")
+    bound = 1000 + _int_field(k_text)
+    if len(digits) > len(str(bound)) or int(digits or "0") > bound:
+        raise ValueError(f"final cost {text!r} has a decimal exponent beyond +/-{bound}")
     cost = ExtScalar.parse(text)
     return cost.m, cost.e
 
@@ -361,17 +367,28 @@ def read_trials_csv(path):
     malformed unless it has one field per column, every integer field in
     its ``str(int)`` form, a trial index in 0 .. 2**63 - 1, a coverage
     count in 1 .. k, a coverage fraction written as the writer writes
-    count / k, parseable numbers and an ``early_miss`` of 0 or 1.  Every
-    refusal names the first offending line.  A record's ``ell`` is its
-    variant's distance power, so the file does not store it.  Files of any
-    other version, v1 included, are refused: rerun ``seedbounds seed``
+    count / k, parseable numbers, a final cost whose decimal exponent is
+    at most 1000 + k in absolute value, and an ``early_miss`` of 0 or 1.
+    Every refusal names the first offending line.  A record's ``ell`` is
+    its variant's distance power, so the file does not store it.  Files of
+    any other version, v1 included, are refused: rerun ``seedbounds seed``
     with the parameters of their config line.
+
+    The exponent bound holds for every config the writer accepts: with
+    m in [1, 2**1024) and r in [2**-1074, 2**1024), weights between
+    m * 4**-(k-1) and m, and distinct locations between r and 2**(k+1) * r
+    apart, a nonzero cost of k centers on the 2k locations lies between
+    4**-(k-1) * r**2 and 2k * m * 4**(k+1) * r**2 for kmeans, and between
+    2**-(k-1) * r and 2k * m * 2**(k+1) * r for kmedian: within
+    10**(+/-(926 + 0.61 * k + log10 k)).  It is checked on the text,
+    before ``ExtScalar.parse`` builds ``10**exponent`` as an exact integer,
+    so a corrupt exponent costs no more time than any other bad field.
     """
     meta: dict[str, str] = {}
     columns = {name: array(code) for name, code in zip(_TABLE_COLUMNS, "qqddqddb")}
     (add_index, add_count, add_frac, add_m, add_e, add_ratio_d, add_ratio_c,
      add_miss) = (col.append for col in columns.values())
-    floats, costs = _Memo(float), _Memo(_cost_fields)
+    floats = _Memo(float)
     last, seen = -1, None   # largest trial index so far; all of them once out of order
     with open(path, newline="") as fh:
         lines = (line for line in (raw.rstrip("\n") for raw in fh) if line)
@@ -403,6 +420,7 @@ def read_trials_csv(path):
                     raise ConfigError(f"{path}: header variant={config[1]} is not one"
                                       f" of {', '.join(ELL)}")
                 counts = _Memo(lambda text: _coverage_fields(text, config[0]))
+                costs = _Memo(lambda text: _cost_fields(text, config[0]))
                 continue
             f = line.split(",")
             if f[1:3] != config:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .core import BOTTOM, ELL, TOP, Instance, WeightedLocation, _enumerable, cost
 from .errors import CapacityError, ConfigError
 from .extfloat import ExtScalar
@@ -98,22 +99,35 @@ def brute_force_opt(inst: Instance):
     """Exhaustive minimum of cost() over all k-subsets of locations.
 
     Returns ``(cost, best)`` where ``best`` is the lexicographically
-    smallest argmin index tuple.  Refuses work beyond BRUTE_FORCE_LIMIT
-    subsets, and instances whose :meth:`Instance.plain_row_source` rows
-    span more than ``core.PLAIN_SEEDING_SPREAD`` binary orders.
+    smallest argmin index tuple.  Works on blocks of subsets in
+    lexicographic order, on the :func:`rng.trial_chunks` grid: per block a
+    running ``np.minimum`` over each subset's rows and one row sum, the
+    same floating-point operations as one subset at a time, so the result
+    is the same bits; the first argmin of a block replaces the best only
+    when strictly smaller.  Refuses work beyond BRUTE_FORCE_LIMIT subsets
+    (about a million), and instances whose
+    :meth:`Instance.plain_row_source` rows span more than
+    ``core.PLAIN_SEEDING_SPREAD`` binary orders.
     """
-    L = inst.n_locations
-    total = math.comb(L, inst.k)
+    L, k = inst.n_locations, inst.k
+    total = math.comb(L, k)
     if total > BRUTE_FORCE_LIMIT:
         raise CapacityError(
-            f"C({L},{inst.k}) = {total} subsets exceeds the enumeration limit {BRUTE_FORCE_LIMIT}")
+            f"C({L},{k}) = {total} subsets exceeds the enumeration limit {BRUTE_FORCE_LIMIT}")
     rows, F = inst.plain_row_source()
     W, _ = _enumerable((rows(np.arange(L)), F))
+    subsets = itertools.combinations(range(L), k)
     best_cost = math.inf
     best = None
-    for subset in itertools.combinations(range(L), inst.k):
-        c = W[subset, :].min(axis=0).sum()
-        if c < best_cost:
-            best_cost = c
-            best = subset
+    for lo, hi in rng.trial_chunks(0, total, L):
+        S = np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, hi - lo)),
+                        dtype=np.int64, count=(hi - lo) * k).reshape(hi - lo, k)
+        M = W[S[:, 0]]
+        for j in range(1, k):
+            np.minimum(M, W[S[:, j]], out=M)
+        c = M.sum(axis=1)
+        i = int(np.argmin(c))
+        if c[i] < best_cost:
+            best_cost = c[i]
+            best = tuple(S[i].tolist())
     return cost(inst, best), best

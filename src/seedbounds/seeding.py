@@ -79,7 +79,9 @@ __all__ = [
 # Extra per-iteration distribution assertions (slow); enable in tests.
 DEBUG_CHECKS = False
 
-_EXACT_SEQUENCE_LIMIT = 10**7
+# Reachable center sets the exact oracle enumerates at most: 616,666 at
+# k = 10, 2,449,868 at k = 11.
+_EXACT_SET_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -246,6 +248,39 @@ def run_trials(inst: Instance, trials: int, rng_seed: int,
     return TrialArrays(*(np.concatenate(column) for column in zip(*parts)))
 
 
+def _next_level(W, masks, P, pot, step):
+    """Pick ``step`` of the subset DP: the next level's ``(masks, P, pot)``.
+
+    The transitions run in the order of a dict loop over the states, each
+    over its locations in ascending order, in blocks of states on the
+    :func:`rng.trial_chunks` grid.  A next set is numbered at its first
+    transition, ``np.add.at`` adds each transition's ``P * pot / tot`` to
+    its set in that order, as the dict loop's ``+=`` does, and the set's
+    potential is one ``np.minimum`` of its first parent's and the new
+    location's row; after pick 0, whose potential is the weights, it is
+    that row.
+    """
+    L = W.shape[1]
+    size = math.comb(L, step + 1)
+    nxt_masks, nxt_P, nxt_pot = np.empty(size, dtype=np.int64), np.zeros(size), np.empty((size, L))
+    slot = np.full(1 << L, -1, dtype=np.int64)   # a next set's number, by bitmask
+    tot = pot.sum(axis=1)
+    n = 0
+    for lo, hi in rng.trial_chunks(0, len(masks), L):
+        s, i = np.nonzero(pot[lo:hi] > 0.0)
+        s += lo
+        keys = masks[s] | (1 << i)
+        fresh = np.flatnonzero(slot[keys] < 0)
+        at = fresh[np.sort(np.unique(keys[fresh], return_index=True)[1])]
+        new = slice(n, n + len(at))
+        n = new.stop
+        slot[keys[at]] = np.arange(new.start, n)
+        nxt_masks[new] = keys[at]
+        nxt_pot[new] = W[i[at]] if step == 0 else np.minimum(pot[s[at]], W[i[at]])
+        np.add.at(nxt_P, slot[keys], P[s] * pot[s, i] / tot[s])
+    return nxt_masks[:n], nxt_P[:n], nxt_pot[:n]
+
+
 def exact_distribution(inst: Instance):
     """Exact coverage distribution and expected cost ratio for tiny instances.
 
@@ -254,45 +289,41 @@ def exact_distribution(inst: Instance):
     (order integrated out, since future picks depend only on the chosen
     set).  Returns ``(CoverageDistribution, expected ratio of seeding cost
     to the discrete reference optimum)``.  Enumerates on every row of
-    :meth:`Instance.plain_row_source`.  Raises CapacityError beyond the
-    enumeration limit, and where the weights or the weighted rows span
-    more than ``core.PLAIN_SEEDING_SPREAD`` binary orders.
+    :meth:`Instance.plain_row_source`.
+
+    A subset DP over arrays, one level per pick: each level holds its
+    chosen sets as bitmasks, their probabilities and their potentials.  It
+    works on blocks of sets and gives the same bits as a dict loop over
+    the sets, each potential rebuilt from its set's rows (see
+    :func:`_next_level`).  Raises CapacityError where the reachable sets,
+    sum over j <= k of C(2k, j), exceed ``_EXACT_SET_LIMIT`` (k >= 11), and
+    where the weights or the weighted rows span more than
+    ``core.PLAIN_SEEDING_SPREAD`` binary orders.
     """
     from .instances import reference_costs
 
-    L = inst.n_locations
-    if L ** inst.k > _EXACT_SEQUENCE_LIMIT:
+    L, k = inst.n_locations, inst.k
+    sets = sum(math.comb(L, j) for j in range(k + 1))
+    if sets > _EXACT_SET_LIMIT:
         raise CapacityError(
-            f"{L}**{inst.k} ordered center sequences exceed the exact-oracle limit")
+            f"{sets} reachable center sets exceed the exact-oracle limit {_EXACT_SET_LIMIT}")
     rows, F = inst.plain_row_source()
     W, E = _enumerable((rows(np.arange(L)), F))
     w, _ = _enumerable(_plain(inst._w_m, inst._w_e))
 
-    level = {0: 1.0}
-    for step in range(inst.k):
-        nxt: dict[int, float] = {}
-        for mask, P in level.items():
-            if step == 0:
-                pot = w
-            else:
-                bits = [i for i in range(L) if mask >> i & 1]
-                pot = W[bits, :].min(axis=0)
-            tot = pot.sum()
-            for i in range(L):
-                if pot[i] > 0.0:
-                    key = mask | (1 << i)
-                    nxt[key] = nxt.get(key, 0.0) + P * pot[i] / tot
-        level = nxt
+    masks, P, pot = np.zeros(1, dtype=np.int64), np.ones(1), w[None, :]
+    for step in range(k):
+        masks, P, pot = _next_level(W, masks, P, pot, step)
 
+    covered = np.zeros((len(masks), k), dtype=bool)
+    for j, c in enumerate(inst._cluster):
+        covered[:, c - 1] |= (masks >> j & 1).astype(bool)
+    probs = np.bincount(covered.sum(axis=1), weights=P, minlength=k + 1)
+    # one ratio per distinct cost, summed over the sets in level order
     opt = reference_costs(inst).discrete
-    probs = np.zeros(inst.k + 1)
-    expected_ratio = 0.0
-    for mask, P in level.items():
-        bits = [i for i in range(L) if mask >> i & 1]
-        probs[len(set(inst._cluster[bits].tolist()))] += P
-        c_scaled = float(W[bits, :].min(axis=0).sum())
-        expected_ratio += P * ExtScalar(c_scaled, E).ratio(opt)
-    return CoverageDistribution(inst.k, probs), expected_ratio
+    c_scaled, where = np.unique(pot.sum(axis=1), return_inverse=True)
+    terms = P * np.array([ExtScalar(float(c), E).ratio(opt) for c in c_scaled])[where]
+    return CoverageDistribution(k, probs), terms.cumsum()[-1]
 
 
 def early_miss_event(trace: SeedingTrace, alpha: float, beta: float) -> bool:

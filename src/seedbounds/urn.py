@@ -61,13 +61,19 @@ def distinct_colors_exact(k: int) -> DistinctColorDistribution:
     k - i of them contribute both balls, and pick one of two balls for each
     of the 2i - k singleton colors:
     ``p[i] = C(k,i) * C(i,k-i) * 2**(2i-k) / C(2k,k)`` for ``2i >= k``.
+    Both binomials step from i to i + 1 by exact integer recurrences, so
+    each ``p[i]`` is the same correctly rounded quotient of the same
+    integers as two ``math.comb`` calls per i would give.
     """
     _check_k(k)
     den = math.comb(2 * k, k)
     probs = np.zeros(k + 1)
-    for i in range((k + 1) // 2, k + 1):
-        num = (math.comb(k, i) * math.comb(i, k - i)) << (2 * i - k)
-        probs[i] = num / den
+    first = (k + 1) // 2
+    a, b = math.comb(k, first), math.comb(first, k - first)   # C(k, i), C(i, k - i)
+    for i in range(first, k + 1):
+        probs[i] = ((a * b) << (2 * i - k)) / den
+        a = a * (k - i) // (i + 1)
+        b = b * (i + 1) * (k - i) // ((2 * i - k + 1) * (2 * i - k + 2))
     return DistinctColorDistribution(k, probs)
 
 
@@ -121,25 +127,35 @@ def biased_distinct_colors_dp(k: int, gamma: float) -> DistinctColorDistribution
 
 def biased_distinct_colors_mc(k: int, gamma: float, trials: int,
                               rng_seed: int) -> DistinctColorDistribution:
-    """Sequential simulation of the biased draw; deterministic given the seed."""
+    """Sequential simulation of the biased draw; deterministic given the seed.
+
+    Works on blocks of trials on the :func:`rng.trial_chunks` grid.  A
+    block's weight rows are carried from step to step: a draw zeroes the
+    drawn ball and, if its color was unseen, sets its mate's weight to 1.
+    Each step's weights, prefix sums and picks are those of rows rebuilt
+    from the drawn and seen flags, the same bits.
+    """
     _check_k(k)
     _check_gamma(gamma)
     _check_trials(trials)
     counts = np.zeros(k + 1, dtype=np.int64)
-    color_of_ball = np.arange(2 * k) // 2
     for lo, hi in rng.trial_chunks(0, trials, 2 * k):
         T = hi - lo
         U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), k)
-        drawn = np.zeros((T, 2 * k), dtype=bool)
+        w = np.full((T, 2 * k), gamma)
+        prefix = np.empty_like(w)
         seen = np.zeros((T, k), dtype=bool)
         row_ix = np.arange(T)
         for t in range(k):
-            seen_ball = seen[:, color_of_ball]
-            w = np.where(drawn, 0.0, np.where(seen_ball, 1.0, gamma))
-            prefix = np.cumsum(w, axis=1)
+            np.cumsum(w, axis=1, out=prefix)
             pick = rng.weighted_pick(prefix, U[:, t])
-            drawn[row_ix, pick] = True
-            seen[row_ix, color_of_ball[pick]] = True
+            # the seen flags, not the weights, tell a new color: at gamma = 1
+            # an unseen ball weighs what a seen one does
+            color = pick // 2
+            new = ~seen[row_ix, color]
+            w[row_ix, pick] = 0.0
+            w[row_ix[new], pick[new] ^ 1] = 1.0
+            seen[row_ix, color] = True
         counts += np.bincount(seen.sum(axis=1), minlength=k + 1)
     return DistinctColorDistribution(k, counts / trials)
 

@@ -121,7 +121,7 @@ def test_report_bytes_are_pinned(tmp_path):
 
 
 def test_exact_capacity_exit_code(tmp_path):
-    assert run("exact", "--k", 7, "--out", tmp_path / "x.csv") == 3
+    assert run("exact", "--k", 11, "--out", tmp_path / "x.csv") == 3
 
 
 def test_invalid_config_exit_codes(tmp_path):

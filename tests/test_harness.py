@@ -282,6 +282,33 @@ def test_read_rejects_malformed_row(tmp_path, small_records, edit_row):
         read_trials_csv(path)
 
 
+def test_read_refuses_a_cost_exponent_beyond_the_bound_before_parsing(
+        tmp_path, small_records, capsys, monkeypatch):
+    # k = 6: a final cost's decimal exponent may reach +/-1006, not beyond;
+    # parsing e+4000000 exactly would take seconds, so a refused cost must
+    # never reach ExtScalar.parse
+    for exponent in ("+1006", "-1006", "+001006"):
+        path = _edited_trials_csv(tmp_path, small_records, lambda lines: lines[:-1] + [
+            _with_field(lines[-1], 5, "1.000000000000000e" + exponent)])
+        assert read_trials_csv(path)[0].final_e[-1] != 0
+    parse = ExtScalar.parse
+    refused = ["1.000000000000000e" + x
+               for x in ("+1007", "-1007", "+4000000", "-4000000", "+" + "0" * 100 + "4000000")]
+
+    def guarded_parse(text):
+        assert text not in refused, f"{text!r} reached ExtScalar.parse"
+        return parse(text)
+
+    monkeypatch.setattr(ExtScalar, "parse", guarded_parse)
+    for text in refused:
+        path = _edited_trials_csv(tmp_path, small_records, lambda lines: lines[:-1] + [
+            _with_field(lines[-1], 5, text)])
+        with pytest.raises(ConfigError, match="malformed row"):
+            read_trials_csv(path)
+        assert cli.main(["report", str(path)]) == 2
+        assert "malformed row" in capsys.readouterr().err
+
+
 def test_read_rejects_repeated_trial_index(tmp_path, small_records):
     path = _edited_trials_csv(tmp_path, small_records, lambda lines: lines + lines[-1:])
     with pytest.raises(ConfigError, match="trial index 19 repeats"):

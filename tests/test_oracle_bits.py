@@ -1,0 +1,75 @@
+"""The block oracles return the bits of their loop-at-a-time references."""
+
+import numpy as np
+import pytest
+
+import reference_oracles as ref
+from seedbounds import rng, seeding, urn
+from seedbounds.extfloat import ExtScalar
+from seedbounds.instances import brute_force_opt, gen_kmeans_bad, gen_kmedian_bad
+
+from test_seeding import _two_bar_instance
+
+GENS = (gen_kmeans_bad, gen_kmedian_bad)
+
+
+def _same_brute(inst):
+    (got_cost, got_best), (want_cost, want_best) = brute_force_opt(inst), ref.brute_force_opt(inst)
+    assert (got_cost.m, got_cost.e, got_best) == (want_cost.m, want_cost.e, want_best)
+    assert all(type(i) is int for i in got_best)
+
+
+def _same_exact(inst):
+    (got, got_ratio), (want, want_ratio) = (seeding.exact_distribution(inst),
+                                            ref.exact_distribution(inst))
+    assert np.array_equal(got.probs, want.probs)
+    assert got_ratio == want_ratio and type(got_ratio) is type(want_ratio)
+
+
+@pytest.mark.parametrize("gen", GENS)
+@pytest.mark.parametrize("k", range(1, 8))
+def test_brute_force_bits(gen, k):
+    for m in (1.0, 4.0 ** k):
+        for r in (1.0, 3.0):
+            _same_brute(gen(k, m, r))
+
+
+def test_brute_force_bits_two_bars():
+    for x in (ExtScalar(3.0), ExtScalar(1.0, 10), ExtScalar(1.5, 484)):
+        _same_brute(_two_bar_instance(x))
+
+
+def test_closed_form_bits():
+    for k in [*range(1, 301), 2048, 2049]:
+        assert np.array_equal(urn.distinct_colors_exact(k).probs,
+                              ref.distinct_colors_exact(k).probs), k
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.3, 5.0])
+def test_biased_mc_bits(gamma):
+    # 600 trials span two trial chunks at k = 64
+    for k in (1, 3, 17, 64):
+        assert np.array_equal(urn.biased_distinct_colors_mc(k, gamma, 600, 5).probs,
+                              ref.biased_distinct_colors_mc(k, gamma, 600, 5).probs), k
+
+
+@pytest.mark.parametrize("gen", GENS)
+def test_exact_distribution_bits(gen):
+    for k in range(1, 7):
+        for m, r in ((4.0, 1.0), (1.0, 3.0)):
+            _same_exact(gen(k, m, r))
+    _same_exact(_two_bar_instance(ExtScalar(1.5, 484)))
+
+
+@pytest.mark.parametrize("chunk_elems", [1, 7, 64])
+def test_block_oracles_ignore_the_chunk_grid(monkeypatch, chunk_elems):
+    # the references run on the default grid; the block versions on a grid of
+    # one to a few sets, subsets or trials per block
+    want = [(ref.brute_force_opt(gen(k, 4.0, 1.0)), ref.exact_distribution(gen(k, 4.0, 1.0)))
+            for gen in GENS for k in (3, 5)]
+    monkeypatch.setattr(rng, "CHUNK_ELEMS", chunk_elems)
+    got = [(brute_force_opt(gen(k, 4.0, 1.0)), seeding.exact_distribution(gen(k, 4.0, 1.0)))
+           for gen in GENS for k in (3, 5)]
+    for ((gc, gb), (gd, gr)), ((wc, wb), (wd, wr)) in zip(got, want):
+        assert (gc, gb, gr) == (wc, wb, wr)
+        assert np.array_equal(gd.probs, wd.probs)

@@ -14,7 +14,7 @@ from seedbounds.instances import (brute_force_opt, gen_kmeans_bad, gen_kmedian_b
 from seedbounds.seeding import (SeedingTrace, early_miss_event,
                                 exact_distribution, run_trials, seed)
 
-from conftest import assert_rel_close
+from conftest import assert_rel_close, ext_to_fraction
 
 # Hand-derived exact outcomes for the k=2, m=4, r=1 squared-cost instance.
 # Conditional on the first pick, the second-pick potentials are
@@ -382,7 +382,7 @@ def test_exact_distribution_hand_values(inst2):
 
 def test_exact_distribution_probability_sums():
     for gen in (gen_kmeans_bad, gen_kmedian_bad):
-        for k in (2, 3, 4):
+        for k in (2, 3, 4, 8):
             dist, ratio = exact_distribution(gen(k, 4.0, 1.0))
             assert dist.probs[0] == 0.0
             assert_rel_close(dist.probs.sum(), 1.0, 1e-12)
@@ -390,8 +390,51 @@ def test_exact_distribution_probability_sums():
 
 
 def test_exact_distribution_capacity_error():
+    # the reachable sets: 616,666 at k = 10, 2,449,868 at k = 11
     with pytest.raises(CapacityError):
-        exact_distribution(gen_kmeans_bad(7, 1.0, 1.0))
+        exact_distribution(gen_kmeans_bad(11, 1.0, 1.0))
+    dist, _ = exact_distribution(gen_kmeans_bad(7, 1.0, 1.0))
+    assert_rel_close(dist.probs.sum(), 1.0, 1e-12)
+
+
+def _fraction_distribution(inst):
+    """The exact coverage distribution and expected ratio in ``Fraction``
+    arithmetic, one chosen set at a time, from the locations' weights and
+    ``dist_pow`` values."""
+    locs, L = inst.locations, inst.n_locations
+    w = [ext_to_fraction(loc.weight) for loc in locs]
+    W = [[w[i] * ext_to_fraction(dist_pow(locs[j], locs[i], inst.ell)) for i in range(L)]
+         for j in range(L)]
+    level = {frozenset(): Fraction(1)}
+    for _ in range(inst.k):
+        nxt = {}
+        for chosen, P in level.items():
+            pot = [min(W[j][i] for j in chosen) if chosen else w[i] for i in range(L)]
+            tot = sum(pot)
+            for i in range(L):
+                if pot[i]:
+                    key = chosen | {i}
+                    nxt[key] = nxt.get(key, 0) + P * pot[i] / tot
+        level = nxt
+    opt = ext_to_fraction(reference_costs(inst).discrete)
+    probs = [Fraction(0)] * (inst.k + 1)
+    ratio = Fraction(0)
+    for chosen, P in level.items():
+        probs[len({locs[j].cluster_id for j in chosen})] += P
+        ratio += P * sum(min(W[j][i] for j in chosen) for i in range(L)) / opt
+    return probs, ratio
+
+
+def test_exact_distribution_matches_fractions():
+    for gen in (gen_kmeans_bad, gen_kmedian_bad):
+        for k in (1, 2, 3):
+            for m, r in ((4.0, 1.0), (1.0, 3.0)):
+                inst = gen(k, m, r)
+                dist, ratio = exact_distribution(inst)
+                probs, want_ratio = _fraction_distribution(inst)
+                for got, want in zip(dist.probs, probs):
+                    assert_rel_close(got, float(want), 1e-12, f"{inst.variant} k={k}")
+                assert_rel_close(ratio, float(want_ratio), 1e-12, f"{inst.variant} k={k}")
 
 
 def test_oracles_reject_an_exponent_spread_beyond_a_double():
@@ -433,6 +476,18 @@ def test_exact_matches_monte_carlo_small():
         arr = run_trials(inst, trials, rng_seed=123)
         freq = np.bincount(arr.coverage, minlength=4) / trials
         for i in range(4):
+            se = (dist.probs[i] * (1 - dist.probs[i]) / trials) ** 0.5
+            assert abs(freq[i] - dist.probs[i]) <= max(5 * se, 1e-12)
+
+
+def test_exact_matches_monte_carlo_k7():
+    for gen in (gen_kmeans_bad, gen_kmedian_bad):
+        inst = gen(7, 4.0, 1.0)
+        dist, _ = exact_distribution(inst)
+        trials = 10**5
+        arr = run_trials(inst, trials, rng_seed=321)
+        freq = np.bincount(arr.coverage, minlength=8) / trials
+        for i in range(8):
             se = (dist.probs[i] * (1 - dist.probs[i]) / trials) ** 0.5
             assert abs(freq[i] - dist.probs[i]) <= max(5 * se, 1e-12)
 
