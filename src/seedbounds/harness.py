@@ -10,7 +10,8 @@ Results travel as one columnar ``TrialTable`` from ``run_experiment``
 through ``write_trials_csv``, ``read_trials_csv`` and ``summarize``; a
 ``TrialRecord`` is its per-row view.  Final costs repeat heavily (361
 distinct of 30,000 at kmedian k=16), so each distinct cost is divided by
-the reference optima, formatted and parsed once, with ``ExtScalar``'s
+the reference optima and formatted once, and each distinct row text after
+the trial index (548 of those 30,000) is parsed once, with ``ExtScalar``'s
 ``ratio``, ``format_sci`` and ``parse`` as the only arithmetic and text
 code.  ``summarize``/``report`` turn a table into a byte-stable text or
 CSV document comparing empirical tails against the closed-form bounds.
@@ -336,10 +337,10 @@ def _cost_fields(text: str, k_text: str):
 
 
 class _Memo(dict):
-    """``parse`` of each distinct field string, called once per string.
+    """``parse`` of each distinct string, called once per string.
 
     It holds at most ``rng.CHUNK_ELEMS`` strings and then starts over, so a
-    column of mostly distinct values keeps bounded memory.
+    file of mostly distinct rows keeps bounded memory.
     """
 
     def __init__(self, parse):
@@ -353,22 +354,78 @@ class _Memo(dict):
         return value
 
 
+class _HeaderMismatch(Exception):
+    """A row's k or variant is not the header config's."""
+
+
+class _DistinctRows:
+    """The values of trials.csv row remainders (the text after the trial
+    index), one row of ``array`` columns per remainder parsed."""
+
+    def __init__(self, k_text: str, variant: str):
+        self.config = [k_text, variant]
+        self.columns = {name: array(code) for name, code in
+                        zip(_TABLE_COLUMNS[1:], "qddqddb")}
+
+    def parse(self, rest: str) -> int:
+        """Check a remainder and add its values as a row; the row's id.
+
+        Raises _HeaderMismatch, or ValueError for a malformed remainder.
+        """
+        f = rest.split(",")
+        if f[:2] != self.config:
+            raise _HeaderMismatch
+        if len(f) != len(TRIAL_COLUMNS) - 1 or f[7] not in ("0", "1"):
+            raise ValueError("wrong field count or early_miss flag")
+        count, frac_text, frac = _coverage_fields(f[2], self.config[0])
+        if f[3] != frac_text:
+            raise ValueError("coverage fraction disagrees with the count")
+        m, e = _cost_fields(f[4], self.config[0])
+        values = (count, frac, m, e, float(f[5]), float(f[6]), f[7] == "1")
+        for col, value in zip(self.columns.values(), values):
+            col.append(value)
+        return len(col) - 1
+
+    def gather(self, ids: np.ndarray) -> dict:
+        """The columns of the rows ``ids``, as numpy arrays."""
+        out = {name: np.frombuffer(col, dtype=col.typecode)[ids]
+               for name, col in self.columns.items()}
+        out["early_miss"] = out["early_miss"].view(bool)
+        return out
+
+
+def _row_error(path, line: str, config, exc: Exception) -> ConfigError:
+    """The refusal of a data line that failed its checks with ``exc``."""
+    if line.startswith("#"):   # its trial index fails int(), so every such line ends here
+        return ConfigError(f"{path}: comment line {line!r} after the column header")
+    if isinstance(exc, _HeaderMismatch):
+        return ConfigError(f"{path}: row {line!r} does not match the header's"
+                           f" k={config[0]} variant={config[1]}")
+    return ConfigError(f"{path}: malformed row {line!r}")
+
+
 def read_trials_csv(path):
     """Returns (TrialTable, metadata dict parsed from the comment header).
 
-    The file is streamed line by line into typed columns.  The coverage,
-    cost and ratio fields go through memos of the strings already parsed,
-    so ``ExtScalar.parse`` and ``float`` run once per distinct string.
+    The file is streamed line by line.  Each data line is split once at
+    its first comma: the trial index is checked on every line, and the
+    remainder goes through one memo of the remainders already seen, whose
+    miss checks the rest of the row and adds its values to a table of
+    distinct rows.  Per line only the trial index and that row's id are
+    kept, so ``ExtScalar.parse`` and ``float`` run once per distinct
+    remainder (a few hundred in 30,000 kmedian k=16 trials).
 
     Raises ConfigError unless the file opens with the v2 version line,
     names ``rng.ALGORITHM``, has a header config whose variant is a key of
-    ``core.ELL``, has at least one row, has only rows whose k and variant
-    match the header config, and repeats no trial index.  A row is
-    malformed unless it has one field per column, every integer field in
-    its ``str(int)`` form, a trial index in 0 .. 2**63 - 1, a coverage
-    count in 1 .. k, a coverage fraction written as the writer writes
-    count / k, parseable numbers, a final cost whose decimal exponent is
-    at most 1000 + k in absolute value, and an ``early_miss`` of 0 or 1.
+    ``core.ELL``, has at least one row, has no comment line after the
+    column header, has only rows whose k and variant match the header
+    config, and repeats no trial index.  A row is malformed unless it has
+    one field per column, every integer field in its ``str(int)`` form, a
+    trial index in 0 .. 2**63 - 1, a coverage count in 1 .. k, a coverage
+    fraction written as the writer writes count / k, parseable numbers, a
+    final cost whose decimal exponent is at most 1000 + k in absolute
+    value, and an ``early_miss`` of 0 or 1.  A row whose k or variant
+    differs from the header's is refused as such, malformed or not.
     Every refusal names the first offending line.  A record's ``ell`` is
     its variant's distance power, so the file does not store it.  Files of
     any other version, v1 included, are refused: rerun ``seedbounds seed``
@@ -385,10 +442,8 @@ def read_trials_csv(path):
     so a corrupt exponent costs no more time than any other bad field.
     """
     meta: dict[str, str] = {}
-    columns = {name: array(code) for name, code in zip(_TABLE_COLUMNS, "qqddqddb")}
-    (add_index, add_count, add_frac, add_m, add_e, add_ratio_d, add_ratio_c,
-     add_miss) = (col.append for col in columns.values())
-    floats = _Memo(float)
+    indices, ids = array("q"), array("q")
+    add_index, add_id = indices.append, ids.append
     last, seen = -1, None   # largest trial index so far; all of them once out of order
     with open(path, newline="") as fh:
         lines = (line for line in (raw.rstrip("\n") for raw in fh) if line)
@@ -399,48 +454,40 @@ def read_trials_csv(path):
                               " of its config line")
         header = None
         for line in lines:
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("config "):
-                    for part in body[len("config "):].split():
-                        key, _, val = part.partition("=")
-                        meta[key] = val
-                elif body.startswith("rng "):
-                    meta["rng"] = body[len("rng "):]
-                continue
-            if header is None:
+            if not line.startswith("#"):
                 header = tuple(line.split(","))
-                if header != TRIAL_COLUMNS:
-                    raise ConfigError(f"unexpected trials.csv columns: {header}")
-                if meta.get("rng") != rng.ALGORITHM:
-                    raise ConfigError(f"{path} names rng {meta.get('rng')!r},"
-                                      f" not {rng.ALGORITHM!r}")
-                config = [meta.get("k"), meta.get("variant")]
-                if config[1] not in ELL:
-                    raise ConfigError(f"{path}: header variant={config[1]} is not one"
-                                      f" of {', '.join(ELL)}")
-                counts = _Memo(lambda text: _coverage_fields(text, config[0]))
-                costs = _Memo(lambda text: _cost_fields(text, config[0]))
-                continue
-            f = line.split(",")
-            if f[1:3] != config:
-                raise ConfigError(f"{path}: row {line!r} does not match the header's"
-                                  f" k={config[0]} variant={config[1]}")
+                break
+            body = line[1:].strip()
+            if body.startswith("config "):
+                for part in body[len("config "):].split():
+                    key, _, val = part.partition("=")
+                    meta[key] = val
+            elif body.startswith("rng "):
+                meta["rng"] = body[len("rng "):]
+        if header is None:
+            raise ConfigError(f"{path} contains no trial rows")
+        if header != TRIAL_COLUMNS:
+            raise ConfigError(f"unexpected trials.csv columns: {header}")
+        if meta.get("rng") != rng.ALGORITHM:
+            raise ConfigError(f"{path} names rng {meta.get('rng')!r},"
+                              f" not {rng.ALGORITHM!r}")
+        config = [meta.get("k"), meta.get("variant")]
+        if config[1] not in ELL:
+            raise ConfigError(f"{path}: header variant={config[1]} is not one"
+                              f" of {', '.join(ELL)}")
+        distinct = _DistinctRows(*config)
+        rows = _Memo(distinct.parse)
+        for line in lines:
+            index, _, rest = line.partition(",")
             try:
-                if len(f) != len(TRIAL_COLUMNS) or f[8] not in ("0", "1"):
-                    raise ValueError("wrong field count or early_miss flag")
-                t = int(f[0])
-                if not 0 <= t <= _MAX_TRIAL_INDEX or str(t) != f[0]:
+                row = rows[rest]
+                t = int(index)
+                if not 0 <= t <= _MAX_TRIAL_INDEX or str(t) != index:
                     raise ValueError("trial index out of range or not in str(int) form")
-                count, frac_text, frac = counts[f[3]]
-                if f[4] != frac_text:
-                    raise ValueError("coverage fraction disagrees with the count")
-                m, e = costs[f[5]]
-                ratio_d, ratio_c = floats[f[6]], floats[f[7]]
-            except ValueError as exc:
-                raise ConfigError(f"{path}: malformed row {line!r}") from exc
+            except (_HeaderMismatch, ValueError) as exc:
+                raise _row_error(path, line, config, exc) from exc
             if seen is None and t <= last:   # out of trial order: index the rows so far
-                seen = set(columns["trial_index"])
+                seen = set(indices)
             if seen is None:
                 last = t
             elif t in seen:
@@ -448,18 +495,12 @@ def read_trials_csv(path):
             else:
                 seen.add(t)
             add_index(t)
-            add_count(count)
-            add_frac(frac)
-            add_m(m)
-            add_e(e)
-            add_ratio_d(ratio_d)
-            add_ratio_c(ratio_c)
-            add_miss(f[8] == "1")
-    if not columns["trial_index"]:
+            add_id(row)
+    if not indices:
         raise ConfigError(f"{path} contains no trial rows")
-    table = {name: np.frombuffer(col, dtype=col.typecode) for name, col in columns.items()}
-    table["early_miss"] = table["early_miss"].view(bool)
-    return TrialTable(int(config[0]), config[1], **table), meta
+    table = distinct.gather(np.frombuffer(ids, dtype=np.int64))
+    return TrialTable(int(config[0]), config[1],
+                      trial_index=np.frombuffer(indices, dtype=np.int64), **table), meta
 
 
 # ---------------------------------------------------------------------------

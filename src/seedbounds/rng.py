@@ -33,8 +33,9 @@ _TO_UNIT = 2.0 ** -53
 # The one chunking constant: a chunk of any batched trial loop (and of the
 # centers core.cost streams, and of the rows trials.csv is written in) holds
 # at most this many elements of its (trials, row_elems) work array; a
-# trials.csv reader's memo holds at most this many field strings.  2**16
-# doubles (512 KiB) keep a seeding step's arrays near cache size.
+# trials.csv reader's memo holds at most this many row remainders, the text
+# after the trial index.  2**16 doubles (512 KiB) keep a seeding step's
+# arrays near cache size.
 CHUNK_ELEMS = 1 << 16
 
 
@@ -82,10 +83,14 @@ def weighted_pick(prefix: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Cumulative-inversion pick along the last axis.
 
     ``prefix`` must be the cumulative sum of nonnegative weights along the
-    last axis, with a positive total.  A boundary hit (u * total landing
-    exactly on a prefix value) resolves to the lower index; the target is at
-    least the smallest positive double, so leading zero-weight buckets are
-    skipped.
+    last axis, with a positive total, and ``u`` lie in [0, 1).  The pick is
+    the first index whose prefix value reaches the target ``u * total``.
+    Such a prefix is nondecreasing and its last entry is at least the
+    target, so that index is the count of prefix values below the target,
+    the definition the tests check it against.  A boundary hit (u * total
+    landing exactly on a prefix value) resolves to the lower index; the
+    target is at least the smallest positive double, so leading zero-weight
+    buckets are skipped.
     """
     target = np.maximum(u * prefix[..., -1], np.nextafter(0.0, 1.0))
-    return (prefix < target[..., None]).sum(axis=-1)
+    return np.argmax(prefix >= target[..., None], axis=-1)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from seedbounds import cli
+from seedbounds import cli, harness, rng
 from seedbounds.errors import ConfigError
 from seedbounds.extfloat import ExtScalar
 from seedbounds.harness import (ExperimentConfig, TrialRecord, TrialTable, _fmt,
@@ -25,6 +25,13 @@ from conftest import assert_rel_close
 def small_records():
     cfg = ExperimentConfig(variant="kmeans", k=6, m=4.0, r=1.0, trials=500,
                            master_seed=11)
+    return cfg, run_experiment(cfg)
+
+
+@pytest.fixture(scope="module")
+def kmedian_k16_records():
+    # few distinct final costs and rows over many trials
+    cfg = ExperimentConfig(variant="kmedian", k=16, trials=30_000, master_seed=7)
     return cfg, run_experiment(cfg)
 
 
@@ -138,12 +145,11 @@ def test_table_matches_per_row_reference(tmp_path, variant, k, r, trials):
         for f in rows]
 
 
-def test_trials_csv_write_and_read_hold_no_object_per_row(tmp_path):
+def test_trials_csv_write_and_read_hold_no_object_per_row(tmp_path, kmedian_k16_records):
     # formatting once per distinct value and streaming the file keep the
     # write and the read near the table's own column bytes; per-row records
     # and the whole file as one string cost several times that
-    cfg = ExperimentConfig(variant="kmedian", k=16, trials=30_000, master_seed=7)
-    table = run_experiment(cfg)
+    cfg, table = kmedian_k16_records
     nbytes = sum(getattr(table, name).nbytes for name in (
         "trial_index", "coverage_count", "coverage_fraction", "final_m", "final_e",
         "ratio_discrete", "ratio_continuous", "early_miss"))
@@ -328,6 +334,92 @@ def test_read_keeps_rows_out_of_trial_order(tmp_path, small_records):
     back, _ = read_trials_csv(path)
     assert list(back) == list(in_order)[::-1]
     assert report(summarize(back), "csv") == report(summarize(in_order), "csv")
+
+
+@pytest.mark.parametrize("at", [6, None], ids=["among-rows", "last"])
+def test_read_refuses_a_comment_after_the_column_header(tmp_path, small_records,
+                                                        capsys, at):
+    # the writer never writes one, and a config line there would override
+    # the header the rows were written under
+    comment = "# config variant=kmedian k=9 alpha=0.3"
+    path = _edited_trials_csv(tmp_path, small_records, lambda lines: (
+        lines[:at] + [comment] + (lines[at:] if at else [])))
+    with pytest.raises(ConfigError, match="comment line '# config variant=kmedian"):
+        read_trials_csv(path)
+    assert cli.main(["report", str(path)]) == 2
+    assert "after the column header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:6] + [lines[6][:-1] + "7"] + lines[6:8] + lines[7:8],
+     "malformed row '2,"),
+    (lambda lines: lines[:6] + lines[5:6] + [lines[6][:-1] + "7"] + lines[7:],
+     "trial index 1 repeats"),
+    (lambda lines: lines[:-1] + [_with_field(_with_field(lines[-1], 1, "7"), 8, "7")],
+     "does not match the header"),
+    (lambda lines: lines[:-1] + [_with_field(_with_field(lines[-1], 2, "kmedian"), 0, "x")],
+     "does not match the header"),
+], ids=["malformed-then-repeat", "repeat-then-malformed", "mismatch-and-bad-flag",
+        "mismatch-and-bad-index"])
+def test_read_names_the_first_of_two_defects(tmp_path, small_records, edit, message):
+    path = _edited_trials_csv(tmp_path, small_records, edit)
+    with pytest.raises(ConfigError, match=message):
+        read_trials_csv(path)
+
+
+def _counting_row_parse(monkeypatch):
+    calls = []
+    parse = harness._DistinctRows.parse
+
+    def counted(self, rest):
+        calls.append(rest)
+        return parse(self, rest)
+
+    monkeypatch.setattr(harness._DistinctRows, "parse", counted)
+    return calls
+
+
+def test_read_back_is_exact_when_the_row_memo_restarts(tmp_path, small_records,
+                                                        monkeypatch):
+    # a table read from trials.csv holds the values of its text, so writing
+    # and reading it again gives the same bits, however often the memo of
+    # row remainders starts over
+    cfg, records = small_records
+    path = tmp_path / "trials.csv"
+    write_trials_csv(records, cfg, path)
+    table, _ = read_trials_csv(path)
+    write_trials_csv(table, cfg, path)
+    remainders = {line.partition(",")[2] for line in path.read_text().splitlines()[4:]}
+    calls = _counting_row_parse(monkeypatch)
+    monkeypatch.setattr(rng, "CHUNK_ELEMS", 4)
+    back, _ = read_trials_csv(path)
+    assert back == table
+    assert set(calls) == remainders and len(calls) > len(remainders) > 4
+
+
+@pytest.mark.parametrize("index, message", [
+    ("01", "malformed row '01,"), ("-0", "malformed row '-0,"),
+    ("0", "trial index 0 repeats")])
+def test_read_checks_the_index_of_a_row_whose_remainder_was_seen(
+        tmp_path, small_records, index, message):
+    # the memo's hit path: the remainder of the first row, already parsed
+    path = _edited_trials_csv(tmp_path, small_records, lambda lines: (
+        lines + [index + "," + lines[4].partition(",")[2]]))
+    with pytest.raises(ConfigError, match=message):
+        read_trials_csv(path)
+
+
+def test_read_parses_each_distinct_remainder_once(tmp_path, monkeypatch,
+                                                  kmedian_k16_records):
+    cfg, table = kmedian_k16_records
+    path = tmp_path / "trials.csv"
+    write_trials_csv(table, cfg, path)
+    remainders = [line.partition(",")[2] for line in path.read_text().splitlines()[4:]]
+    calls = _counting_row_parse(monkeypatch)
+    back, _ = read_trials_csv(path)
+    assert np.array_equal(back.coverage_count, table.coverage_count)
+    assert sorted(calls) == sorted(set(remainders))
+    assert len(calls) < len(remainders) // 20
 
 
 def test_summarize_rejects_fractions_out_of_range(small_records):

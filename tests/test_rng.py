@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seedbounds import rng
 from seedbounds.urn import biased_distinct_colors_mc, distinct_colors_mc
@@ -82,3 +84,34 @@ def test_weighted_pick_boundaries():
         ws = w * scale
         prefix = np.cumsum(ws, axis=1)
         assert np.array_equal(rng.weighted_pick(prefix, u), _two_pass_pick(ws, prefix, u))
+
+
+def _counting_pick(prefix, u):
+    # the definition: how many prefix values lie below the target
+    target = np.maximum(u * prefix[..., -1], np.nextafter(0.0, 1.0))
+    return (prefix < target[..., None]).sum(axis=-1)
+
+
+@st.composite
+def _prefix_and_u(draw):
+    # small integer weights with zero runs keep the prefix values exact, and
+    # u = (a prefix value) / total lands u * total on one of them
+    n = draw(st.integers(1, 10))
+    weights = draw(st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=n, max_size=n)
+        .filter(any), min_size=1, max_size=5))
+    prefix = np.cumsum(weights, axis=1, dtype=float)
+    u = [draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True),
+                        st.sampled_from(row[:-1].tolist() or [0.0]).map(
+                            lambda p, total=row[-1]: p / total)))
+         for row in prefix]
+    scale = draw(st.sampled_from([1.0, 2.0**-1070, 2.0**-1000, 2.0**1000]))
+    return prefix * scale, np.array(u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_prefix_and_u())
+def test_weighted_pick_is_the_count_below_the_target(case):
+    prefix, u = case
+    assert np.array_equal(rng.weighted_pick(prefix, u), _counting_pick(prefix, u))
+    assert rng.weighted_pick(prefix[0], u[0]) == _counting_pick(prefix[0], u[0])
