@@ -54,8 +54,14 @@ def uniform_tail_bound(k: int) -> float:
 
 def biased_tail_bound(k: int) -> float:
     """sqrt(k) * 2**(-k/64): tail of the biased draw (any gamma in [1, 5])
-    showing more than 0.99k distinct colors."""
+    showing more than 0.99k distinct colors.
+
+    At k = 1 it is the trivial bound 1.0: one ball always shows one color,
+    more than 0.99, so the tail is 1, and the formula's 0.989 would be false.
+    """
     _check_k(k)
+    if k == 1:
+        return 1.0
     return math.sqrt(k) * 2.0 ** (-k / 64.0)
 
 

@@ -8,12 +8,14 @@ randomness is a pure function of (master_seed, trial_index).
 
 Results travel as one columnar ``TrialTable`` from ``run_experiment``
 through ``write_trials_csv``, ``read_trials_csv`` and ``summarize``; a
-``TrialRecord`` is its per-row view.  Final costs repeat heavily (361
-distinct of 30,000 at kmedian k=16), so each distinct cost is divided by
-the reference optima and formatted once, and each distinct row text after
-the trial index (548 of those 30,000) is parsed once, with ``ExtScalar``'s
-``ratio``, ``format_sci`` and ``parse`` as the only arithmetic and text
-code.  ``summarize``/``report`` turn a table into a byte-stable text or
+``TrialRecord`` is its per-row view.  The table holds what trials.csv
+holds, ratios as the doubles of their 15-digit text and no coverage
+fraction, so a table in memory and its trials.csv read back give the same
+summary bytes.  Final costs repeat heavily (361 distinct of 30,000 at
+kmedian k=16), so each distinct cost is divided by the reference optima
+and formatted once, and each distinct row text after the trial index (548
+of those 30,000) is parsed once, with ``ExtScalar``'s ``ratio``,
+``format_sci`` and ``parse`` as the only arithmetic and text code.  ``summarize``/``report`` turn a table into a byte-stable text or
 CSV document comparing empirical tails against the closed-form bounds.
 """
 
@@ -122,7 +124,7 @@ class TrialRecord:
 
 # The per-trial columns of a TrialTable; final_cost is the (final_m, final_e) pair.
 _TABLE_COLUMNS = (
-    "trial_index", "coverage_count", "coverage_fraction", "final_m", "final_e",
+    "trial_index", "coverage_count", "final_m", "final_e",
     "ratio_discrete", "ratio_continuous", "early_miss",
 )
 
@@ -131,52 +133,37 @@ _TABLE_COLUMNS = (
 class TrialTable:
     """Trial outcomes of one (k, variant) as numpy columns, one row per trial.
 
-    ``final_m``/``final_e`` hold each final cost as its ``ExtScalar``
-    mantissa and exponent.  ``table[i]`` and iteration give ``TrialRecord``
-    rows, with Python ints, floats and bools and an ``ExtScalar`` final
-    cost; a slice gives a table.  Tables compare equal when k, variant and
-    every column are equal.
+    It holds what trials.csv holds: ``final_m``/``final_e`` hold each final
+    cost as its ``ExtScalar`` mantissa and exponent, the ratios are the
+    doubles of their 15-digit text, and ``coverage_fraction`` is derived
+    from the count.  So a table and its trials.csv read back differ at most
+    in the last bits of a final cost, which the file holds to 16 digits.
+    ``table[i]`` and iteration give ``TrialRecord`` rows, with Python ints,
+    floats and bools and an ``ExtScalar`` final cost; a slice gives a
+    table.  Tables compare equal when k, variant and every column are equal.
     """
 
     k: int
     variant: str
     trial_index: np.ndarray       # int64
     coverage_count: np.ndarray    # int64
-    coverage_fraction: np.ndarray
     final_m: np.ndarray
     final_e: np.ndarray           # int64
     ratio_discrete: np.ndarray
     ratio_continuous: np.ndarray
     early_miss: np.ndarray        # bool
 
-    @classmethod
-    def from_records(cls, records) -> "TrialTable":
-        """The table of a sequence of ``TrialRecord``, in its order."""
-        records = list(records)
-        kinds = {(rec.k, rec.variant) for rec in records}
-        if len(kinds) > 1:
-            raise ConfigError(f"records mix (k, variant) values: {sorted(kinds)}")
-        if not kinds:
-            raise ConfigError("a trial table needs at least one record")
-        (k, variant), = kinds
-        return cls(
-            k, variant,
-            trial_index=np.array([r.trial_index for r in records], dtype=np.int64),
-            coverage_count=np.array([r.coverage_count for r in records], dtype=np.int64),
-            coverage_fraction=np.array([r.coverage_fraction for r in records], dtype=float),
-            final_m=np.array([r.final_cost.m for r in records], dtype=float),
-            final_e=np.array([r.final_cost.e for r in records], dtype=np.int64),
-            ratio_discrete=np.array([r.ratio_discrete for r in records], dtype=float),
-            ratio_continuous=np.array([r.ratio_continuous for r in records], dtype=float),
-            early_miss=np.array([r.early_miss for r in records], dtype=bool),
-        )
+    @property
+    def coverage_fraction(self) -> np.ndarray:
+        """coverage_count / k, as the trials.csv writer derives its column."""
+        return self.coverage_count / self.k
 
     def __len__(self) -> int:
         return len(self.trial_index)
 
-    def _record(self, t, count, frac, m, e, ratio_d, ratio_c, miss) -> TrialRecord:
-        return TrialRecord(t, self.k, self.variant, count, frac, ExtScalar(m, e),
-                           ratio_d, ratio_c, miss)
+    def _record(self, t, count, m, e, ratio_d, ratio_c, miss) -> TrialRecord:
+        return TrialRecord(t, self.k, self.variant, count, count / self.k,
+                           ExtScalar(m, e), ratio_d, ratio_c, miss)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -193,10 +180,6 @@ class TrialTable:
         return ((self.k, self.variant) == (other.k, other.variant)
                 and all(np.array_equal(getattr(self, name), getattr(other, name))
                         for name in _TABLE_COLUMNS))
-
-
-def _as_table(records) -> TrialTable:
-    return records if isinstance(records, TrialTable) else TrialTable.from_records(records)
 
 
 def _distinct_costs(final_m: np.ndarray, final_e: np.ndarray):
@@ -230,7 +213,8 @@ def run_experiment(cfg: ExperimentConfig) -> TrialTable:
 
     The workers' ``TrialArrays`` are concatenated.  Each distinct final
     cost becomes one ``ExtScalar``, whose ``ratio`` to the two reference
-    optima is taken once for all the trials that share it.
+    optima is taken once for all the trials that share it and kept as the
+    double its trials.csv text reads back to.  Final costs stay exact.
     """
     cfg.validate()
     inst = _instance_for(cfg)
@@ -254,11 +238,14 @@ def run_experiment(cfg: ExperimentConfig) -> TrialTable:
         cfg.k, cfg.variant,
         trial_index=trials.trial_indices,
         coverage_count=trials.coverage,
-        coverage_fraction=trials.coverage / cfg.k,
         final_m=np.array([c.m for c in costs])[inverse],
         final_e=np.array([c.e for c in costs], dtype=np.int64)[inverse],
-        ratio_discrete=np.array([c.ratio(opt.discrete) for c in costs])[inverse],
-        ratio_continuous=np.array([c.ratio(opt.continuous) for c in costs])[inverse],
+        # 15 digits survive a round trip through a double, so these write
+        # the same text as the full-precision ratios would
+        ratio_discrete=np.array([float(_fmt(c.ratio(opt.discrete)))
+                                 for c in costs])[inverse],
+        ratio_continuous=np.array([float(_fmt(c.ratio(opt.continuous)))
+                                   for c in costs])[inverse],
         early_miss=trials.early_miss,
     )
 
@@ -276,19 +263,24 @@ def _texts(values: np.ndarray, fmt) -> np.ndarray:
     return text[inverse.reshape(-1)]
 
 
-def write_trials_csv(records, cfg: ExperimentConfig, path) -> None:
-    """Write a TrialTable, or a sequence of TrialRecord, as trials.csv v2.
+def write_trials_csv(table: TrialTable, cfg: ExperimentConfig, path) -> None:
+    """Write a TrialTable as trials.csv v2 under the header of ``cfg``.
 
     Each distinct value of a column is formatted once (``format_sci`` for
-    the final cost, ``_fmt`` for the floats), and the rows are written in
-    blocks of the ``rng.trial_chunks`` grid, so the file never exists as
-    one string.
+    the final cost, ``_fmt`` for the ratios and for each coverage count's
+    count / k), and the rows are written in blocks of the
+    ``rng.trial_chunks`` grid, so the file never exists as one string.
+    Raises ConfigError, before the file is opened, unless the table's k
+    and variant are ``cfg``'s: the reader refuses rows that differ from
+    the header config.
     """
-    table = _as_table(records)
+    if (table.k, table.variant) != (cfg.k, cfg.variant):
+        raise ConfigError(f"a k={table.k} {table.variant} table cannot be written under"
+                          f" the header config k={cfg.k} variant={cfg.variant}")
     costs, inverse = _distinct_costs(table.final_m, table.final_e)
     columns = (
         _texts(table.coverage_count, str),
-        _texts(table.coverage_fraction, _fmt),
+        _texts(table.coverage_count, lambda count: _fmt(count / table.k)),
         np.array([c.format_sci() for c in costs], dtype=object)[inverse],
         _texts(table.ratio_discrete, _fmt),
         _texts(table.ratio_continuous, _fmt),
@@ -316,59 +308,40 @@ def _int_field(text: str) -> int:
     return value
 
 
-def _coverage_fields(count_text: str, k_text: str):
-    """(coverage count in 1..k, the writer's text of count / k, its float)."""
-    k, count = _int_field(k_text), _int_field(count_text)
-    if not 1 <= count <= k:
-        raise ValueError(f"coverage count {count} outside 1..{k}")
-    frac = _fmt(count / k)
-    return count, frac, float(frac)
-
-
-def _cost_fields(text: str, k_text: str):
+def _cost_fields(text: str, k: int):
     """(m, e) of a final cost whose decimal exponent is at most 1000 + k in
     absolute value (:func:`read_trials_csv`), checked before it is parsed."""
     digits = text.rpartition("e")[2].lstrip("+-").lstrip("0")
-    bound = 1000 + _int_field(k_text)
+    bound = 1000 + k
     if len(digits) > len(str(bound)) or int(digits or "0") > bound:
         raise ValueError(f"final cost {text!r} has a decimal exponent beyond +/-{bound}")
     cost = ExtScalar.parse(text)
     return cost.m, cost.e
 
 
-class _Memo(dict):
-    """``parse`` of each distinct string, called once per string.
-
-    It holds at most ``rng.CHUNK_ELEMS`` strings and then starts over, so a
-    file of mostly distinct rows keeps bounded memory.
-    """
-
-    def __init__(self, parse):
-        super().__init__()
-        self.parse = parse
-
-    def __missing__(self, text):
-        if len(self) >= rng.CHUNK_ELEMS:
-            self.clear()
-        value = self[text] = self.parse(text)
-        return value
-
-
 class _HeaderMismatch(Exception):
     """A row's k or variant is not the header config's."""
 
 
-class _DistinctRows:
-    """The values of trials.csv row remainders (the text after the trial
-    index), one row of ``array`` columns per remainder parsed."""
+class _DistinctRows(dict):
+    """The row id of each trials.csv row remainder (the text after the
+    trial index), and the values of the distinct rows as ``array`` columns.
 
-    def __init__(self, k_text: str, variant: str):
-        self.config = [k_text, variant]
+    A remainder not held is checked by ``__missing__`` and its values are
+    appended as a new row.  Past ``rng.CHUNK_ELEMS`` remainders the dict
+    forgets them and starts over, so a file of mostly distinct rows keeps
+    bounded memory; the rows, and so the ids already given, stay.
+    """
+
+    def __init__(self, k: int, variant: str):
+        super().__init__()
+        self.k = k
+        self.config = [str(k), variant]
         self.columns = {name: array(code) for name, code in
-                        zip(_TABLE_COLUMNS[1:], "qddqddb")}
+                        zip(_TABLE_COLUMNS[1:], "qdqddb")}
 
-    def parse(self, rest: str) -> int:
-        """Check a remainder and add its values as a row; the row's id.
+    def __missing__(self, rest: str) -> int:
+        """Check a remainder and append its values as a row; the row's id.
 
         Raises _HeaderMismatch, or ValueError for a malformed remainder.
         """
@@ -377,14 +350,21 @@ class _DistinctRows:
             raise _HeaderMismatch
         if len(f) != len(TRIAL_COLUMNS) - 1 or f[7] not in ("0", "1"):
             raise ValueError("wrong field count or early_miss flag")
-        count, frac_text, frac = _coverage_fields(f[2], self.config[0])
-        if f[3] != frac_text:
+        count = _int_field(f[2])
+        if not 1 <= count <= self.k:
+            raise ValueError(f"coverage count {count} outside 1..{self.k}")
+        if f[3] != _fmt(count / self.k):
             raise ValueError("coverage fraction disagrees with the count")
-        m, e = _cost_fields(f[4], self.config[0])
-        values = (count, frac, m, e, float(f[5]), float(f[6]), f[7] == "1")
-        for col, value in zip(self.columns.values(), values):
+        m, e = _cost_fields(f[4], self.k)
+        ratios = float(f[5]), float(f[6])
+        if not all(0.0 < ratio < math.inf for ratio in ratios):
+            raise ValueError("a cost ratio is not finite and positive")
+        if len(self) >= rng.CHUNK_ELEMS:
+            self.clear()
+        for col, value in zip(self.columns.values(), (count, m, e, *ratios, f[7] == "1")):
             col.append(value)
-        return len(col) - 1
+        row = self[rest] = len(col) - 1
+        return row
 
     def gather(self, ids: np.ndarray) -> dict:
         """The columns of the rows ``ids``, as numpy arrays."""
@@ -409,22 +389,25 @@ def read_trials_csv(path):
 
     The file is streamed line by line.  Each data line is split once at
     its first comma: the trial index is checked on every line, and the
-    remainder goes through one memo of the remainders already seen, whose
-    miss checks the rest of the row and adds its values to a table of
+    remainder is looked up in one dict of the remainders already seen,
+    whose miss checks the rest of the row and appends its values to the
     distinct rows.  Per line only the trial index and that row's id are
     kept, so ``ExtScalar.parse`` and ``float`` run once per distinct
-    remainder (a few hundred in 30,000 kmedian k=16 trials).
+    remainder (a few hundred in 30,000 kmedian k=16 trials).  The table
+    holds the values of the text and no coverage fraction, which it
+    derives from the count.
 
     Raises ConfigError unless the file opens with the v2 version line,
     names ``rng.ALGORITHM``, has a header config whose variant is a key of
-    ``core.ELL``, has at least one row, has no comment line after the
-    column header, has only rows whose k and variant match the header
-    config, and repeats no trial index.  A row is malformed unless it has
-    one field per column, every integer field in its ``str(int)`` form, a
-    trial index in 0 .. 2**63 - 1, a coverage count in 1 .. k, a coverage
-    fraction written as the writer writes count / k, parseable numbers, a
-    final cost whose decimal exponent is at most 1000 + k in absolute
-    value, and an ``early_miss`` of 0 or 1.  A row whose k or variant
+    ``core.ELL`` and whose k is an integer in ``str(int)`` form, has at
+    least one row, has no comment line after the column header, has only
+    rows whose k and variant match the header config, and repeats no
+    trial index.  A row is malformed unless it has one field per column,
+    every integer field in its ``str(int)`` form, a trial index in
+    0 .. 2**63 - 1, a coverage count in 1 .. k, a coverage fraction written
+    as the writer writes count / k, parseable numbers, a final cost whose
+    decimal exponent is at most 1000 + k in absolute value, finite
+    positive ratios, and an ``early_miss`` of 0 or 1.  A row whose k or variant
     differs from the header's is refused as such, malformed or not.
     Every refusal names the first offending line.  A record's ``ell`` is
     its variant's distance power, so the file does not store it.  Files of
@@ -471,12 +454,15 @@ def read_trials_csv(path):
         if meta.get("rng") != rng.ALGORITHM:
             raise ConfigError(f"{path} names rng {meta.get('rng')!r},"
                               f" not {rng.ALGORITHM!r}")
-        config = [meta.get("k"), meta.get("variant")]
-        if config[1] not in ELL:
-            raise ConfigError(f"{path}: header variant={config[1]} is not one"
+        variant = meta.get("variant")
+        if variant not in ELL:
+            raise ConfigError(f"{path}: header variant={variant} is not one"
                               f" of {', '.join(ELL)}")
-        distinct = _DistinctRows(*config)
-        rows = _Memo(distinct.parse)
+        k = meta.get("k")
+        try:
+            rows = _DistinctRows(_int_field(k), variant)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}: header k={k} is not an integer") from None
         for line in lines:
             index, _, rest = line.partition(",")
             try:
@@ -485,7 +471,7 @@ def read_trials_csv(path):
                 if not 0 <= t <= _MAX_TRIAL_INDEX or str(t) != index:
                     raise ValueError("trial index out of range or not in str(int) form")
             except (_HeaderMismatch, ValueError) as exc:
-                raise _row_error(path, line, config, exc) from exc
+                raise _row_error(path, line, rows.config, exc) from exc
             if seen is None and t <= last:   # out of trial order: index the rows so far
                 seen = set(indices)
             if seen is None:
@@ -498,8 +484,8 @@ def read_trials_csv(path):
             add_id(row)
     if not indices:
         raise ConfigError(f"{path} contains no trial rows")
-    table = distinct.gather(np.frombuffer(ids, dtype=np.int64))
-    return TrialTable(int(config[0]), config[1],
+    table = rows.gather(np.frombuffer(ids, dtype=np.int64))
+    return TrialTable(rows.k, variant,
                       trial_index=np.frombuffer(indices, dtype=np.int64), **table), meta
 
 
@@ -584,17 +570,18 @@ def _binomial(label: str, count: int, n: int) -> BinomialStat:
     return BinomialStat(label=label, count=count, n=n, p=p, low=lo, high=hi)
 
 
-def summarize(records, eta: float = 0.999,
+def summarize(table: TrialTable, eta: float = 0.999,
               alpha: float = 0.1, beta: float = 0.1) -> SummaryStats:
-    """Aggregate a TrialTable, or a sequence of TrialRecord of one (k, variant).
+    """Aggregate a TrialTable.
 
     The rows are taken in trial-index order, so aggregation is
-    order-independent.
+    order-independent.  A table and the table read back from its
+    trials.csv give the same summary, since they differ at most in final
+    costs, which no statistic reads.
     """
     bounds.check_fractions(alpha, beta, eta)
-    if not len(records):
-        raise ConfigError("summarize needs at least one record")
-    table = _as_table(records)
+    if not len(table):
+        raise ConfigError("summarize needs at least one trial")
     k, variant, n = table.k, table.variant, len(table)
     order = np.argsort(table.trial_index, kind="stable")
     cov_frac = table.coverage_fraction[order]
