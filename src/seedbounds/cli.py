@@ -98,25 +98,19 @@ def _cmd_ballgame(args) -> int:
     return 0
 
 
-def _header_param(args, meta: dict, name: str) -> float:
-    """A report parameter: the trials.csv header's value, else the flag's,
-    else the experiment default; a flag that contradicts the header fails."""
-    flag = getattr(args, name)
-    if name not in meta:
-        return getattr(ExperimentConfig, name) if flag is None else flag
-    try:
-        value = float(meta[name])
-    except ValueError:
-        raise ConfigError(f"trials.csv header has {name}={meta[name]!r}") from None
+def _header_param(args, cfg: ExperimentConfig, name: str) -> float:
+    """A report parameter: the trials.csv header's value; a flag may only
+    repeat it."""
+    flag, value = getattr(args, name), getattr(cfg, name)
     if flag is not None and _fmt(flag) != _fmt(value):
         raise ConfigError(f"--{name} {_fmt(flag)} conflicts with the trials.csv"
-                          f" header's {name}={meta[name]}")
+                          f" header's {name}={_fmt(value)}")
     return value
 
 
 def _cmd_report(args) -> int:
-    records, meta = read_trials_csv(args.input)
-    summary = summarize(records, **{name: _header_param(args, meta, name)
+    records, cfg = read_trials_csv(args.input)
+    summary = summarize(records, **{name: _header_param(args, cfg, name)
                                     for name in ("eta", "alpha", "beta")})
     doc = report(summary, fmt=args.format)
     if args.out is None:
@@ -172,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="summarize a trials.csv")
     p.add_argument("input")
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    # default to the trials.csv header's values
+    # the trials.csv header's values; a flag may only repeat them
     p.add_argument("--eta", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)

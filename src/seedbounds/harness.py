@@ -11,12 +11,15 @@ through ``write_trials_csv``, ``read_trials_csv`` and ``summarize``; a
 ``TrialRecord`` is its per-row view.  The table holds what trials.csv
 holds, ratios as the doubles of their 15-digit text and no coverage
 fraction, so a table in memory and its trials.csv read back give the same
-summary bytes.  Final costs repeat heavily (361 distinct of 30,000 at
-kmedian k=16), so each distinct cost is divided by the reference optima
-and formatted once, and each distinct row text after the trial index (548
+summary bytes.  The reader turns the header's config line back into the
+``ExperimentConfig`` it echoes and accepts exactly the trials 0 .. trials - 1
+it names.  Final costs repeat heavily (361 distinct of 30,000 at kmedian
+k=16), so each distinct cost is divided by the reference optima and
+formatted once, and each distinct row text after the trial index (548
 of those 30,000) is parsed once, with ``ExtScalar``'s ``ratio``,
-``format_sci`` and ``parse`` as the only arithmetic and text code.  ``summarize``/``report`` turn a table into a byte-stable text or
-CSV document comparing empirical tails against the closed-form bounds.
+``format_sci`` and ``parse`` as the only arithmetic and text code.
+``summarize``/``report`` turn a table into a byte-stable text or CSV
+document comparing empirical tails against the closed-form bounds.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from . import bounds, rng
 from .core import ELL
 from .errors import ConfigError
 from .extfloat import ExtScalar
-from .instances import gen_kmeans_bad, gen_kmedian_bad, reference_costs
+from .instances import _check_params, gen_kmeans_bad, gen_kmedian_bad, reference_costs
 from .seeding import TrialArrays, run_trials
 
 __all__ = [
@@ -82,14 +85,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.variant not in ELL:
             raise ConfigError(f"variant must be kmeans or kmedian, got {self.variant!r}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if not (self.m >= 1.0):
-            raise ConfigError(f"m must be >= 1, got {self.m}")
-        if not (self.r > 0.0):
-            raise ConfigError(f"r must be > 0, got {self.r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        _check_params(self.k, self.m, self.r)
+        # trial indices are int64: 0 .. 2**63 - 1
+        if not 1 <= self.trials <= 2**63:
+            raise ConfigError(f"trials must lie in 1 .. 2**63, got {self.trials}")
         bounds.check_fractions(self.alpha, self.beta, self.eta)
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
@@ -211,10 +210,11 @@ def _run_block(inst, cfg: ExperimentConfig, lo: int, hi: int) -> TrialArrays:
 def run_experiment(cfg: ExperimentConfig) -> TrialTable:
     """Run cfg.trials independent seeding trials; a table in trial-index order.
 
-    The workers' ``TrialArrays`` are concatenated.  Each distinct final
-    cost becomes one ``ExtScalar``, whose ``ratio`` to the two reference
-    optima is taken once for all the trials that share it and kept as the
-    double its trials.csv text reads back to.  Final costs stay exact.
+    The workers' ``TrialArrays`` are concatenated, final costs as the
+    engine gives them.  Each distinct final cost becomes one ``ExtScalar``,
+    whose ``ratio`` to the two reference optima is taken once for all the
+    trials that share it and kept as the double its trials.csv text reads
+    back to.
     """
     cfg.validate()
     inst = _instance_for(cfg)
@@ -238,8 +238,8 @@ def run_experiment(cfg: ExperimentConfig) -> TrialTable:
         cfg.k, cfg.variant,
         trial_index=trials.trial_indices,
         coverage_count=trials.coverage,
-        final_m=np.array([c.m for c in costs])[inverse],
-        final_e=np.array([c.e for c in costs], dtype=np.int64)[inverse],
+        final_m=trials.final_m,
+        final_e=trials.final_e,
         # 15 digits survive a round trip through a double, so these write
         # the same text as the full-precision ratios would
         ratio_discrete=np.array([float(_fmt(c.ratio(opt.discrete)))
@@ -271,12 +271,17 @@ def write_trials_csv(table: TrialTable, cfg: ExperimentConfig, path) -> None:
     count / k), and the rows are written in blocks of the
     ``rng.trial_chunks`` grid, so the file never exists as one string.
     Raises ConfigError, before the file is opened, unless the table's k
-    and variant are ``cfg``'s: the reader refuses rows that differ from
-    the header config.
+    and variant are ``cfg``'s and its trial indices are 0 .. cfg.trials - 1
+    in some order: the reader refuses any other file.
     """
     if (table.k, table.variant) != (cfg.k, cfg.variant):
         raise ConfigError(f"a k={table.k} {table.variant} table cannot be written under"
                           f" the header config k={cfg.k} variant={cfg.variant}")
+    if len(table) != cfg.trials or not np.array_equal(np.sort(table.trial_index),
+                                                      np.arange(cfg.trials)):
+        raise ConfigError(f"a table of {len(table)} trials that are not trials"
+                          f" 0..{cfg.trials - 1} cannot be written under the header"
+                          f" config trials={cfg.trials}")
     costs, inverse = _distinct_costs(table.final_m, table.final_e)
     columns = (
         _texts(table.coverage_count, str),
@@ -295,9 +300,6 @@ def write_trials_csv(table: TrialTable, cfg: ExperimentConfig, path) -> None:
             rest = map(",".join, zip(*(col[lo:hi].tolist() for col in columns)))
             fh.write("".join([f"{t}{fixed}{r}\n" for t, r in
                               zip(table.trial_index[lo:hi].tolist(), rest)]))
-
-
-_MAX_TRIAL_INDEX = int(np.iinfo(np.int64).max)
 
 
 def _int_field(text: str) -> int:
@@ -384,8 +386,26 @@ def _row_error(path, line: str, config, exc: Exception) -> ConfigError:
     return ConfigError(f"{path}: malformed row {line!r}")
 
 
+def _header_config(path, line: str) -> ExperimentConfig:
+    """The config whose ``# config`` line is ``line``, each value converted by
+    the type of its field's default.  Raises ConfigError unless the config
+    is valid and ``line`` is exactly the line the writer writes for it."""
+    types = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+    try:
+        values = dict(part.split("=", 1) for part in line.removeprefix("# config ").split(" "))
+        cfg = ExperimentConfig(**{key: types[key](value)
+                                  for key, value in values.items()})
+        cfg.validate()
+        if f"# config {cfg.echo()}" != line:
+            raise ValueError(f"the writer writes '# config {cfg.echo()}'")
+    except (KeyError, ValueError) as exc:   # ConfigError is a ValueError
+        raise ConfigError(f"{path}: {line!r} is not a config line the writer"
+                          f" writes ({exc})") from None
+    return cfg
+
+
 def read_trials_csv(path):
-    """Returns (TrialTable, metadata dict parsed from the comment header).
+    """Returns (TrialTable, the ExperimentConfig of the header's config line).
 
     The file is streamed line by line.  Each data line is split once at
     its first comma: the trial index is checked on every line, and the
@@ -397,22 +417,24 @@ def read_trials_csv(path):
     holds the values of the text and no coverage fraction, which it
     derives from the count.
 
-    Raises ConfigError unless the file opens with the v2 version line,
-    names ``rng.ALGORITHM``, has a header config whose variant is a key of
-    ``core.ELL`` and whose k is an integer in ``str(int)`` form, has at
-    least one row, has no comment line after the column header, has only
-    rows whose k and variant match the header config, and repeats no
-    trial index.  A row is malformed unless it has one field per column,
-    every integer field in its ``str(int)`` form, a trial index in
-    0 .. 2**63 - 1, a coverage count in 1 .. k, a coverage fraction written
-    as the writer writes count / k, parseable numbers, a final cost whose
-    decimal exponent is at most 1000 + k in absolute value, finite
-    positive ratios, and an ``early_miss`` of 0 or 1.  A row whose k or variant
-    differs from the header's is refused as such, malformed or not.
-    Every refusal names the first offending line.  A record's ``ell`` is
-    its variant's distance power, so the file does not store it.  Files of
-    any other version, v1 included, are refused: rerun ``seedbounds seed``
-    with the parameters of their config line.
+    Raises ConfigError unless the file opens with the four header lines
+    the writer writes: the v2 version line, a config line that is the
+    ``echo`` of a valid config (:func:`_header_config`), ``# rng`` with
+    ``rng.ALGORITHM`` and the column line.  Its rows must then be exactly
+    the header's trials 0 .. trials - 1, in any order: no comment line, no
+    row whose k or variant differs from the header's, no repeated trial
+    index, and neither fewer nor more rows, so a file cut at a line
+    boundary is refused.  A row is malformed unless it has one field per
+    column, every integer field in its ``str(int)`` form, a trial index in
+    0 .. trials - 1, a coverage count in 1 .. k, a coverage fraction
+    written as the writer writes count / k, parseable numbers, a final
+    cost whose decimal exponent is at most 1000 + k in absolute value,
+    finite positive ratios, and an ``early_miss`` of 0 or 1.  A row whose
+    k or variant differs from the header's is refused as such, malformed
+    or not.  Every refusal names the first offending line.  A record's
+    ``ell`` is its variant's distance power, so the file does not store
+    it.  Files of any other version, v1 included, are refused: rerun
+    ``seedbounds seed`` with the parameters of their config line.
 
     The exponent bound holds for every config the writer accepts: with
     m in [1, 2**1024) and r in [2**-1074, 2**1024), weights between
@@ -424,7 +446,6 @@ def read_trials_csv(path):
     before ``ExtScalar.parse`` builds ``10**exponent`` as an exact integer,
     so a corrupt exponent costs no more time than any other bad field.
     """
-    meta: dict[str, str] = {}
     indices, ids = array("q"), array("q")
     add_index, add_id = indices.append, ids.append
     last, seen = -1, None   # largest trial index so far; all of them once out of order
@@ -435,40 +456,18 @@ def read_trials_csv(path):
             raise ConfigError(f"{path} does not start with {_VERSION_LINE!r} but with"
                               f" {first!r}; rerun `seedbounds seed` with the parameters"
                               " of its config line")
-        header = None
-        for line in lines:
-            if not line.startswith("#"):
-                header = tuple(line.split(","))
-                break
-            body = line[1:].strip()
-            if body.startswith("config "):
-                for part in body[len("config "):].split():
-                    key, _, val = part.partition("=")
-                    meta[key] = val
-            elif body.startswith("rng "):
-                meta["rng"] = body[len("rng "):]
-        if header is None:
-            raise ConfigError(f"{path} contains no trial rows")
-        if header != TRIAL_COLUMNS:
-            raise ConfigError(f"unexpected trials.csv columns: {header}")
-        if meta.get("rng") != rng.ALGORITHM:
-            raise ConfigError(f"{path} names rng {meta.get('rng')!r},"
-                              f" not {rng.ALGORITHM!r}")
-        variant = meta.get("variant")
-        if variant not in ELL:
-            raise ConfigError(f"{path}: header variant={variant} is not one"
-                              f" of {', '.join(ELL)}")
-        k = meta.get("k")
-        try:
-            rows = _DistinctRows(_int_field(k), variant)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}: header k={k} is not an integer") from None
+        cfg = _header_config(path, next(lines, ""))
+        for expected in (f"# rng {rng.ALGORITHM}", ",".join(TRIAL_COLUMNS)):
+            line = next(lines, None)
+            if line != expected:
+                raise ConfigError(f"{path}: header line {line!r} is not {expected!r}")
+        rows = _DistinctRows(cfg.k, cfg.variant)
         for line in lines:
             index, _, rest = line.partition(",")
             try:
                 row = rows[rest]
                 t = int(index)
-                if not 0 <= t <= _MAX_TRIAL_INDEX or str(t) != index:
+                if not 0 <= t < cfg.trials or str(t) != index:
                     raise ValueError("trial index out of range or not in str(int) form")
             except (_HeaderMismatch, ValueError) as exc:
                 raise _row_error(path, line, rows.config, exc) from exc
@@ -482,11 +481,12 @@ def read_trials_csv(path):
                 seen.add(t)
             add_index(t)
             add_id(row)
-    if not indices:
-        raise ConfigError(f"{path} contains no trial rows")
+    if len(indices) != cfg.trials:
+        raise ConfigError(f"{path} holds {len(indices)} trial rows, not the header's"
+                          f" trials={cfg.trials}")
     table = rows.gather(np.frombuffer(ids, dtype=np.int64))
-    return TrialTable(rows.k, variant,
-                      trial_index=np.frombuffer(indices, dtype=np.int64), **table), meta
+    return TrialTable(cfg.k, cfg.variant,
+                      trial_index=np.frombuffer(indices, dtype=np.int64), **table), cfg
 
 
 # ---------------------------------------------------------------------------

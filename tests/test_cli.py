@@ -24,8 +24,8 @@ def test_seed_and_report_round_trip(tmp_path):
     trials = tmp_path / "trials.csv"
     assert run("seed", "--variant", "kmeans", "--k", 8, "--m", 4, "--trials", 300,
                "--seed", 5, "--out", trials) == 0
-    records, meta = read_trials_csv(trials)
-    assert len(records) == 300 and meta["k"] == "8"
+    records, cfg = read_trials_csv(trials)
+    assert len(records) == 300 and cfg.k == 8
 
     text_out = tmp_path / "summary.txt"
     assert run("report", trials, "--format", "text", "--out", text_out) == 0

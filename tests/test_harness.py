@@ -44,11 +44,13 @@ def test_config_validation():
     bad = [
         dict(variant="kmodes"), dict(k=0), dict(m=0.5), dict(r=-1.0),
         dict(trials=0), dict(alpha=0.0), dict(beta=2.0), dict(eta=1.0),
-        dict(workers=0),
+        dict(workers=0), dict(trials=2**63 + 1),
     ]
     for kw in bad:
         with pytest.raises(ConfigError):
             ExperimentConfig(**kw).validate()
+    # trial indices 0 .. 2**63 - 1 are the int64 range
+    ExperimentConfig(trials=2**63).validate()
 
 
 def test_config_ell_defaults():
@@ -189,9 +191,8 @@ def test_trials_csv_round_trip(tmp_path, small_records):
     cfg, records = small_records
     path = tmp_path / "trials.csv"
     write_trials_csv(records, cfg, path)
-    back, meta = read_trials_csv(path)
-    assert meta["variant"] == "kmeans" and meta["k"] == "6"
-    assert meta["rng"] == "splitmix64-counter/v1"
+    back, header = read_trials_csv(path)
+    assert header == cfg
     assert len(back) == len(records)
     for a, b in zip(records, back):
         assert a.trial_index == b.trial_index
@@ -212,7 +213,7 @@ def test_trials_csv_identical_bytes(tmp_path, small_records):
 def _edited_trials_csv(tmp_path, small_records, edit):
     cfg, records = small_records
     path = tmp_path / "trials.csv"
-    write_trials_csv(records[:20], cfg, path)
+    write_trials_csv(records[:20], dataclasses.replace(cfg, trials=20), path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(edit(lines)) + "\n")
     return path
@@ -227,7 +228,7 @@ def test_read_rejects_missing_version_line(tmp_path, small_records):
 def test_read_rejects_foreign_rng(tmp_path, small_records):
     path = _edited_trials_csv(tmp_path, small_records, lambda lines: [
         "# rng pcg64" if line.startswith("# rng ") else line for line in lines])
-    with pytest.raises(ConfigError, match="names rng"):
+    with pytest.raises(ConfigError, match="'# rng pcg64' is not '# rng splitmix64"):
         read_trials_csv(path)
 
 
@@ -259,24 +260,40 @@ def test_read_rejects_v1_file(tmp_path, small_records, capsys):
     assert "'# seedbounds trials v1'" in capsys.readouterr().err
 
 
-def test_read_rejects_unknown_header_variant(tmp_path, small_records):
-    # rows agree with the header, but no distance power belongs to the variant
+@pytest.mark.parametrize("old, new", [
+    ("variant=kmeans", "variant=kmeanz"), (" k=6", ""), (" k=6", " k=ten"),
+    (" k=6", " k=06"), ("trials=20", "trials=1_000"), ("eta=0.999", "eta=1.5"),
+    ("eta=0.999", "eta=0.999 workers=2"), ("trials=20", "trials=9223372036854775809"),
+], ids=["variant-kmeanz", "missing-k", "k-word", "k-zero-led", "trials-digit-separator",
+        "eta-out-of-range", "extra-workers", "trials-beyond-int64"])
+def test_read_refuses_a_config_line_the_writer_never_writes(tmp_path, small_records,
+                                                            capsys, old, new):
     path = _edited_trials_csv(tmp_path, small_records, lambda lines: [
-        line.replace("kmeans", "kmodes") for line in lines])
-    with pytest.raises(ConfigError, match="variant=kmodes is not one of kmeans, kmedian"):
-        read_trials_csv(path)
-
-
-@pytest.mark.parametrize("k_part", ["", " k=six", " k=06"],
-                         ids=["missing", "word", "zero-led"])
-def test_read_refuses_a_header_k_that_is_not_an_integer(tmp_path, small_records, capsys,
-                                                        k_part):
-    path = _edited_trials_csv(tmp_path, small_records, lambda lines: [
-        lines[0], lines[1].replace(" k=6", k_part), *lines[2:]])
-    with pytest.raises(ConfigError, match="header k=.* is not an integer"):
+        lines[0], lines[1].replace(old, new), *lines[2:]])
+    with pytest.raises(ConfigError, match="is not a config line the writer writes"):
         read_trials_csv(path)
     assert cli.main(["report", str(path)]) == 2
-    assert "is not an integer" in capsys.readouterr().err
+    assert "is not a config line the writer writes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:-10], "holds 10 trial rows, not the header's trials=20"),
+    (lambda lines: lines[:4], "holds 0 trial rows, not the header's trials=20"),
+    (lambda lines: lines[:-1] + [_with_field(lines[-1], 0, "20")], "malformed row '20,"),
+    (lambda lines: lines + [_with_field(lines[-1], 0, "25")], "malformed row '25,"),
+    # the largest header trials: its last index is the largest int64
+    (lambda lines: [lines[0], lines[1].replace("trials=20", "trials=9223372036854775808"),
+                    *lines[2:-1], _with_field(lines[-1], 0, "9223372036854775807")],
+     "holds 20 trial rows, not the header's trials=9223372036854775808"),
+], ids=["cut-at-a-line", "no-rows", "index-equal-to-trials", "extra-row-beyond-trials",
+        "largest-index"])
+def test_read_refuses_a_file_whose_rows_are_not_its_trials(tmp_path, small_records, capsys,
+                                                           edit, message):
+    path = _edited_trials_csv(tmp_path, small_records, edit)
+    with pytest.raises(ConfigError, match=message):
+        read_trials_csv(path)
+    assert cli.main(["report", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def _with_field(row, column, value):
@@ -468,9 +485,12 @@ def test_report_of_a_table_equals_the_report_of_its_trials_csv(tmp_path, variant
 def test_write_refuses_a_table_of_another_config(tmp_path, small_records):
     cfg, records = small_records
     path = tmp_path / "trials.csv"
-    for change in (dict(k=8), dict(variant="kmedian"), dict(k=8, variant="kmedian")):
+    for table, change in ((records, dict(k=8)), (records, dict(variant="kmedian")),
+                          (records, dict(k=8, variant="kmedian")),
+                          # a partial table, and trials 480..499 under trials=20
+                          (records[:20], {}), (records[-20:], dict(trials=20))):
         with pytest.raises(ConfigError, match="cannot be written under"):
-            write_trials_csv(records, dataclasses.replace(cfg, **change), path)
+            write_trials_csv(table, dataclasses.replace(cfg, **change), path)
         assert not path.exists()
 
 
