@@ -26,9 +26,14 @@ the previous bar's with exponent +ell; from bar S - 1 on those rows are
 constant.  The same block, transposed, gives every other center's columns
 in bars < H: weights that share a mantissa make W[j, i] equal W[i, j]
 times 2**(exponent of weight_i - exponent of weight_j).  The kernel build
-verifies the head shift for every center and the transpose over bars
-H .. S-1 instead of assuming them; an instance that fails either check
-keeps the full matrix.
+verifies the head shift and the transpose over bars H .. S-1 instead of
+assuming them; an instance that fails the transpose keeps the full
+matrix.  The head shift is computed up to the first absorbed bar, one
+whose coordinates the head locations leave unchanged (packed
+x_j - x_i = x_j and y_j - y_i = y_j exactly), about cluster 108 on
+generated instances: from it on every bar is absorbed and its head
+columns follow from its own coordinates, which the tail doubles, so
+the check over every later bar is known to pass (:func:`_head_shift_start`).
 
 The plain rows are every value scaled by one 2**-F with
 F = min(largest exponent, smallest nonzero exponent + ``PLAIN_SEEDING_SPREAD``)
@@ -144,8 +149,9 @@ def _ext_min_into(m1, e1, m2, e2):
     np.copyto(e1, e2, where=take)
 
 
-def _scaled_totals(m, e):
-    """Scale by the per-row max exponent and prefix-sum along the last axis.
+def _scaled_totals(m, e, out=None):
+    """Scale by the per-row max exponent and prefix-sum along the last axis,
+    into ``out`` if given.
 
     Returns (scaled weights, prefix sums, max exponent per row).  The total
     of a row is ``prefix[..., -1] * 2**E`` -- entries more than ~1100 binary
@@ -154,7 +160,7 @@ def _scaled_totals(m, e):
     """
     E = e.max(axis=-1)
     s = _shift_to(m, e, E[..., None])
-    prefix = np.cumsum(s, axis=-1)
+    prefix = np.cumsum(s, axis=-1, out=out)
     return s, prefix, E
 
 
@@ -376,7 +382,8 @@ class _BarGapKernel(NamedTuple):
     for a center left of the tail) and its column in ``near``, the same end
     in bar min(its bar, shift-1).  A center right of the tail takes that
     column, transposed and times 2**(w_e[i] - w_e[j]), as its columns i of
-    bars < tail.
+    bars < tail; ``w_e`` holds the weight exponents as int32, the type of
+    ldexp's exponent, so that shift is one subtraction.
     """
 
     index: np.ndarray
@@ -399,7 +406,7 @@ class _BarGapKernel(NamedTuple):
             # near values with the exponent shift of each row, and the rows
             # left of the tail
             end, off, col = self.index[idxs].T
-            shift = (self.w_e[:h] - self.w_e[idxs, None]).astype(np.int32)
+            shift = self.w_e[:h] - self.w_e[idxs, None]
             return *(w[end, off] for w in wins), self.near[:, col].T, shift, idxs < h
 
         def rows(idxs):
@@ -443,12 +450,36 @@ def _head_shift_start(inst: Instance, tail: int) -> int:
     """First bar B > tail (0-based) from which every bar's head columns are
     the previous bar's with exponent +ell, mantissas equal.
 
-    Streams the head columns (bars < tail) of every center in bars
-    tail .. k-1 on the grid :func:`cost` streams its centers on, the bars
-    lo .. hi of each chunk overlapping the next chunk by one bar.
+    Call a bar absorbed when, for both its ends j and every head location i
+    (bars < tail), packed x_j - x_i and y_j - y_i are x_j and y_j exactly.
+    Its head columns are then weight_i * |(x_j, y_j)|**ell, computed from
+    its own coordinates only.  From the tail on every bar's packed x and y
+    are the previous bar's with exponent +1 (:func:`_tail_start` checks
+    it), so the bar after an absorbed one is absorbed too: x_i, shifted one
+    more binary place, takes no more from x_j, and rounding is monotone.
+    Its head columns are the absorbed bar's with exponent +ell, since every
+    packed operation commutes with a power-of-two scale.  So the check
+    stops at the first absorbed bar b0, found chunk by chunk on the
+    :func:`rng.trial_chunks` grid: it streams the head columns of the
+    centers in bars tail .. b0 + 1 on the grid :func:`cost` streams its
+    centers on, the bars lo .. hi of each chunk overlapping the next chunk
+    by one bar, and gives the B of the same check over every bar.  Without
+    a head (tail 0) the first bar is absorbed.
     """
-    h, shift = 2 * tail, tail + 1
-    for lo, hi in rng.trial_chunks(tail, inst.k - 1 - tail, inst.n_locations):
+    k, h = inst.k, 2 * tail
+    stop = k - 1   # the last bar to stream
+    for lo, hi in rng.trial_chunks(tail, k - tail, inst.n_locations):
+        j = np.arange(2 * lo, 2 * hi)
+        absorbed = np.ones((hi - lo, 2 * h), dtype=bool)
+        for m, e in (inst._x, inst._y):
+            dm, de = _ext_sub(m[j, None], e[j, None], m[:h], e[:h])
+            absorbed &= ((dm == m[j, None]) & (de == e[j, None])).reshape(hi - lo, 2 * h)
+        first = np.flatnonzero(absorbed.all(axis=1))
+        if first.size:
+            stop = min(lo + int(first[0]) + 1, k - 1)
+            break
+    shift = tail + 1
+    for lo, hi in rng.trial_chunks(tail, stop - tail, inst.n_locations):
         m, e = (a.reshape(hi + 1 - lo, 2, h) for a in
                 inst._weighted_rows(np.arange(2 * lo, 2 * hi + 2), slice(0, h)))
         same = (m[1:] == m[:-1]) & (e[1:] == _scaled_exp(m[:-1], e[:-1], inst.ell))
@@ -496,8 +527,8 @@ def _bar_gap_kernel(inst: Instance):
     # tail column h + 2 * (k-1-bar), which a window from 2 * (k-1-bar) puts at h
     off = np.where(bar < tail, 0, 2 * (k - 1 - bar))
     index = np.stack([end, off, np.minimum(j, 2 * (shift - 1) + end)], axis=1)
-    return _BarGapKernel(index, w_e, tail_m, tail_e, _as_plain(tail_m, tail_e, scale),
-                         near, scale)
+    return _BarGapKernel(index, w_e.astype(np.int32), tail_m, tail_e,
+                         _as_plain(tail_m, tail_e, scale), near, scale)
 
 
 # ---------------------------------------------------------------------------

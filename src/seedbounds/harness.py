@@ -376,6 +376,16 @@ class _DistinctRows(dict):
         return out
 
 
+def _nonblank_lines(path, fh):
+    """The lines of ``fh`` without their newline; ConfigError naming the
+    first blank one by its number, since the writer never writes one."""
+    for number, raw in enumerate(fh, 1):
+        line = raw.rstrip("\n")
+        if not line:
+            raise ConfigError(f"{path}: line {number} is blank")
+        yield line
+
+
 def _row_error(path, line: str, config, exc: Exception) -> ConfigError:
     """The refusal of a data line that failed its checks with ``exc``."""
     if line.startswith("#"):   # its trial index fails int(), so every such line ends here
@@ -424,17 +434,18 @@ def read_trials_csv(path):
     the header's trials 0 .. trials - 1, in any order: no comment line, no
     row whose k or variant differs from the header's, no repeated trial
     index, and neither fewer nor more rows, so a file cut at a line
-    boundary is refused.  A row is malformed unless it has one field per
-    column, every integer field in its ``str(int)`` form, a trial index in
-    0 .. trials - 1, a coverage count in 1 .. k, a coverage fraction
-    written as the writer writes count / k, parseable numbers, a final
-    cost whose decimal exponent is at most 1000 + k in absolute value,
-    finite positive ratios, and an ``early_miss`` of 0 or 1.  A row whose
-    k or variant differs from the header's is refused as such, malformed
-    or not.  Every refusal names the first offending line.  A record's
-    ``ell`` is its variant's distance power, so the file does not store
-    it.  Files of any other version, v1 included, are refused: rerun
-    ``seedbounds seed`` with the parameters of their config line.
+    boundary is refused.  No line, in the header or among the rows, may be
+    blank; that refusal gives the line's number.  A row is malformed unless
+    it has one field per column, every integer field in its ``str(int)``
+    form, a trial index in 0 .. trials - 1, a coverage count in 1 .. k, a
+    coverage fraction written as the writer writes count / k, parseable
+    numbers, a final cost whose decimal exponent is at most 1000 + k in
+    absolute value, finite positive ratios, and an ``early_miss`` of 0 or
+    1.  A row whose k or variant differs from the header's is refused as
+    such, malformed or not.  Every refusal names the first offending line.
+    A record's ``ell`` is its variant's distance power, so the file does
+    not store it.  Files of any other version, v1 included, are refused:
+    rerun ``seedbounds seed`` with the parameters of their config line.
 
     The exponent bound holds for every config the writer accepts: with
     m in [1, 2**1024) and r in [2**-1074, 2**1024), weights between
@@ -450,7 +461,7 @@ def read_trials_csv(path):
     add_index, add_id = indices.append, ids.append
     last, seen = -1, None   # largest trial index so far; all of them once out of order
     with open(path, newline="") as fh:
-        lines = (line for line in (raw.rstrip("\n") for raw in fh) if line)
+        lines = _nonblank_lines(path, fh)
         first = next(lines, None)
         if first != _VERSION_LINE:
             raise ConfigError(f"{path} does not start with {_VERSION_LINE!r} but with"

@@ -29,6 +29,7 @@ _SH27 = np.uint64(27)
 _SH31 = np.uint64(31)
 _SH11 = np.uint64(11)
 _TO_UNIT = 2.0 ** -53
+_TINY = np.nextafter(0.0, 1.0)   # the least pick target
 
 # The one chunking constant: a chunk of any batched trial loop (and of the
 # centers core.cost streams, and of the rows trials.csv is written in) holds
@@ -79,7 +80,7 @@ def uniform_matrix(seed: int, trial_indices: np.ndarray, n: int) -> np.ndarray:
     return (raw >> _SH11).astype(np.float64) * _TO_UNIT
 
 
-def weighted_pick(prefix: np.ndarray, u: np.ndarray) -> np.ndarray:
+def weighted_pick(prefix: np.ndarray, u: np.ndarray, target=None, hit=None) -> np.ndarray:
     """Cumulative-inversion pick along the last axis.
 
     ``prefix`` must be the cumulative sum of nonnegative weights along the
@@ -91,6 +92,10 @@ def weighted_pick(prefix: np.ndarray, u: np.ndarray) -> np.ndarray:
     landing exactly on a prefix value) resolves to the lower index; the
     target is at least the smallest positive double, so leading zero-weight
     buckets are skipped.
+
+    ``target`` (shaped like the picks) and ``hit`` (a bool array shaped like
+    ``prefix`` broadcast against them) are optional work arrays a caller
+    that picks many times can own; the pick is the same without them.
     """
-    target = np.maximum(u * prefix[..., -1], np.nextafter(0.0, 1.0))
-    return np.argmax(prefix >= target[..., None], axis=-1)
+    target = np.maximum(np.multiply(u, prefix[..., -1], out=target), _TINY, out=target)
+    return np.greater_equal(prefix, target[..., None], out=hit).argmax(axis=-1)

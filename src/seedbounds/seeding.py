@@ -20,7 +20,12 @@ derives a chunk's coverage and early miss (one rule, shared with
 
 The first pick samples one packed weight row per chunk, prefix-summed once
 and shared by the chunk's trials; the potentials then start as the first
-centers' weighted rows.
+centers' weighted rows.  A chunk allocates its work arrays once: the
+uniforms, transposed to one row per pick; the picks, one row of trials per
+pick; the first trial's normalizers, two arrays; and one buffer each for
+the prefix sums and :func:`rng.weighted_pick`'s target and compare arrays.
+The only (T, 2k) arrays a step then allocates are the rows it fetches,
+and on the packed engine the scaled potentials.
 
 The engine has one exact fast path, the plain-double engine; every chunk
 that passes a per-chunk guard takes it.  Its rows come from
@@ -141,31 +146,35 @@ def _check_trials(first, count):
 
 
 def _run_chunk(inst, n_centers, rng_seed, lo, hi):
-    """Sample trials lo..hi-1: their (T, n_centers) picks, their packed final
-    costs ``(m, e)``, and trial lo's ``(total, E)`` before each pick."""
-    U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), n_centers)
-    picks = np.empty((hi - lo, n_centers), dtype=np.int64)
-    steps = []
+    """Sample trials lo..hi-1: their picks as (n_centers, T) rows, their packed
+    final costs ``(m, e)``, and trial lo's normalizers before each pick as
+    two arrays ``(totals, exponents)``."""
+    T, L = hi - lo, inst.n_locations
+    # row j: every trial's uniform for pick j
+    U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), n_centers).T.copy()
+    picks = np.empty((n_centers, T), dtype=np.int64)
+    totals, exps = np.empty(n_centers), np.empty(n_centers, dtype=np.int64)
+    buf, target, hit = np.empty((T, L)), np.empty(T), np.empty((T, L), dtype=bool)
     # pick 0 samples the location weights: one row, broadcast over the trials;
     # later picks sample weight * (min distance to chosen centers) ** ell
     s, prefix, E = _scaled_totals(inst._w_m, inst._w_e)
     for step in range(n_centers):
         total = prefix[..., -1]
-        if not np.all(total > 0.0):
+        if not (total > 0.0).all():
             raise DegenerateInstanceError(
                 "total potential reached zero before all centers were chosen")
         if DEBUG_CHECKS:
             p = s / np.expand_dims(total, -1)
             assert np.all((p >= 0.0) & (p <= 1.0))
             assert np.all(np.abs(s.sum(axis=-1) / total - 1.0) <= 1e-12)
-        pick = rng.weighted_pick(prefix, U[:, step])
-        picks[:, step] = pick
-        steps.append((float(np.ravel(total)[0]), int(np.ravel(E)[0])))
+        totals[step], exps[step] = total.flat[0], E.flat[0]
+        pick = picks[step] = rng.weighted_pick(prefix, U[step], target, hit)
         if step == 0:
             start = _plain_start(inst, pick)
             plain = start is not None
             if plain:
-                rows, E, pot = start
+                rows, F, pot = start
+                E = np.full(T, F)
             else:
                 rows = inst.weighted_row_source()
                 pot = rows(pick)
@@ -174,9 +183,9 @@ def _run_chunk(inst, n_centers, rng_seed, lo, hi):
         else:
             _ext_min_into(*pot, *rows(pick))
         # plain potentials are scaled by the row source's one 2**-F
-        s, prefix, E = (_scaled_totals(*pot) if not plain
-                        else (pot, np.cumsum(pot, axis=1), E))
-    return picks, _norm(prefix[:, -1], E), steps
+        s, prefix, E = (_scaled_totals(*pot, out=buf) if not plain
+                        else (pot, np.cumsum(pot, axis=1, out=buf), E))
+    return picks, _norm(prefix[:, -1], E), (totals, exps)
 
 
 def _early_miss(cluster_ids, k, alpha, beta):
@@ -201,18 +210,19 @@ def seed(inst: Instance, n_centers: int | None = None, ell: int | None = None,
     if ell is not None and ell != inst.ell:
         raise ConfigError(f"{inst.variant} seeding samples by ell={inst.ell}, got {ell}")
     _check_trials(trial_index, 1)
-    picks, (final_m, final_e), steps = _run_chunk(inst, n, rng_seed, trial_index,
-                                                  trial_index + 1)
-    cluster_ids = inst._cluster[picks[0]]
+    picks, (final_m, final_e), (totals, exps) = _run_chunk(inst, n, rng_seed, trial_index,
+                                                           trial_index + 1)
+    centers = picks[:, 0]
+    cluster_ids = inst._cluster[centers]
     # pick j adds coverage iff it is the first pick in its cluster
     new = np.isin(np.arange(n), np.unique(cluster_ids, return_index=True)[1])
     return SeedingTrace(
         k=inst.k,
         n_centers=n,
-        centers=tuple(picks[0].tolist()),
+        centers=tuple(centers.tolist()),
         cluster_ids=tuple(cluster_ids.tolist()),
         coverage_counts=tuple(np.cumsum(new).tolist()),
-        potentials=tuple(ExtScalar(t, e) for t, e in steps),
+        potentials=tuple(map(ExtScalar, totals.tolist(), exps.tolist())),
         final_cost=ExtScalar(float(final_m[0]), int(final_e[0])),
         rng_seed=rng_seed,
         trial_index=trial_index,
@@ -240,7 +250,7 @@ def run_trials(inst: Instance, trials: int, rng_seed: int,
     parts = []  # per chunk: the TrialArrays fields in order
     for lo, hi in rng.trial_chunks(first_trial, trials, inst.n_locations):
         picks, (final_m, final_e), _ = _run_chunk(inst, inst.k, rng_seed, lo, hi)
-        cluster_ids = inst._cluster[picks]
+        cluster_ids = inst._cluster[picks.T]
         covered = np.zeros((hi - lo, inst.k), dtype=bool)
         covered[np.arange(hi - lo)[:, None], cluster_ids - 1] = True
         parts.append((np.arange(lo, hi, dtype=np.int64), np.count_nonzero(covered, axis=1),

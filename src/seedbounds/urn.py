@@ -145,10 +145,10 @@ def biased_distinct_colors_mc(k: int, gamma: float, trials: int,
         w = np.full((T, 2 * k), gamma)
         prefix = np.empty_like(w)
         seen = np.zeros((T, k), dtype=bool)
-        row_ix = np.arange(T)
+        row_ix, target, hit = np.arange(T), np.empty(T), np.empty((T, 2 * k), dtype=bool)
         for t in range(k):
             np.cumsum(w, axis=1, out=prefix)
-            pick = rng.weighted_pick(prefix, U[:, t])
+            pick = rng.weighted_pick(prefix, U[:, t], target, hit)
             # the seen flags, not the weights, tell a new color: at gamma = 1
             # an unseen ball weighs what a seen one does
             color = pick // 2

@@ -2,7 +2,9 @@
 
 Each function is the straightforward loop the package's block version
 reorders: one subset, one colour count, one draw step or one chosen set at
-a time.  The block versions must return these results bit for bit.
+a time, or, for the head-shift check, every bar where the package stops at
+the first absorbed one.  The package versions must return these results
+bit for bit.
 """
 
 import itertools
@@ -11,7 +13,7 @@ import math
 import numpy as np
 
 from seedbounds import rng
-from seedbounds.core import _enumerable, _plain, cost
+from seedbounds.core import _enumerable, _plain, _scaled_exp, cost
 from seedbounds.extfloat import ExtScalar
 from seedbounds.instances import reference_costs
 from seedbounds.seeding import CoverageDistribution
@@ -32,6 +34,22 @@ def brute_force_opt(inst):
             best_cost = c
             best = subset
     return cost(inst, best), best
+
+
+def head_shift_start(inst, tail):
+    """Streams the head columns (bars < tail) of every center in bars
+    tail .. k-1, each chunk's bars overlapping the next chunk's by one, and
+    returns the bar after the last one that is not the previous bar's with
+    exponent +ell."""
+    h, shift = 2 * tail, tail + 1
+    for lo, hi in rng.trial_chunks(tail, inst.k - 1 - tail, inst.n_locations):
+        m, e = (a.reshape(hi + 1 - lo, 2, h) for a in
+                inst._weighted_rows(np.arange(2 * lo, 2 * hi + 2), slice(0, h)))
+        same = (m[1:] == m[:-1]) & (e[1:] == _scaled_exp(m[:-1], e[:-1], inst.ell))
+        bad = np.flatnonzero(~same.all(axis=(1, 2)))
+        if bad.size:
+            shift = lo + int(bad[-1]) + 2
+    return shift
 
 
 def distinct_colors_exact(k):

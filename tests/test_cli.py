@@ -99,6 +99,11 @@ _KMEDIAN_30K = "1faf551d91b2404a0ce1558e0500fd869ad51e282173b6f68f25994f81a81268
      _KMEDIAN_30K),
     (("seed", "--variant", "kmedian", "--k", 16, "--trials", 30000, "--seed", 7,
       "--workers", 2), _KMEDIAN_30K),
+    # the large-k pass: high_coverage_bound is below 1 from k=1939 on
+    (("seed", "--k", 2000, "--trials", 2, "--seed", 7),
+     "8e16df589f5b27fd7573a90d0c6b440827e35e901ba33a4b93a35093b1647bee"),
+    (("seed", "--variant", "kmedian", "--k", 2000, "--trials", 2, "--seed", 7),
+     "70149d8c112543f6d4f52232aa02c37cb65cd6b57dd5af9c2e58a28c5fab9264"),
 ])
 def test_output_bytes_are_pinned(tmp_path, args, digest):
     # a deliberate change to the numeric reference shows up here as a new digest

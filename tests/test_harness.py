@@ -386,6 +386,21 @@ def test_read_refuses_a_comment_after_the_column_header(tmp_path, small_records,
     assert "after the column header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, number", [
+    (lambda lines: lines[:4] + [""] + lines[4:], 5),
+    (lambda lines: lines[:10] + [""] + lines[10:], 11),
+    (lambda lines: lines + ["", ""], 25),
+    (lambda lines: lines[:1] + [""] + lines[1:], 2),
+], ids=["after-the-column-line", "between-rows", "trailing", "in-the-header"])
+def test_read_refuses_a_blank_line(tmp_path, small_records, capsys, edit, number):
+    # the writer never writes one; the refusal names it by its number
+    path = _edited_trials_csv(tmp_path, small_records, edit)
+    with pytest.raises(ConfigError, match=f"line {number} is blank"):
+        read_trials_csv(path)
+    assert cli.main(["report", str(path)]) == 2
+    assert f"line {number} is blank" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda lines: lines[:6] + [lines[6][:-1] + "7"] + lines[6:8] + lines[7:8],
      "malformed row '2,"),

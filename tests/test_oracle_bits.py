@@ -1,13 +1,17 @@
-"""The block oracles return the bits of their loop-at-a-time references."""
+"""The block oracles and the head-shift check return the bits of their
+loop-at-a-time references."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 import reference_oracles as ref
-from seedbounds import rng, seeding, urn
+from seedbounds import core, rng, seeding, urn
 from seedbounds.extfloat import ExtScalar
 from seedbounds.instances import brute_force_opt, gen_kmeans_bad, gen_kmedian_bad
 
+from test_core import _bar_one_replaced, _geometric_instance
 from test_seeding import _two_bar_instance
 
 GENS = (gen_kmeans_bad, gen_kmedian_bad)
@@ -73,3 +77,44 @@ def test_block_oracles_ignore_the_chunk_grid(monkeypatch, chunk_elems):
     for ((gc, gb), (gd, gr)), ((wc, wb), (wd, wr)) in zip(got, want):
         assert (gc, gb, gr) == (wc, wb, wr)
         assert np.array_equal(gd.probs, wd.probs)
+
+
+def _same_head_shift(inst):
+    tail = core._tail_start(inst)
+    assert tail < inst.k
+    assert core._head_shift_start(inst, tail) == ref.head_shift_start(inst, tail)
+
+
+@pytest.mark.parametrize("gen", GENS)
+@pytest.mark.parametrize("k", [56, 57, 60, 110, 300, 1025, 2000, 3000])
+def test_head_shift_start_equals_the_scan_over_every_bar(gen, k):
+    # up to k=107 no bar is absorbed and both scan every bar; from k=108 on the
+    # check stops at the first absorbed bar, 0-based bar 107 of these instances
+    for r, m in itertools.product((0.7, 1.0, 3.0, 2.0 ** -60, 2.0 ** 40), (1.0, 4.0, 1e6)):
+        _same_head_shift(gen(k, m, r))
+
+
+def test_head_shift_start_on_hand_built_instances():
+    for variant in core.ELL:
+        # the tail is every bar: no head columns, and the first bar is absorbed
+        geo = _geometric_instance(120, variant)
+        assert core._tail_start(geo) == 0
+        assert core._head_shift_start(geo, 0) == ref.head_shift_start(geo, 0) == 1
+        # bar 1 off the pattern, at x = 0 and y = +/-2**40 or at x = 2**40: the
+        # tail bars absorb its x at once but its y about 95 bars later, or the
+        # other way round
+        w = ExtScalar(1.0, -core.ELL[variant])
+        for x, h in ((ExtScalar(0.0), ExtScalar(1.0, 40)), (ExtScalar(1.0, 40), ExtScalar(0.0))):
+            inst = _bar_one_replaced(geo, x, h, w)
+            assert core._tail_start(inst) == 1
+            assert core._head_shift_start(inst, 1) == ref.head_shift_start(inst, 1) > 90
+
+
+@pytest.mark.parametrize("chunk_elems", [1, 7 * 600])
+def test_head_shift_start_ignores_the_chunk_grid(monkeypatch, chunk_elems):
+    # one bar per chunk, or seven bars of a k=300 instance: the first absorbed
+    # bar lies in a later chunk than the tail's first bar
+    insts = [gen(k, 4.0, 1.0) for gen in GENS for k in (110, 300)]
+    want = [ref.head_shift_start(inst, core._tail_start(inst)) for inst in insts]
+    monkeypatch.setattr(rng, "CHUNK_ELEMS", chunk_elems)
+    assert [core._head_shift_start(inst, core._tail_start(inst)) for inst in insts] == want

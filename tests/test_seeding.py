@@ -175,6 +175,26 @@ def test_batch_equals_single_trials(debug_checks):
             assert arr.early_miss[t] == early_miss_event(tr, 0.5, 0.5)
 
 
+def test_batch_equals_single_trials_on_the_kernel_path():
+    # above the matrix cap every row comes from the bar-gap kernel
+    for gen in (gen_kmeans_bad, gen_kmedian_bad):
+        inst = gen(2000, 4.0, 1.0)
+        arr = run_trials(inst, 3, rng_seed=17, alpha=0.5, beta=0.5)
+        assert isinstance(inst._rows, core._BarGapKernel)
+        for t in range(3):
+            tr = seed(inst, rng_seed=17, trial_index=t)
+            assert arr.coverage[t] == tr.coverage_counts[-1]
+            assert (arr.final_m[t], arr.final_e[t]) == (tr.final_cost.m, tr.final_cost.e)
+            assert arr.early_miss[t] == early_miss_event(tr, 0.5, 0.5)
+            # a batch records the normalizers of its first trial
+            picks, _, (totals, exps) = seeding._run_chunk(inst, inst.k, 17, t, t + 3)
+            assert tuple(picks[:, 0].tolist()) == tr.centers
+            assert tuple(map(ExtScalar, totals.tolist(), exps.tolist())) == tr.potentials
+        # the normalizer before pick j is the cost of the first j centers
+        for j in (1, 2, 1000, 1999):
+            assert tr.potentials[j] == cost(inst, tr.centers[:j]), j
+
+
 def test_per_pick_rows_match_matrix_rows(monkeypatch):
     # above a zero cap k=6, without a bar-gap tail, still caches the full
     # matrix; k=300 reads the bar-gap kernel's tail rows and near block
