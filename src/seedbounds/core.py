@@ -1,10 +1,10 @@
 """Weighted planar point sets, distance-power costs, and coverage accounting.
 
-Locations are the 2k distinct points of a generated instance; every point
-multiplicity is carried as an ExtScalar weight so clusters whose sizes
-shrink geometrically stay exact.  All distance and cost arithmetic runs on
-packed (mantissa, exponent) numpy arrays with the same invariants as
-ExtScalar; the scalar type appears at API boundaries.
+Locations are the 2k distinct points of an instance, stored only as
+packed (mantissa, exponent) numpy columns with the same invariants as
+ExtScalar, weights included, so clusters whose sizes shrink geometrically
+stay exact.  All distance and cost arithmetic runs on them;
+``WeightedLocation`` and ExtScalar appear at the API edge only.
 
 Seeding, :func:`cost` and the enumeration oracles read weighted rows
 ``weight_i * dist(j, i)**ell`` from one row cache per instance, built on
@@ -149,9 +149,8 @@ def _ext_min_into(m1, e1, m2, e2):
     np.copyto(e1, e2, where=take)
 
 
-def _scaled_totals(m, e, out=None):
-    """Scale by the per-row max exponent and prefix-sum along the last axis,
-    into ``out`` if given.
+def _scaled_totals(m, e):
+    """Scale by the per-row max exponent and prefix-sum along the last axis.
 
     Returns (scaled weights, prefix sums, max exponent per row).  The total
     of a row is ``prefix[..., -1] * 2**E`` -- entries more than ~1100 binary
@@ -160,7 +159,7 @@ def _scaled_totals(m, e, out=None):
     """
     E = e.max(axis=-1)
     s = _shift_to(m, e, E[..., None])
-    prefix = np.cumsum(s, axis=-1, out=out)
+    prefix = np.cumsum(s, axis=-1)
     return s, prefix, E
 
 
@@ -248,15 +247,16 @@ class WeightedLocation:
 
 
 class Instance:
-    """A generated dataset: 2k weighted locations plus its parameters.
+    """A dataset of 2k weighted locations plus its parameters.
 
-    Immutable after construction.  Packs coordinates and weights into
-    (mantissa, exponent) arrays used by every cost/sampling hot path, and
-    caches on first use every weighted row, packed and as plain doubles:
-    the bar-gap kernel above ``_MATRIX_MAX_ENTRIES`` entries, and up to it
-    or without a kernel the full matrix, copied in row blocks from the
-    kernel's rows (module docstring).  The cache is plain arrays, so a
-    built instance pickles with it.
+    Immutable after construction.  Holds the locations only as the packed
+    columns every hot path reads: ``_x``, ``_y`` (a bottom end's mantissa
+    carries the sign bit, -0.0 at zero height), ``_w_m``/``_w_e`` and
+    ``_cluster``; the generators write them directly.  Caches on first use
+    every weighted row, packed and as plain doubles: the bar-gap kernel
+    above ``_MATRIX_MAX_ENTRIES`` entries, and up to it or without a kernel
+    the full matrix, copied in row blocks from the kernel's rows (module
+    docstring).  All of it is plain arrays, so an instance pickles as them.
     """
 
     def __init__(self, locations: Iterable[WeightedLocation], k: int, m: float,
@@ -266,23 +266,35 @@ class Instance:
         locs = tuple(locations)
         if len(locs) != 2 * k:
             raise ValueError("an instance needs exactly 2k locations")
-        seen = {}
+        seen = set()
         for loc in locs:
             key = (loc.cluster_id, loc.end_id)
             if not 1 <= loc.cluster_id <= k:
                 raise ValueError(f"cluster_id {loc.cluster_id} outside 1..{k}")
             if key in seen:
                 raise ValueError(f"duplicate location for cluster {key}")
-            seen[key] = loc
-        self.locations = locs
-        self.k = k
-        self.m = float(m)
-        self.r = float(r)
-        self.variant = variant
+            seen.add(key)
+        self._init_columns(k, m, r, variant,
+                           np.array([loc.cluster_id for loc in locs], dtype=np.int64),
+                           *_pack_locations(locs))
 
-        self._cluster = np.array([loc.cluster_id for loc in locs], dtype=np.int64)
-        self._x, self._y, (self._w_m, self._w_e) = _pack_locations(locs)
+    def _init_columns(self, k, m, r, variant, cluster, x, y, w):
+        """Store the parameters and the packed columns, unchecked: the one
+        initializer of hand-built and generated instances."""
+        self.k, self.m, self.r, self.variant = k, float(m), float(r), variant
+        self._cluster, self._x, self._y, (self._w_m, self._w_e) = cluster, x, y, w
         self._rows = None  # _Matrix or _BarGapKernel, built on first use
+        return self
+
+    @property
+    def locations(self) -> tuple[WeightedLocation, ...]:
+        """The locations, rebuilt from the packed columns on each access (for
+        :func:`dist_pow`, :func:`write_instance_csv` and callers that want
+        objects; nothing else reads them)."""
+        ext = lambda m, e: map(ExtScalar, np.abs(m).tolist(), e.tolist())
+        ends = np.where(np.signbit(self._y[0]), BOTTOM, TOP).tolist()
+        return tuple(map(WeightedLocation, self._cluster.tolist(), ends, ext(*self._x),
+                         ext(*self._y), ext(self._w_m, self._w_e)))
 
     @property
     def ell(self) -> int:
@@ -291,7 +303,7 @@ class Instance:
 
     @property
     def n_locations(self) -> int:
-        return len(self.locations)
+        return len(self._cluster)
 
     # -- packed-array machinery -------------------------------------------
 
@@ -610,15 +622,8 @@ def write_instance_csv(inst: Instance, path) -> None:
         "cluster_id,end_id,x,y,weight",
     ]
     for loc in inst.locations:
-        y_txt = loc.y_mag.format_sci()
-        if loc.end_id == BOTTOM and not loc.y_mag.is_zero:
-            y_txt = "-" + y_txt
-        lines.append(",".join([
-            str(loc.cluster_id),
-            loc.end_id,
-            loc.x.format_sci(),
-            y_txt,
-            loc.weight.format_sci(),
-        ]))
+        sign = "-" if loc.end_id == BOTTOM and not loc.y_mag.is_zero else ""
+        lines.append(f"{loc.cluster_id},{loc.end_id},{loc.x.format_sci()},"
+                     f"{sign}{loc.y_mag.format_sci()},{loc.weight.format_sci()}")
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

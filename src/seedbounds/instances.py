@@ -4,7 +4,9 @@ Cluster i (1-based) is a vertical bar: two locations at (x_i, +/-h_i) with
 x_i = (2**i - 2) * r and half-height h_i = 2**(i-2) * r.  The squared-cost
 variant puts weight m / 4**(i-1) at each end, the linear-cost variant
 m / 2**(i-1).  With that geometry the best discrete k-center solution picks
-one end per bar and costs k*m*r**2 (squared) or k*m*r (linear).
+one end per bar and costs k*m*r**2 (squared) or k*m*r (linear).  The
+generators write the instance's packed columns with numpy, with the bits
+of building each coordinate and weight as an ExtScalar.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import BOTTOM, ELL, TOP, Instance, WeightedLocation, _enumerable, cost
+from .core import ELL, Instance, _enumerable, _ext_mul, _norm, cost
 from .errors import CapacityError, ConfigError
 from .extfloat import ExtScalar
 
@@ -43,27 +45,28 @@ class OptimalCosts:
 def _check_params(k: int, m: float, r: float) -> None:
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if not (m >= 1.0):
-        raise ConfigError(f"m must be >= 1, got {m}")
-    if not (r > 0.0):
-        raise ConfigError(f"r must be > 0, got {r}")
+    if not (m >= 1.0 and math.isfinite(m)):
+        raise ConfigError(f"m must be finite and >= 1, got {m}")
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ConfigError(f"r must be finite and > 0, got {r}")
 
 
 def _bar_instance(k: int, m: float, r: float, variant: str) -> Instance:
     _check_params(k, m, r)
     # bar i is 2**(i-1) * r long, so its length**ell grows by 2**ell per bar;
     # weights shrink by the same factor and every bar costs m * r**ell
-    weight_halving = ELL[variant]
-    ext_r = ExtScalar(r)
-    ext_m = ExtScalar(m)
-    locs = []
-    for i in range(1, k + 1):
-        x = ExtScalar.from_int((1 << i) - 2) * ext_r
-        h = ext_r.shifted(i - 2)
-        w = ext_m.shifted(-weight_halving * (i - 1))
-        locs.append(WeightedLocation(i, TOP, x, h, w))
-        locs.append(WeightedLocation(i, BOTTOM, x, h, w))
-    return Instance(locs, k, m, r, variant)
+    ell = ELL[variant]
+    ext_r, ext_m = ExtScalar(r), ExtScalar(m)
+    i = np.arange(1, k + 1)
+    # x = (2**i - 2) * r with 2**i - 2 rounded half-up at 54 bits, as
+    # ExtScalar.from_int rounds it: exact up to i = 54, 2**i from i = 55 on,
+    # which is how the double 1 - 2**(1-i) rounds too
+    x = _ext_mul(*_norm(1.0 - np.ldexp(1.0, 1 - i), i), ext_r.m, ext_r.e)
+    ends = lambda a: np.repeat(a, 2)  # top end, then bottom end, per bar
+    y = np.tile([ext_r.m, -ext_r.m], k), ends(ext_r.e + i - 2)
+    w = np.full(2 * k, ext_m.m), ends(ext_m.e - ell * (i - 1))
+    return Instance.__new__(Instance)._init_columns(
+        k, m, r, variant, ends(i), tuple(map(ends, x)), y, w)
 
 
 def gen_kmeans_bad(k: int, m: float = 1.0, r: float = 1.0) -> Instance:

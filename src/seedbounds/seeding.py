@@ -19,36 +19,35 @@ derives a chunk's coverage and early miss (one rule, shared with
 :func:`early_miss_event`), and :func:`seed` its coverage counts.
 
 The first pick samples one packed weight row per chunk, prefix-summed once
-and shared by the chunk's trials; the potentials then start as the first
-centers' weighted rows.  A chunk allocates its work arrays once: the
-uniforms, transposed to one row per pick; the picks, one row of trials per
-pick; the first trial's normalizers, two arrays; and one buffer each for
-the prefix sums and :func:`rng.weighted_pick`'s target and compare arrays.
-The only (T, 2k) arrays a step then allocates are the rows it fetches,
-and on the packed engine the scaled potentials.
+and shared by the chunk's trials: generated weights span up to 2k binary
+orders.  The potentials then start as the first centers' weighted rows.
+A chunk allocates its work arrays once: the uniforms, transposed to one
+row per pick; the picks, one row of trials per pick; the first trial's
+normalizers, two arrays; and one buffer each for the prefix sums and
+:func:`rng.weighted_pick`'s target and compare arrays.  The only (T, 2k)
+arrays a step then allocates are the rows it fetches.
 
-The engine has one exact fast path, the plain-double engine; every chunk
-that passes a per-chunk guard takes it.  Its rows come from
+There is one engine, on plain doubles.  Its rows come from
 :meth:`Instance.plain_row_source`: weighted rows as plain doubles scaled by
 one 2**-F, chosen so that every nonzero value is at least
 2**-(1022 - 53) (``core.PLAIN_SEEDING_SPREAD``), with values beyond the
 double range +inf.  After pick 0 the chunk checks its first potentials
-once: if all are finite and below 2, it keeps them as plain doubles and
-holds no packed arrays: ``np.minimum`` updates them and ``np.cumsum`` forms
-the prefix sums, with no per-row rescaling.  Later potentials are
+once: if all are below 2, ``np.minimum`` updates them and ``np.cumsum``
+forms the prefix sums, with no per-row rescaling.  Later potentials are
 elementwise at most the first ones, and each nonzero one is a row value,
 so every scaled potential stays in [2**-969, 2), and ``u * total`` for
 every uniform u >= 2**-53 is a normal double.  The power-of-two scale then
 commutes with each rounding of the sums, the minimum and the pick
-comparison: picks and costs are bit-identical to the packed engine.  A
-chunk whose first potentials fail the check runs the packed engine from
-pick 0, with the same output bits.  Generated instances pass the check in
-practice: their first pick lands in the heavy first bars.  No option
-selects the engine.  :func:`exact_distribution` enumerates on the same
-plain rows and raises CapacityError where their values span more than
-``core.PLAIN_SEEDING_SPREAD`` binary orders.
+comparison: picks and costs are bit-identical to a packed engine that
+rescales every row by its own largest exponent at every step (the test
+reference).  A chunk whose first potentials fail the check raises
+CapacityError: its potentials span more than ``core.PLAIN_SEEDING_SPREAD``
+binary orders.  Generated instances pass the check in practice: their
+first pick lands in the heavy first bars.  :func:`exact_distribution`
+enumerates on the same plain rows and raises CapacityError where their
+values span more than ``core.PLAIN_SEEDING_SPREAD`` binary orders.
 
-Both engines read every row from the instance's row cache (``core``
+The engine reads every row from the instance's row cache (``core``
 module docstring): a bar-gap kernel above the cap (k > 1024), whose rows
 are the same bits because every packed operation commutes with the
 power-of-two scale between consecutive bars, and otherwise the full
@@ -65,7 +64,7 @@ import numpy as np
 
 from . import rng
 from .bounds import check_fractions
-from .core import (Instance, _enumerable, _ext_min_into, _norm, _plain,
+from .core import (PLAIN_SEEDING_SPREAD, Instance, _enumerable, _norm, _plain,
                    _scaled_totals)
 from .errors import CapacityError, ConfigError, DegenerateInstanceError
 from .extfloat import ExtScalar
@@ -128,15 +127,6 @@ class TrialArrays:
     early_miss: np.ndarray
 
 
-def _plain_start(inst, pick0):
-    """The per-chunk guard: ``(rows, F, first potentials)`` of the plain-double
-    engine, or None where the potentials after the first picks are not all
-    below 2 (scaled by 2**-F)."""
-    rows, F = inst.plain_row_source()
-    pot = rows(pick0)
-    return (rows, F, pot) if np.all(pot < 2.0) else None
-
-
 def _check_trials(first, count):
     """ConfigError unless trials ``first .. first + count - 1`` are at least
     one and lie in 0 .. 2**63 - 1, the range of the int64 trial indices."""
@@ -148,15 +138,17 @@ def _check_trials(first, count):
 def _run_chunk(inst, n_centers, rng_seed, lo, hi):
     """Sample trials lo..hi-1: their picks as (n_centers, T) rows, their packed
     final costs ``(m, e)``, and trial lo's normalizers before each pick as
-    two arrays ``(totals, exponents)``."""
+    two arrays ``(totals, exponents)``.  Raises CapacityError where the
+    potentials after the first pick are not all below 2 on the plain-double
+    scale (module docstring)."""
     T, L = hi - lo, inst.n_locations
     # row j: every trial's uniform for pick j
     U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), n_centers).T.copy()
     picks = np.empty((n_centers, T), dtype=np.int64)
     totals, exps = np.empty(n_centers), np.empty(n_centers, dtype=np.int64)
     buf, target, hit = np.empty((T, L)), np.empty(T), np.empty((T, L), dtype=bool)
-    # pick 0 samples the location weights: one row, broadcast over the trials;
-    # later picks sample weight * (min distance to chosen centers) ** ell
+    # pick 0 samples the packed location weights: one row, broadcast over the
+    # trials; later picks sample weight * (min distance to chosen centers) ** ell
     s, prefix, E = _scaled_totals(inst._w_m, inst._w_e)
     for step in range(n_centers):
         total = prefix[..., -1]
@@ -167,24 +159,19 @@ def _run_chunk(inst, n_centers, rng_seed, lo, hi):
             p = s / np.expand_dims(total, -1)
             assert np.all((p >= 0.0) & (p <= 1.0))
             assert np.all(np.abs(s.sum(axis=-1) / total - 1.0) <= 1e-12)
-        totals[step], exps[step] = total.flat[0], E.flat[0]
+        totals[step], exps[step] = total.flat[0], E
         pick = picks[step] = rng.weighted_pick(prefix, U[step], target, hit)
         if step == 0:
-            start = _plain_start(inst, pick)
-            plain = start is not None
-            if plain:
-                rows, F, pot = start
-                E = np.full(T, F)
-            else:
-                rows = inst.weighted_row_source()
-                pot = rows(pick)
-        elif plain:
-            np.minimum(pot, rows(pick), out=pot)
+            # the potentials, as every row, are plain doubles scaled by 2**-E
+            rows, E = inst.plain_row_source()
+            s = rows(pick)
+            if not np.all(s < 2.0):
+                raise CapacityError(
+                    f"the potentials after the first pick span more than"
+                    f" {PLAIN_SEEDING_SPREAD} binary orders, beyond the plain-double engine")
         else:
-            _ext_min_into(*pot, *rows(pick))
-        # plain potentials are scaled by the row source's one 2**-F
-        s, prefix, E = (_scaled_totals(*pot, out=buf) if not plain
-                        else (pot, np.cumsum(pot, axis=1, out=buf), E))
+            np.minimum(s, rows(pick), out=s)
+        prefix = np.cumsum(s, axis=1, out=buf)
     return picks, _norm(prefix[:, -1], E), (totals, exps)
 
 
@@ -239,11 +226,11 @@ def run_trials(inst: Instance, trials: int, rng_seed: int,
     Trials run in chunks of the :func:`rng.trial_chunks` grid, sized by
     ``rng.CHUNK_ELEMS`` = 2**16 elements per work array (163 trials at
     k=200), so a chunk's arrays stay cache-sized; chunking bounds memory
-    only.  Each chunk whose potentials after pick 0 pass the per-chunk
-    guard runs on plain doubles, the others on the packed engine (see the
-    module docstring); the records are the same bits on either path.
-    Coverage (a trial's distinct clusters) and early miss are derived from
-    each chunk's picks.  Raises ConfigError before any sampling.
+    only.  Every chunk runs on plain doubles, and raises CapacityError
+    where its potentials after pick 0 fail the per-chunk check (see the
+    module docstring).  Coverage (a trial's distinct clusters) and early
+    miss are derived from each chunk's picks.  Raises ConfigError before
+    any sampling.
     """
     _check_trials(first_trial, trials)
     check_fractions(alpha, beta)

@@ -3,8 +3,11 @@
 Each function is the straightforward loop the package's block version
 reorders: one subset, one colour count, one draw step or one chosen set at
 a time, or, for the head-shift check, every bar where the package stops at
-the first absorbed one.  The package versions must return these results
-bit for bit.
+the first absorbed one.  The instance generator builds one
+``WeightedLocation`` per end where the package writes the packed columns,
+and the packed seeding engine rescales every potential row by its largest
+exponent where the package keeps plain doubles under one 2**-F.  The
+package versions must return these results bit for bit.
 """
 
 import itertools
@@ -13,11 +16,52 @@ import math
 import numpy as np
 
 from seedbounds import rng
-from seedbounds.core import _enumerable, _plain, _scaled_exp, cost
+from seedbounds.core import (BOTTOM, ELL, TOP, Instance, WeightedLocation, _enumerable,
+                             _ext_min_into, _norm, _plain, _scaled_exp, _scaled_totals, cost)
+from seedbounds.errors import DegenerateInstanceError
 from seedbounds.extfloat import ExtScalar
 from seedbounds.instances import reference_costs
 from seedbounds.seeding import CoverageDistribution
 from seedbounds.urn import DistinctColorDistribution
+
+
+def bar_instance(k, m, r, variant):
+    """The generator's instance, one ``WeightedLocation`` of ``ExtScalar``
+    coordinates per end, packed by ``Instance``."""
+    ext_r, ext_m = ExtScalar(r), ExtScalar(m)
+    locs = []
+    for i in range(1, k + 1):
+        x = ExtScalar.from_int((1 << i) - 2) * ext_r
+        h = ext_r.shifted(i - 2)
+        w = ext_m.shifted(-ELL[variant] * (i - 1))
+        locs.append(WeightedLocation(i, TOP, x, h, w))
+        locs.append(WeightedLocation(i, BOTTOM, x, h, w))
+    return Instance(locs, k, m, r, variant)
+
+
+def run_chunk_packed(inst, n_centers, rng_seed, lo, hi):
+    """The seeding engine on packed potentials: every step takes the
+    elementwise extended minimum and rescales each row by its own largest
+    exponent before the prefix sum.  Returns what ``seeding._run_chunk``
+    returns; its normalizer exponents are per-row maxima, not one F."""
+    U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), n_centers).T.copy()
+    picks = np.empty((n_centers, hi - lo), dtype=np.int64)
+    totals, exps = np.empty(n_centers), np.empty(n_centers, dtype=np.int64)
+    rows = inst.weighted_row_source()
+    _, prefix, E = _scaled_totals(inst._w_m, inst._w_e)
+    for step in range(n_centers):
+        total = prefix[..., -1]
+        if not (total > 0.0).all():
+            raise DegenerateInstanceError(
+                "total potential reached zero before all centers were chosen")
+        totals[step], exps[step] = total.flat[0], E.flat[0]
+        pick = picks[step] = rng.weighted_pick(prefix, U[step])
+        if step == 0:
+            pot = rows(pick)
+        else:
+            _ext_min_into(*pot, *rows(pick))
+        _, prefix, E = _scaled_totals(*pot)
+    return picks, _norm(prefix[:, -1], E), (totals, exps)
 
 
 def brute_force_opt(inst):

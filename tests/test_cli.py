@@ -104,6 +104,11 @@ _KMEDIAN_30K = "1faf551d91b2404a0ce1558e0500fd869ad51e282173b6f68f25994f81a81268
      "8e16df589f5b27fd7573a90d0c6b440827e35e901ba33a4b93a35093b1647bee"),
     (("seed", "--variant", "kmedian", "--k", 2000, "--trials", 2, "--seed", 7),
      "70149d8c112543f6d4f52232aa02c37cb65cd6b57dd5af9c2e58a28c5fab9264"),
+    # the generated coordinates and weights, x past 2**53 * r from cluster 54 on
+    (("gen", "--k", 60, "--m", 4, "--r", 0.7),
+     "51fa99bf17be9ebe91f959c70a5eb5dc6ba7e05e287e4f2a14378dc823c8b4da"),
+    (("gen", "--variant", "kmedian", "--k", 60, "--m", 4, "--r", 0.7),
+     "009d12ca5bc5fcbfccee2db1b1be21bb953ee90e9714be5557a2670f0e121542"),
 ])
 def test_output_bytes_are_pinned(tmp_path, args, digest):
     # a deliberate change to the numeric reference shows up here as a new digest
@@ -134,6 +139,10 @@ def test_invalid_config_exit_codes(tmp_path):
     assert run("gen", "--variant", "kmodes") == 2  # argparse rejects the choice
     assert run("ballgame", "--mode", "biased", "--gamma", 9, "--exact",
                "--out", tmp_path / "x.csv") == 2
+    # non-finite m and r are refused, not carried into the coordinates
+    assert run("seed", "--k", 8, "--trials", 10, "--r", "inf", "--out", tmp_path / "x.csv") == 2
+    assert run("seed", "--k", 8, "--trials", 10, "--m", "nan", "--out", tmp_path / "x.csv") == 2
+    assert run("gen", "--k", 8, "--m", "inf", "--out", tmp_path / "x.csv") == 2
 
 
 def test_io_error_exit_code(tmp_path):

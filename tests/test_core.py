@@ -164,16 +164,17 @@ def test_uncovered_cluster_contributes_at_least_17_8():
     # (17/8) * m * r^2 for it
     for k in range(2, 9):
         inst = gen_kmeans_bad(k, 1.0, 1.0)
+        locs = inst.locations  # rebuilt on each access: read it once
         floor = 17.0 / 8.0
         for picks in itertools.combinations(range(2 * k), k):
             count, flags = coverage(inst, picks)
             if count != k - 1:
                 continue
             u = flags.index(False)
-            ends = [loc for loc in inst.locations if loc.cluster_id == u + 1]
+            ends = [loc for loc in locs if loc.cluster_id == u + 1]
             contrib = 0.0
             for loc in ends:
-                best = min(dist_pow(loc, inst.locations[c], 2) for c in picks)
+                best = min(dist_pow(loc, locs[c], 2) for c in picks)
                 contrib += (loc.weight * best).to_float()
             assert contrib >= floor * (1 - 1e-12)
 
@@ -217,6 +218,24 @@ def test_instance_validation():
         WeightedLocation(1, "middle", ExtScalar(0.0), h, w)
     with pytest.raises(ValueError):
         WeightedLocation(1, TOP, ExtScalar(0.0), h, EXT_ZERO)
+
+
+def test_hand_built_locations_read_back_unchanged():
+    # the packed columns are all an instance stores; its locations are rebuilt
+    # from them: the end from the sign bit of y, -0.0 on a zero-height bottom
+    w, h, zero = ExtScalar(1.5, -7), ExtScalar(0.5), ExtScalar(0.0)
+    bottom_first = [WeightedLocation(2, BOTTOM, ExtScalar(3.0, 900), zero, w),
+                    WeightedLocation(1, TOP, zero, h, ExtScalar(1.0)),
+                    WeightedLocation(2, TOP, ExtScalar(3.0, 900), zero, w),
+                    WeightedLocation(1, BOTTOM, zero, h, ExtScalar(1.0, -1100))]
+    geo = _geometric_instance(6, "kmedian")
+    for locs, k, variant in ((_symmetric_instance().locations, 2, "kmeans"),
+                             (bottom_first, 2, "kmedian"),
+                             (geo.locations, 6, "kmedian"),
+                             (_bar_one_replaced(geo, zero, zero, w).locations, 6, "kmedian")):
+        inst = Instance(locs, k, 1.0, 1.0, variant)
+        assert inst.locations == tuple(locs)
+        assert inst.n_locations == 2 * k
 
 
 def test_instance_csv_round_trip(tmp_path):

@@ -1,10 +1,14 @@
 import itertools
 import math
+import pickle
 
+import numpy as np
 import pytest
 
+import reference_oracles as ref
 from seedbounds.core import TOP, cost, coverage, dist_pow
 from seedbounds.errors import CapacityError, ConfigError
+from seedbounds.harness import ExperimentConfig
 from seedbounds.instances import (brute_force_opt, gen_kmeans_bad,
                                   gen_kmedian_bad, reference_costs)
 
@@ -60,6 +64,41 @@ def test_generation_rejects_bad_params():
         gen_kmeans_bad(2, m=0.5)
     with pytest.raises(ConfigError):
         gen_kmedian_bad(2, r=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="m must be finite"):
+            gen_kmeans_bad(2, m=bad)
+        with pytest.raises(ConfigError, match="r must be finite"):
+            gen_kmedian_bad(2, r=bad)
+        for field in ("m", "r"):
+            with pytest.raises(ConfigError, match=f"{field} must be finite"):
+                ExperimentConfig(**{field: bad}).validate()
+
+
+@pytest.mark.parametrize("variant, gen", [("kmeans", gen_kmeans_bad),
+                                          ("kmedian", gen_kmedian_bad)])
+def test_generated_columns_match_the_location_generator(variant, gen):
+    # x = (2**i - 2) * r is exact up to cluster 54 and 2**i * r from 55 on
+    for k in (1, 2, 53, 54, 55, 56, 200, 2000):
+        for m, r in ((1.0, 1.0), (4.0, 1.0), (3.0, 0.7), (1e6, 2.0 ** -60), (1.0, 2.0 ** 40)):
+            got, want = gen(k, m, r), ref.bar_instance(k, m, r, variant)
+            for name in ("_cluster", "_w_m", "_w_e"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (name, k, m, r)
+            for name in ("_x", "_y"):
+                for a, b in zip(getattr(got, name), getattr(want, name)):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (name, k, m, r)
+                    assert np.array_equal(np.signbit(a), np.signbit(b)), (name, k, m, r)
+            assert (got.k, got.m, got.r, got.variant) == (want.k, want.m, want.r, want.variant)
+            if k <= 200:
+                assert got.locations == want.locations
+
+
+def test_generated_instance_pickles_without_location_objects():
+    for gen in (gen_kmeans_bad, gen_kmedian_bad):
+        inst = gen(60, 4.0, 0.7)
+        data = pickle.dumps(inst)
+        assert b"WeightedLocation" not in data and b"ExtScalar" not in data
+        assert pickle.loads(data).locations == inst.locations
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +171,13 @@ def test_rightmost_cluster_potential_sanity():
     # either end of the rightmost bar, served by the leftmost top end, costs
     # at most 5*m*r^2; the uncovered end of a covered bar costs exactly m*r^2
     for k in range(2, 65):
-        inst = gen_kmeans_bad(k, 4.0, 1.0)
-        origin_top = inst.locations[0]
+        locs = gen_kmeans_bad(k, 4.0, 1.0).locations
+        origin_top = locs[0]
         m_r2 = 4.0
-        for loc in inst.locations[-2:]:
+        for loc in locs[-2:]:
             val = (loc.weight * dist_pow(loc, origin_top, 2)).to_float()
             assert val <= 5.0 * m_r2
-        far_top, far_bot = inst.locations[-2], inst.locations[-1]
+        far_top, far_bot = locs[-2], locs[-1]
         own = (far_top.weight * dist_pow(far_top, far_bot, 2)).to_float()
         assert_rel_close(own, m_r2, 1e-12)
 
@@ -148,12 +187,12 @@ def test_heavy_prefix_potential_floor():
     # their right, exceeds 10 * 2^(2B) * m * r^2 once B >= 5 (the asymptotic
     # regime of the coverage analysis); below that the constant is too big.
     def phi_prefix(k, B):
-        inst = gen_kmeans_bad(k, 1.0, 1.0)
-        centers = [i for i, loc in enumerate(inst.locations) if loc.cluster_id > B]
+        locs = gen_kmeans_bad(k, 1.0, 1.0).locations
+        centers = [i for i, loc in enumerate(locs) if loc.cluster_id > B]
         tot = 0.0
-        for loc in inst.locations:
+        for loc in locs:
             if loc.cluster_id <= B:
-                best = min(dist_pow(loc, inst.locations[c], 2) for c in centers)
+                best = min(dist_pow(loc, locs[c], 2) for c in centers)
                 tot += (loc.weight * best).to_float()
         return tot
 

@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import reference_oracles as ref
 from seedbounds import core, seeding
-from seedbounds.core import BOTTOM, TOP, Instance, WeightedLocation, cost, dist_pow
+from seedbounds.core import (BOTTOM, TOP, Instance, WeightedLocation, _scaled_exp, cost,
+                             dist_pow)
 from seedbounds.errors import CapacityError, ConfigError, DegenerateInstanceError
 from seedbounds.extfloat import ExtScalar
 from seedbounds.instances import (brute_force_opt, gen_kmeans_bad, gen_kmedian_bad,
@@ -62,7 +64,9 @@ def test_built_instance_pickles_with_its_caches():
     tr = seed(inst, rng_seed=42, trial_index=3)
     assert isinstance(inst._rows, core._BarGapKernel)
     built = pickle.dumps(inst)
-    assert len(built) < 3 * fresh
+    # the cache adds its own arrays and little else
+    cache = sum(a.nbytes for a in inst._rows if isinstance(a, np.ndarray))
+    assert len(built) - fresh <= cache + 4096
     assert seed(pickle.loads(built), rng_seed=42, trial_index=3) == tr
 
 
@@ -140,21 +144,21 @@ def test_seed_parameter_validation(inst2):
     assert last.coverage[-1] == tr.coverage_counts[-1]
 
 
-def test_degenerate_instance_raises(monkeypatch, debug_checks):
+def test_degenerate_instance_raises(debug_checks):
     w = ExtScalar(1.0)
     zero = ExtScalar(0.0)
     locs = [WeightedLocation(1, TOP, zero, zero, w),
             WeightedLocation(1, BOTTOM, zero, zero, w)]
     inst = Instance(locs, 1, 1.0, 1.0, "kmeans")
+    # the zero-height bottom end keeps its end through the sign of -0.0
+    assert inst.locations == tuple(locs)
     seed(inst, n_centers=1, rng_seed=0, trial_index=0)  # fine
-    # no nonzero weighted distance: the spread is 0 and the plain path applies
-    assert seeding._plain_start(inst, np.array([0])) is not None
+    # no nonzero weighted distance: the spread is 0, so the potentials pass
+    # the check after pick 0 and the zero total is what raises
     with pytest.raises(DegenerateInstanceError):
         seed(inst, n_centers=2, rng_seed=0, trial_index=0)
-    with monkeypatch.context() as mp:
-        _packed_engine(mp)
-        with pytest.raises(DegenerateInstanceError):
-            seed(inst, n_centers=2, rng_seed=0, trial_index=0)
+    with pytest.raises(DegenerateInstanceError):
+        ref.run_chunk_packed(inst, 2, 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,40 +206,19 @@ def test_per_pick_rows_match_matrix_rows(monkeypatch):
                                      (gen_kmeans_bad, 300, 12, 2),
                                      (gen_kmedian_bad, 300, 12, 2)):
         inst = gen(k, 4.0, 1.0)
-        ref = run_trials(inst, trials, rng_seed=3, alpha=0.5, beta=0.5)
+        want = run_trials(inst, trials, rng_seed=3, alpha=0.5, beta=0.5)
         ref_traces = [seed(inst, rng_seed=3, trial_index=t) for t in range(n_traces)]
         ref_costs = [cost(inst, tr.centers) for tr in ref_traces]
         with monkeypatch.context() as mp:
             mp.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
             inst = gen(k, 4.0, 1.0)
-            runs = _spy_engine(mp)
             got = run_trials(inst, trials, rng_seed=3, alpha=0.5, beta=0.5)
             traces = [seed(inst, rng_seed=3, trial_index=t) for t in range(n_traces)]
             costs = [cost(inst, tr.centers) for tr in traces]
             assert isinstance(inst._rows, core._Matrix) == (k == 6)
-            assert set(runs) == {"plain"}
-        _assert_same_arrays(ref, got)
+        _assert_same_arrays(want, got)
         assert traces == ref_traces
         assert costs == ref_costs == [tr.final_cost for tr in traces]
-
-
-def _packed_engine(mp):
-    """Force the packed engine: every chunk fails the per-chunk guard."""
-    mp.setattr(seeding, "_plain_start", lambda inst, pick0: None)
-
-
-def _spy_engine(mp):
-    """Record the engine each chunk ran: "plain" or "packed"."""
-    runs = []
-    plain_start = seeding._plain_start
-
-    def spy_plain_start(inst, pick0):
-        start = plain_start(inst, pick0)
-        runs.append("packed" if start is None else "plain")
-        return start
-
-    mp.setattr(seeding, "_plain_start", spy_plain_start)
-    return runs
 
 
 def _assert_same_arrays(a, b):
@@ -251,17 +234,12 @@ def test_batch_chunking_is_invisible(monkeypatch):
     assert rng.CHUNK_ELEMS // 400 == 163
     cases = [(gen_kmeans_bad(4, 4.0, 1.0), 64, 64), (gen_kmeans_bad(200, 4.0, 1.0), 400, 7 * 400),
              (gen_kmedian_bad(1100, 4.0, 1.0), 5, 2 * 2200)]
-    for packed in (False, True):
-        for inst, trials, tiny in cases:
-            with monkeypatch.context() as mp:
-                if packed:
-                    _packed_engine(mp)
-                runs = _spy_engine(mp)
-                ref = run_trials(inst, trials, rng_seed=2)
-                assert runs and set(runs) == {"packed" if packed else "plain"}
-                for chunk_elems in (tiny, 1 << 30):  # many small chunks, one chunk
-                    mp.setattr(rng, "CHUNK_ELEMS", chunk_elems)
-                    _assert_same_arrays(ref, run_trials(inst, trials, rng_seed=2))
+    for inst, trials, tiny in cases:
+        want = run_trials(inst, trials, rng_seed=2)
+        with monkeypatch.context() as mp:
+            for chunk_elems in (tiny, 1 << 30):  # many small chunks, one chunk
+                mp.setattr(rng, "CHUNK_ELEMS", chunk_elems)
+                _assert_same_arrays(want, run_trials(inst, trials, rng_seed=2))
 
 
 def _two_bar_instance(x):
@@ -299,41 +277,46 @@ def _bar_one_below_the_floor(monkeypatch):
     return inst
 
 
-def test_plain_path_matches_packed_engine(monkeypatch, debug_checks):
+def _assert_matches_packed(inst, n_centers, trials, label):
+    """The engine's picks, final costs and normalizers are the packed
+    reference's, the normalizers compared as ExtScalars: the packed
+    exponents are per-row maxima, the engine's one F."""
+    got, want = (run(inst, n_centers, 11, 0, trials)
+                 for run in (seeding._run_chunk, ref.run_chunk_packed))
+    assert np.array_equal(got[0], want[0]), label
+    assert all(map(np.array_equal, got[1], want[1])), label
+    assert ([*map(ExtScalar, *(a.tolist() for a in got[2]))]
+            == [*map(ExtScalar, *(a.tolist() for a in want[2]))]), label
+
+
+def test_plain_path_matches_packed_engine(debug_checks):
     from seedbounds.core import PLAIN_SEEDING_SPREAD
     assert PLAIN_SEEDING_SPREAD == 1022 - 53
     # the old whole-matrix guard sent kmeans k > 484 and kmedian k > 969 to the
-    # packed engine; now every generated chunk passes the per-chunk guard
-    cases = [(gen_kmeans_bad(k, 4.0, 1.0), True) for k in (16, 200, 484, 485, 1024, 1100, 2000)]
-    cases += [(gen_kmedian_bad(k, 4.0, 1.0), True) for k in (16, 300, 970, 1100)]
+    # packed engine; now every generated chunk passes the per-chunk check
+    cases = [gen_kmeans_bad(k, 4.0, 1.0) for k in (16, 200, 484, 485, 1024, 1100, 2000)]
+    cases += [gen_kmedian_bad(k, 4.0, 1.0) for k in (16, 300, 970, 1100)]
     # x**2 = 2.25 * 2**968 and 2**970: spreads of exactly 969 and 970 orders;
     # at 970 the potentials after pick 0 reach 2, at x = 2**1000 they are +inf
     edge = [_two_bar_instance(ExtScalar(1.5, 484)), _two_bar_instance(ExtScalar(1.0, 485)),
             _two_bar_instance(ExtScalar(1.0, 1000))]
     assert [_spread(inst) for inst in edge[:2]] == [PLAIN_SEEDING_SPREAD, PLAIN_SEEDING_SPREAD + 1]
-    cases += [(edge[0], True), (edge[1], False), (edge[2], False)]
-    for inst, fast in cases:
+    for inst in cases + edge[:1]:
         label = f"{inst.variant} k={inst.k}"
         trials = 40 if inst.k <= 16 else 4 if inst.k <= 1100 else 2
-        # the k=2 instances also trace all four picks
-        n_traced = (inst.k, inst.n_locations) if inst.k == 2 else (inst.k,)
-        traced = range(3 if inst.k <= 485 else 1)
-        with monkeypatch.context() as mp:
-            runs = _spy_engine(mp)
-            ref = run_trials(inst, trials, rng_seed=11, alpha=0.5, beta=0.5)
-            ref_traces = [seed(inst, n, rng_seed=11, trial_index=t)
-                          for t in traced for n in n_traced]
-        assert set(runs) == {"plain" if fast else "packed"}, label
-        with monkeypatch.context() as mp:
-            _packed_engine(mp)
-            got = run_trials(inst, trials, rng_seed=11, alpha=0.5, beta=0.5)
-            traces = [seed(inst, n, rng_seed=11, trial_index=t)
-                      for t in traced for n in n_traced]
-        _assert_same_arrays(ref, got)
-        assert traces == ref_traces, label
+        # the k=2 instance also runs all four picks
+        for n in (inst.k, inst.n_locations) if inst.k == 2 else (inst.k,):
+            _assert_matches_packed(inst, n, trials, label)
+    # beyond the check the engine refuses; the packed reference still samples
+    for inst in edge[1:]:
+        with pytest.raises(CapacityError, match="binary orders"):
+            run_trials(inst, 40, rng_seed=11)
+        with pytest.raises(CapacityError, match="binary orders"):
+            seed(inst, rng_seed=11, trial_index=0)
+        ref.run_chunk_packed(inst, inst.n_locations, 11, 0, 40)
 
 
-def test_rows_spanning_past_the_plain_spread_match_packed(monkeypatch, debug_checks):
+def test_rows_spanning_past_the_plain_spread_raise_capacity_error(monkeypatch):
     inst = _bar_one_below_the_floor(monkeypatch)
     idxs = np.arange(inst.n_locations)
     (m, e), (plain, F) = inst.weighted_row_source()(idxs), inst.plain_row_source()
@@ -343,19 +326,52 @@ def test_rows_spanning_past_the_plain_spread_match_packed(monkeypatch, debug_che
     nz = values[(values != 0.0) & np.isfinite(values)]
     assert nz.size and nz.min() >= 2.0 ** -969
     assert F == int(e[m != 0.0].min()) + core.PLAIN_SEEDING_SPREAD
-    with monkeypatch.context() as mp:
-        runs = _spy_engine(mp)
-        ref = run_trials(inst, 200, rng_seed=11, alpha=0.5, beta=0.5)
-        ref_traces = [seed(inst, rng_seed=11, trial_index=t) for t in range(20)]
-    # the far rows reach 2**244 at that scale: every chunk runs packed
-    assert set(runs) == {"packed"}
-    assert any(1 in tr.cluster_ids[1:] for tr in ref_traces)
-    with monkeypatch.context() as mp:
-        _packed_engine(mp)
-        got = run_trials(inst, 200, rng_seed=11, alpha=0.5, beta=0.5)
-        traces = [seed(inst, rng_seed=11, trial_index=t) for t in range(20)]
-    _assert_same_arrays(ref, got)
-    assert traces == ref_traces
+    # the far rows reach 2**244 at that scale: every chunk fails the check
+    # after pick 0, where the packed reference samples on and covers bar 1
+    with pytest.raises(CapacityError, match="binary orders"):
+        run_trials(inst, 200, rng_seed=11, alpha=0.5, beta=0.5)
+    for t in range(20):
+        with pytest.raises(CapacityError, match="binary orders"):
+            seed(inst, rng_seed=11, trial_index=t)
+    picks, _, _ = ref.run_chunk_packed(inst, inst.k, 11, 0, 20)
+    assert (inst._cluster[picks[1:]] == 1).any()
+
+
+def test_generated_configs_pass_the_plain_check():
+    # the narrowing to potentials within PLAIN_SEEDING_SPREAD binary orders
+    # refuses no generated instance on this grid
+    for gen in (gen_kmeans_bad, gen_kmedian_bad):
+        for k in (1, 2, 3, 55, 56, 485, 970, 1025):
+            for r in (2.0 ** -60, 0.7, 2.0 ** 40):
+                for m in (1.0, 1e6):
+                    arr = run_trials(gen(k, m, r), 3, rng_seed=k)
+                    assert np.all((arr.coverage >= 1) & (arr.coverage <= k))
+
+
+@pytest.mark.parametrize("gen", [gen_kmeans_bad, gen_kmedian_bad])
+@pytest.mark.parametrize("k, trials", [(16, 200), (300, 20), (1100, 3)])
+def test_power_of_two_scaling_changes_only_the_cost_exponent(gen, k, trials):
+    # times 2**a on m and 2**b on r every packed value keeps its mantissa and
+    # every weighted row gains a + ell*b in its exponent: the same picks and
+    # coverage, and costs exactly 2**(a + ell*b) times the originals
+    m, r = 3.0, 0.7
+    base = gen(k, m, r)
+    want = run_trials(base, trials, rng_seed=4, alpha=0.5, beta=0.5)
+    want_trace = seed(base, rng_seed=4, trial_index=1)
+    for a, b in ((10, -20), (-1, 33)):
+        inst = gen(k, m * 2.0 ** a, r * 2.0 ** b)
+        shift = a + inst.ell * b
+        got = run_trials(inst, trials, rng_seed=4, alpha=0.5, beta=0.5)
+        for field in ("trial_indices", "coverage", "final_m", "early_miss"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert np.array_equal(got.final_e, _scaled_exp(want.final_m, want.final_e, shift))
+        trace = seed(inst, rng_seed=4, trial_index=1)
+        assert (trace.centers, trace.coverage_counts) == (want_trace.centers,
+                                                          want_trace.coverage_counts)
+        assert trace.final_cost == want_trace.final_cost.shifted(shift)
+        # the first normalizer is the total weight, times 2**a only
+        assert trace.potentials == (want_trace.potentials[0].shifted(a), *(
+            p.shifted(shift) for p in want_trace.potentials[1:]))
 
 
 def test_seeding_computes_no_row_once_the_cache_is_built(monkeypatch):
