@@ -34,6 +34,12 @@ x_j - x_i = x_j and y_j - y_i = y_j exactly), about cluster 108 on
 generated instances: from it on every bar is absorbed and its head
 columns follow from its own coordinates, which the tail doubles, so
 the check over every later bar is known to pass (:func:`_head_shift_start`).
+The build also checks, on the kernel's few distinct values, whether every
+two adjacent bars are dominant: on every column left of the pair the
+right bar's two plain values are at least the left bar's, and on every
+column right of it the reverse (:func:`_dominant`).  The kernel records
+the answer, and where it holds, seeding updates only the bars between a
+pick's chosen neighbours (:meth:`Instance.interval_lowering`).
 
 The plain rows are every value scaled by one 2**-F with
 F = min(largest exponent, smallest nonzero exponent + ``PLAIN_SEEDING_SPREAD``)
@@ -351,6 +357,15 @@ class Instance:
         cache = self._row_cache()
         return cache.sources()[1], cache.scale
 
+    def interval_lowering(self):
+        """:meth:`_BarGapKernel.lowering` where the row cache is a bar-gap
+        kernel whose adjacent bars are all dominant (:func:`_dominant`),
+        else None.  A center's plain row then lowers no potential outside
+        the bars strictly between its bar's chosen neighbours: there it is
+        at least the row of the neighbour's chosen end."""
+        cache = self._row_cache()
+        return cache.lowering() if isinstance(cache, _BarGapKernel) and cache.dominant else None
+
 
 class _Matrix(NamedTuple):
     """The full (2k, 2k) matrix W[j, i] = weight_i * dist(j, i)**ell, packed
@@ -395,7 +410,10 @@ class _BarGapKernel(NamedTuple):
     in bar min(its bar, shift-1).  A center right of the tail takes that
     column, transposed and times 2**(w_e[i] - w_e[j]), as its columns i of
     bars < tail; ``w_e`` holds the weight exponents as int32, the type of
-    ldexp's exponent, so that shift is one subtraction.
+    ldexp's exponent, so that shift is one subtraction.  ``dominant`` is
+    True where every two adjacent bars (j // 2) are dominant
+    (:func:`_dominant`); it is computed once, at the build, and pickles with
+    the kernel.
     """
 
     index: np.ndarray
@@ -405,6 +423,7 @@ class _BarGapKernel(NamedTuple):
     tail_plain: np.ndarray
     near: np.ndarray
     scale: int
+    dominant: bool = False
 
     def sources(self):
         """``(rows, plain_rows)``: packed rows and rows as doubles scaled by
@@ -439,6 +458,75 @@ class _BarGapKernel(NamedTuple):
             return out
 
         return rows, plain_rows
+
+    def lowering(self):
+        """``lower(s, j, lo, hi)``: ``s[lo:hi]`` becomes its elementwise
+        minimum with the plain row of center j over columns lo .. hi-1, the
+        values of :meth:`sources`, read as a slice of j's tail row and,
+        left of the tail, of its head columns or its near row."""
+        h, near, tail, w_e = len(self.near), self.near, self.tail_plain, self.w_e
+        cols = self.index[:, 2]
+        end, off = self.index[:, 0].tolist(), self.index[:, 1].tolist()
+
+        def lower(s, j, lo, hi):
+            if j < h:
+                np.minimum(s[lo:hi], near[j, cols[lo:hi]], out=s[lo:hi])
+                return
+            if hi > h:
+                a, o = max(lo, h), off[j]
+                v = s[a:hi]
+                np.minimum(v, tail[end[j], o + a:o + hi], out=v)
+            if lo < h:
+                b = min(hi, h)
+                with np.errstate(over="ignore"):
+                    head = np.ldexp(near[lo:b, cols[j]], w_e[lo:b] - w_e[j])
+                np.minimum(s[lo:b], head, out=s[lo:b])
+
+        return lower
+
+
+def _dominant(kern: _BarGapKernel) -> bool:
+    """True iff every two adjacent bars a, a+1 (bar j // 2) of the kernel's
+    plain rows are dominant: on every column in bars <= a the smaller of
+    bar a+1's two values is at least the larger of bar a's, and on every
+    column in bars >= a+1 the smaller of bar a's is at least the larger of
+    bar a+1's.
+
+    Reads O(2k + h * S) values, h head locations and S near-block bars:
+    the tail rows against themselves one bar over, which is every pair of
+    tail bars on the tail columns; every pair of head bars on the near
+    block's 2S distinct columns; the two rows of the junction pair, bars
+    tail-1 and tail, in full; and the head columns of bars tail .. S.  From
+    bar S-1 on those columns are bar S-1's with the exponent shifted by
+    ell per bar (the weights' exponent falls by ell per tail bar), and
+    every value the kernel serves is 0, a normal double or +inf.  So a
+    pair's comparison can only turn from false to true on the way right by
+    both sides reaching +inf, which keeps them there, and the pair (S-1, S)
+    stands for every later one.
+    """
+    h, L, S = len(kern.near), len(kern.index), kern.near.shape[1] // 2
+    # a tail center one bar to the right reads its tail row two columns
+    # left: its columns left of its own bar run up to L, the others from L
+    tmin, tmax = kern.tail_plain.min(axis=0), kern.tail_plain.max(axis=0)
+    ok = np.all(tmin[h:L - 2] >= tmax[h + 2:L]) and np.all(tmin[L:] >= tmax[L - 2:-2])
+    if not ok or not h:
+        return bool(ok)
+
+    def pairs(values, bars):
+        # per pair of adjacent rows of bar ends: left of the pair's gap the
+        # right bar's values dominate, right of it the left bar's
+        v = values.reshape(-1, 2, values.shape[-1])
+        lo, hi = v.min(axis=1), v.max(axis=1)
+        left = bars[None, :] <= np.arange(len(v) - 1)[:, None]
+        return bool(np.where(left, lo[1:] >= hi[:-1], lo[:-1] >= hi[1:]).all())
+
+    j = np.arange(h, min(2 * S + 2, L))
+    with np.errstate(over="ignore"):
+        head = np.ldexp(kern.near[:, kern.index[j, 2]].T, kern.w_e[:h] - kern.w_e[j, None])
+    junction = kern.sources()[1](np.arange(h - 2, h + 2))
+    return (pairs(kern.near, np.arange(2 * S) // 2)
+            and pairs(junction, np.where(np.arange(L) < h, 0, 1))
+            and pairs(head, np.full(h, -1)))
 
 
 def _tail_start(inst: Instance) -> int:
@@ -539,8 +627,9 @@ def _bar_gap_kernel(inst: Instance):
     # tail column h + 2 * (k-1-bar), which a window from 2 * (k-1-bar) puts at h
     off = np.where(bar < tail, 0, 2 * (k - 1 - bar))
     index = np.stack([end, off, np.minimum(j, 2 * (shift - 1) + end)], axis=1)
-    return _BarGapKernel(index, w_e.astype(np.int32), tail_m, tail_e,
+    kern = _BarGapKernel(index, w_e.astype(np.int32), tail_m, tail_e,
                          _as_plain(tail_m, tail_e, scale), near, scale)
+    return kern._replace(dominant=_dominant(kern))
 
 
 # ---------------------------------------------------------------------------

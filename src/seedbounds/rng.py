@@ -80,22 +80,28 @@ def uniform_matrix(seed: int, trial_indices: np.ndarray, n: int) -> np.ndarray:
     return (raw >> _SH11).astype(np.float64) * _TO_UNIT
 
 
-def weighted_pick(prefix: np.ndarray, u: np.ndarray, target=None, hit=None) -> np.ndarray:
+def weighted_pick(prefix: np.ndarray, u, target=None, hit=None):
     """Cumulative-inversion pick along the last axis.
 
     ``prefix`` must be the cumulative sum of nonnegative weights along the
     last axis, with a positive total, and ``u`` lie in [0, 1).  The pick is
-    the first index whose prefix value reaches the target ``u * total``.
-    Such a prefix is nondecreasing and its last entry is at least the
-    target, so that index is the count of prefix values below the target,
-    the definition the tests check it against.  A boundary hit (u * total
-    landing exactly on a prefix value) resolves to the lower index; the
-    target is at least the smallest positive double, so leading zero-weight
-    buckets are skipped.
+    the count of prefix values below the target ``max(u * total, _TINY)``:
+    such a prefix is nondecreasing and its last entry is at least the
+    target, so that is the first index whose prefix value reaches it.  A
+    boundary hit (u * total landing exactly on a prefix value) resolves to
+    the lower index; the target is at least the smallest positive double,
+    so leading zero-weight buckets are skipped.
 
-    ``target`` (shaped like the picks) and ``hit`` (a bool array shaped like
-    ``prefix`` broadcast against them) are optional work arrays a caller
-    that picks many times can own; the pick is the same without them.
+    A 1-D prefix takes a scalar ``u`` (one pick) or a vector (one pick per
+    entry) and counts by binary search, ``np.searchsorted(prefix, target,
+    side="left")``; a 2-D prefix takes one ``u`` per row and counts by a
+    compare and an argmax along it.  For the 2-D form, ``target`` (one
+    entry per row) and ``hit`` (a bool array shaped like ``prefix``) are
+    optional work arrays a caller that picks many times can own; the pick
+    is the same without them.
     """
-    target = np.maximum(np.multiply(u, prefix[..., -1], out=target), _TINY, out=target)
-    return np.greater_equal(prefix, target[..., None], out=hit).argmax(axis=-1)
+    if prefix.ndim == 1:
+        # side="left", searchsorted's default, counts the values below
+        return prefix.searchsorted(np.maximum(u * prefix[-1], _TINY))
+    target = np.maximum(np.multiply(u, prefix[:, -1], out=target), _TINY, out=target)
+    return np.greater_equal(prefix, target[:, None], out=hit).argmax(axis=-1)

@@ -23,9 +23,24 @@ and shared by the chunk's trials: generated weights span up to 2k binary
 orders.  The potentials then start as the first centers' weighted rows.
 A chunk allocates its work arrays once: the uniforms, transposed to one
 row per pick; the picks, one row of trials per pick; the first trial's
-normalizers, two arrays; and one buffer each for the prefix sums and
-:func:`rng.weighted_pick`'s target and compare arrays.  The only (T, 2k)
-arrays a step then allocates are the rows it fetches.
+normalizers, two arrays; and the buffers of its step loop.
+
+Picks 1.. run in one of two step loops with the same bits.  The batch
+loop (:func:`_row_steps`) steps the chunk's trials together: each pick
+takes the minimum of every trial's whole potential row and its fetched
+row, then prefix-sums the rows whole; besides one buffer each for the
+prefix sums and :func:`rng.weighted_pick`'s target and compare arrays,
+the only (T, 2k) arrays a step allocates are the rows it fetches.  The
+interval loop (:func:`_bar_steps`) runs where the row cache is a bar-gap
+kernel whose adjacent bars are all dominant, a check made once at the
+kernel's build (``core._dominant``): left of two adjacent bars the right
+one's row values are at least the left one's, right of them the reverse.
+A pick in bar b then lowers potentials only on the bars strictly between
+b's chosen neighbours, so the loop takes one trial at a time, keeps its
+chosen bars in a sorted list, takes the minimum over those bars only and
+recomputes the prefix sums from their first location on, in the order
+of a whole-row cumsum.  The full matrix, and a kernel that fails the
+check, take the batch loop.
 
 There is one engine, on plain doubles.  Its rows come from
 :meth:`Instance.plain_row_source`: weighted rows as plain doubles scaled by
@@ -58,6 +73,7 @@ the cache is built no pick computes a distance.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,44 +151,107 @@ def _check_trials(first, count):
                           f" got {first}..{first + count - 1}")
 
 
+def _total(s, prefix):
+    """The totals of the potential rows ``s``, the last prefix sums;
+    DegenerateInstanceError unless all are positive."""
+    total = prefix[..., -1]
+    if not (total > 0.0).all():
+        raise DegenerateInstanceError("total potential reached zero before all centers were chosen")
+    if DEBUG_CHECKS:
+        p = s / np.expand_dims(total, -1)
+        assert np.all((p >= 0.0) & (p <= 1.0))
+        assert np.all(np.abs(s.sum(axis=-1) / total - 1.0) <= 1e-12)
+    return total
+
+
 def _run_chunk(inst, n_centers, rng_seed, lo, hi):
     """Sample trials lo..hi-1: their picks as (n_centers, T) rows, their packed
     final costs ``(m, e)``, and trial lo's normalizers before each pick as
     two arrays ``(totals, exponents)``.  Raises CapacityError where the
     potentials after the first pick are not all below 2 on the plain-double
-    scale (module docstring)."""
-    T, L = hi - lo, inst.n_locations
+    scale (module docstring).  Picks 1.. run in :func:`_bar_steps` where the
+    instance has an interval lowering (a dominant bar-gap kernel), else in
+    :func:`_row_steps`; both give the same bits."""
     # row j: every trial's uniform for pick j
     U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), n_centers).T.copy()
-    picks = np.empty((n_centers, T), dtype=np.int64)
+    picks = np.empty((n_centers, hi - lo), dtype=np.int64)
     totals, exps = np.empty(n_centers), np.empty(n_centers, dtype=np.int64)
-    buf, target, hit = np.empty((T, L)), np.empty(T), np.empty((T, L), dtype=bool)
-    # pick 0 samples the packed location weights: one row, broadcast over the
+    # pick 0 samples the packed location weights: one prefix, shared by the
     # trials; later picks sample weight * (min distance to chosen centers) ** ell
-    s, prefix, E = _scaled_totals(inst._w_m, inst._w_e)
-    for step in range(n_centers):
-        total = prefix[..., -1]
-        if not (total > 0.0).all():
-            raise DegenerateInstanceError(
-                "total potential reached zero before all centers were chosen")
-        if DEBUG_CHECKS:
-            p = s / np.expand_dims(total, -1)
-            assert np.all((p >= 0.0) & (p <= 1.0))
-            assert np.all(np.abs(s.sum(axis=-1) / total - 1.0) <= 1e-12)
-        totals[step], exps[step] = total.flat[0], E
+    s, prefix, exps[0] = _scaled_totals(inst._w_m, inst._w_e)
+    totals[0] = _total(s, prefix)
+    picks[0] = rng.weighted_pick(prefix, U[0])
+    # the potentials, as every row, are plain doubles scaled by 2**-F
+    rows, F = inst.plain_row_source()
+    exps[1:] = F
+    s = rows(picks[0])
+    if not np.all(s < 2.0):
+        raise CapacityError(
+            f"the potentials after the first pick span more than"
+            f" {PLAIN_SEEDING_SPREAD} binary orders, beyond the plain-double engine")
+    lower = inst.interval_lowering()
+    final = _row_steps(rows, s, picks, U, totals) if lower is None else _bar_steps(
+        lower, s, picks, U, totals)
+    return picks, _norm(final, F), (totals, exps)
+
+
+def _row_steps(rows, s, picks, U, totals):
+    """Picks 1.. of a chunk, its trials at once: each pick takes the minimum
+    of every potential row ``s`` and the fetched rows, then prefix-sums the
+    rows whole.  Fills ``picks`` and ``totals`` (trial lo's) and returns the
+    final totals."""
+    T, L = s.shape
+    prefix, target, hit = np.empty((T, L)), np.empty(T), np.empty((T, L), dtype=bool)
+    np.cumsum(s, axis=1, out=prefix)
+    for step in range(1, len(U)):
+        totals[step] = _total(s, prefix)[0]
         pick = picks[step] = rng.weighted_pick(prefix, U[step], target, hit)
-        if step == 0:
-            # the potentials, as every row, are plain doubles scaled by 2**-E
-            rows, E = inst.plain_row_source()
-            s = rows(pick)
-            if not np.all(s < 2.0):
-                raise CapacityError(
-                    f"the potentials after the first pick span more than"
-                    f" {PLAIN_SEEDING_SPREAD} binary orders, beyond the plain-double engine")
-        else:
-            np.minimum(s, rows(pick), out=s)
-        prefix = np.cumsum(s, axis=1, out=buf)
-    return picks, _norm(prefix[:, -1], E), (totals, exps)
+        np.minimum(s, rows(pick), out=s)
+        np.cumsum(s, axis=1, out=prefix)
+    return prefix[:, -1]
+
+
+def _bar_steps(lower, s, picks, U, totals):
+    """Picks 1.. of a chunk, one trial at a time, with the bits of
+    :func:`_row_steps`.
+
+    Every two adjacent bars are dominant (``core._dominant``), so a pick in
+    bar b lowers no potential outside the bars strictly between b's chosen
+    neighbours: there its row is at least the row of a neighbour's chosen
+    end, which already bounds the potential, and the whole-row minimum
+    keeps the potential's bits.  A sorted list of the trial's chosen bars
+    gives those neighbours; ``lower`` takes the minimum over their
+    locations only, and the prefix sums are recomputed from the first of
+    them on, seeded with the unchanged prefix value before it, so each sum
+    adds the same terms in the same order as a whole-row ``np.cumsum``.
+    """
+    T, L = s.shape
+    prefix, final = np.empty(L), np.empty(T)
+    for t in range(T):
+        pot = s[t]
+        np.cumsum(pot, out=prefix)
+        chosen = [int(picks[0, t]) >> 1]
+        for step, u in enumerate(U[1:, t].tolist(), 1):
+            if not prefix[-1] > 0.0 or DEBUG_CHECKS:
+                _total(pot, prefix)
+            if t == 0:
+                totals[step] = prefix[-1]
+            j = picks[step, t] = rng.weighted_pick(prefix, u)
+            bar = int(j) >> 1
+            i = bisect_left(chosen, bar)
+            if i == len(chosen) or chosen[i] != bar:
+                chosen.insert(i, bar)
+            first = 2 * chosen[i - 1] + 2 if i else 0
+            lower(pot, j, first, 2 * chosen[i + 1] if i + 1 < len(chosen) else L)
+            # np.add.accumulate is np.cumsum without its call overhead
+            if first:
+                keep, pot[first - 1] = pot[first - 1], prefix[first - 1]
+                np.add.accumulate(pot[first - 1:], out=prefix[first - 1:])
+                pot[first - 1] = keep
+            else:
+                np.add.accumulate(pot, out=prefix)
+        final[t] = prefix[-1]
+    return final
 
 
 def _early_miss(cluster_ids, k, alpha, beta):

@@ -3,11 +3,12 @@
 Each function is the straightforward loop the package's block version
 reorders: one subset, one colour count, one draw step or one chosen set at
 a time, or, for the head-shift check, every bar where the package stops at
-the first absorbed one.  The instance generator builds one
-``WeightedLocation`` per end where the package writes the packed columns,
-and the packed seeding engine rescales every potential row by its largest
-exponent where the package keeps plain doubles under one 2**-F.  The
-package versions must return these results bit for bit.
+the first absorbed one.  The bar dominance scan reads every plain row value
+where the package reads the kernel's few distinct ones.  The instance
+generator builds one ``WeightedLocation`` per end where the package writes
+the packed columns, and the packed seeding engine rescales every potential
+row by its largest exponent where the package keeps plain doubles under
+one 2**-F.  The package versions must return these results bit for bit.
 """
 
 import itertools
@@ -94,6 +95,23 @@ def head_shift_start(inst, tail):
         if bad.size:
             shift = lo + int(bad[-1]) + 2
     return shift
+
+
+def bars_dominant(inst):
+    """Every value of every plain row, two adjacent bars (j // 2) at a time:
+    True iff on every column in bars <= a the smaller of bar a+1's two
+    values is at least the larger of bar a's, and on every column in bars
+    >= a+1 the smaller of bar a's is at least the larger of bar a+1's."""
+    L = inst.n_locations
+    rows, _ = inst.plain_row_source()
+    col_bar = np.arange(L) // 2
+    for a in range(inst.k - 1):
+        v = rows(np.arange(2 * a, 2 * a + 4))
+        lo, hi = np.minimum(v[0::2], v[1::2]), np.maximum(v[0::2], v[1::2])
+        left = col_bar <= a
+        if not (np.all(lo[1, left] >= hi[0, left]) and np.all(lo[0, ~left] >= hi[1, ~left])):
+            return False
+    return True
 
 
 def distinct_colors_exact(k):

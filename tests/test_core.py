@@ -324,6 +324,30 @@ def test_kernel_rows_match_every_row_under_a_zero_cap(monkeypatch):
         assert inst._rows.near.shape == (0, 2)  # the tail is every bar
 
 
+def test_kernel_lowering_takes_the_minimum_with_the_served_rows(monkeypatch):
+    # lower(s, j, lo, hi) against the whole plain row of j, for head and tail
+    # centers, on spans left of, across and right of the tail's first column
+    monkeypatch.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
+    rnd = np.random.default_rng(4)
+    for gen, k in itertools.product((gen_kmeans_bad, gen_kmedian_bad), (60, 300, 1100)):
+        inst = gen(k, 4.0, 1.0)
+        plain, _ = inst.plain_row_source()
+        lower, L, h = inst._rows.lowering(), inst.n_locations, len(inst._rows.near)
+        spans = [(0, L), (0, 5), (h - 3, h + 3), (h, L), (L - 1, L)]
+        spans += [tuple(sorted(rnd.integers(L + 1, size=2).tolist())) for _ in range(20)]
+        for j in (0, h - 1, h, L - 1, *rnd.integers(L, size=20).tolist()):
+            row = plain(np.array([j]))[0]
+            for lo, hi in spans:
+                # potentials on both sides of the row's values, +inf kept
+                with np.errstate(over="ignore"):
+                    s = row * rnd.choice([0.5, 2.0], size=L)
+                s += rnd.choice([0.0, 2.0 ** -900], size=L)
+                want = s.copy()
+                want[lo:hi] = np.minimum(s[lo:hi], row[lo:hi])
+                lower(s, j, lo, hi)
+                assert np.array_equal(s.view(np.int64), want.view(np.int64)), (k, j, lo, hi)
+
+
 def test_matrix_build_peaks_below_twice_the_cache():
     # the matrix is filled from the kernel's rows in row blocks, so its build
     # holds little beyond the packed and plain arrays it returns

@@ -1,5 +1,5 @@
-"""The block oracles and the head-shift check return the bits of their
-loop-at-a-time references."""
+"""The block oracles, the head-shift check and the bar dominance check
+return the bits of their loop-at-a-time references."""
 
 import itertools
 
@@ -12,7 +12,7 @@ from seedbounds.extfloat import ExtScalar
 from seedbounds.instances import brute_force_opt, gen_kmeans_bad, gen_kmedian_bad
 
 from test_core import _bar_one_replaced, _geometric_instance
-from test_seeding import _two_bar_instance
+from test_seeding import _M_R, _tall_head_bar, _two_bar_instance
 
 GENS = (gen_kmeans_bad, gen_kmedian_bad)
 
@@ -108,6 +108,68 @@ def test_head_shift_start_on_hand_built_instances():
             inst = _bar_one_replaced(geo, x, h, w)
             assert core._tail_start(inst) == 1
             assert core._head_shift_start(inst, 1) == ref.head_shift_start(inst, 1) > 90
+
+
+@pytest.mark.parametrize("gen", GENS)
+@pytest.mark.parametrize("k", [1025, 2000, 3000])
+def test_dominance_check_equals_the_full_scan(gen, k):
+    # every generated kernel on this grid is dominant
+    for m, r in _M_R:
+        inst = gen(k, m, r)
+        assert inst._row_cache().dominant is ref.bars_dominant(inst) is True, (m, r)
+
+
+def test_dominance_check_on_small_and_hand_built_kernels(monkeypatch):
+    monkeypatch.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
+    insts = [gen(k, m, r) for gen in GENS for k in (56, 60, 300) for m, r in _M_R]
+    for variant in core.ELL:
+        # the tail is every bar; one tall head bar; a tail from bar 2 on,
+        # with bar 1 moved far up, far right, or to x = 0 at half-height 4
+        # or 2: only the first and the last are dominant
+        geo = _geometric_instance(120, variant)
+        w = ExtScalar(1.0, -core.ELL[variant])
+        insts += [_geometric_instance(40, variant), _tall_head_bar(80, variant)]
+        insts += [_bar_one_replaced(geo, x, h, w) for x, h in (
+            (ExtScalar(0.0), ExtScalar(1.0, 40)), (ExtScalar(1.0, 40), ExtScalar(0.0)),
+            (ExtScalar(0.0), ExtScalar(1.0, 2)), (ExtScalar(0.0), ExtScalar(1.0, 1)))]
+    flags = []
+    for inst in insts:
+        assert isinstance(inst._row_cache(), core._BarGapKernel)
+        flags.append(inst._rows.dominant)
+        assert flags[-1] == ref.bars_dominant(inst), (inst.variant, inst.k)
+    assert flags.count(False) == 8
+
+
+def test_dominance_check_equals_the_full_scan_on_perturbed_kernels(monkeypatch):
+    # one served value of a dominant k=120 kernel scaled, whichever part of
+    # the check reads it: the tail rows, the head pairs' near rows, the
+    # junction pair's rows or the head columns of the tail bars (near block
+    # bars 1..54 over bars 1..108)
+    monkeypatch.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
+    rnd = np.random.default_rng(8)
+    for gen in GENS:
+        inst = gen(120, 4.0, 1.0)
+        kern = inst._row_cache()
+        assert kern.dominant and kern.near.shape == (108, 216)
+        # near row 107 is bar 54's bottom end, the junction's left bar;
+        # column 108 is bar 55's top end, the first tail bar, and column 214
+        # bar 108's, the last near-block bar, whose head columns every later
+        # bar repeats by scale
+        cases = [("near", (107, 108), 2.0), ("near", (107, 108), 0.5),
+                 ("near", (0, 108), 2.0 ** 8), ("near", (0, 214), 2.0 ** 8)]
+        for _ in range(60):
+            field = ("tail_plain", "near")[rnd.integers(2)]
+            shape = getattr(kern, field).shape
+            cases.append((field, tuple(int(rnd.integers(n)) for n in shape),
+                          (0.5, 0.99, 1.01, 2.0, 2.0 ** 20)[rnd.integers(5)]))
+        flags = []
+        for field, at, factor in cases:
+            values = getattr(kern, field).copy()
+            values[at] *= factor
+            inst._rows = kern._replace(**{field: values})
+            flags.append(core._dominant(inst._rows))
+            assert flags[-1] == ref.bars_dominant(inst), (field, at, factor)
+        assert flags[:4] == [False] * 4 and True in flags
 
 
 @pytest.mark.parametrize("chunk_elems", [1, 7 * 600])

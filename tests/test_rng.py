@@ -72,6 +72,14 @@ def test_weighted_pick_boundaries():
     assert rng.weighted_pick(prefix, np.array([0.4]))[0] == 1  # target = 2.0
     assert rng.weighted_pick(prefix, np.array([0.41]))[0] == 3
     assert rng.weighted_pick(prefix, np.array([1.0 - 2**-53]))[0] == 3
+    # a 1-D prefix picks the same by binary search, one u or a vector of them
+    u = [0.0, 0.4, 0.41, 1.0 - 2**-53]
+    assert [rng.weighted_pick(prefix[0], x) for x in u] == [1, 1, 3, 3]
+    assert rng.weighted_pick(prefix[0], np.array(u)).tolist() == [1, 1, 3, 3]
+    # equal neighbours: a target on a prefix value takes that bucket
+    equal = np.cumsum([1.0, 1.0, 1.0, 1.0])
+    u = np.array([0.0, 0.25, 0.5, 0.5 + 2**-53])
+    assert rng.weighted_pick(equal, u).tolist() == [0, 0, 1, 2]
 
     # random rows with zero-weight runs, u = 0, and extreme scales
     gen = np.random.default_rng(5)
@@ -112,6 +120,12 @@ def _prefix_and_u(draw):
 @settings(max_examples=300, deadline=None)
 @given(_prefix_and_u())
 def test_weighted_pick_is_the_count_below_the_target(case):
+    # a 2-D prefix with one u per row; each row as a 1-D prefix with every
+    # row's u, as a vector and one scalar at a time (Python and numpy floats)
     prefix, u = case
     assert np.array_equal(rng.weighted_pick(prefix, u), _counting_pick(prefix, u))
-    assert rng.weighted_pick(prefix[0], u[0]) == _counting_pick(prefix[0], u[0])
+    for row in prefix:
+        want = _counting_pick(np.broadcast_to(row, (len(u), len(row))), u)
+        assert np.array_equal(rng.weighted_pick(row, u), want)
+        assert [rng.weighted_pick(row, x) for x in u.tolist()] == want.tolist()
+        assert [rng.weighted_pick(row, x) for x in u] == want.tolist()

@@ -390,6 +390,106 @@ def test_seeding_computes_no_row_once_the_cache_is_built(monkeypatch):
         assert len(calls) == 0, inst.variant
 
 
+# (m, r): the unit scale, mantissas off a power of two, and scales far from 1
+_M_R = ((4.0, 1.0), (3.0, 0.7), (1e6, 2.0 ** -60), (1.0, 2.0 ** 40))
+
+
+def _interval_and_batch(inst, lo, hi):
+    """``_run_chunk`` on the interval loop, and on the batch loop forced by
+    the same kernel with its dominance flag cleared."""
+    kern = inst._row_cache()
+    assert isinstance(kern, core._BarGapKernel) and kern.dominant
+    got = seeding._run_chunk(inst, inst.k, 11, lo, hi)
+    inst._rows = kern._replace(dominant=False)
+    try:
+        assert inst.interval_lowering() is None
+        want = seeding._run_chunk(inst, inst.k, 11, lo, hi)
+    finally:
+        inst._rows = kern
+    return got, want
+
+
+def _assert_same_chunk(got, want, label):
+    """Picks, packed final costs and trial lo's normalizers, bit for bit."""
+    (gp, gf, gn), (wp, wf, wn) = got, want
+    assert np.array_equal(gp, wp), label
+    for a, b in zip(gf + gn, wf + wn):
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64)), label
+
+
+def _assert_packed_trial(inst, got, lo, label):
+    """Trial lo of an engine chunk from lo against the packed reference; the
+    normalizers compare as ExtScalars, the packed exponents being per-row
+    maxima."""
+    want = ref.run_chunk_packed(inst, inst.k, 11, lo, lo + 1)
+    assert np.array_equal(got[0][:, :1], want[0]), label
+    assert all(np.array_equal(a[:1], b) for a, b in zip(got[1], want[1])), label
+    assert ([*map(ExtScalar, *(a.tolist() for a in got[2]))]
+            == [*map(ExtScalar, *(a.tolist() for a in want[2]))]), label
+
+
+@pytest.mark.parametrize("gen", [gen_kmeans_bad, gen_kmedian_bad])
+@pytest.mark.parametrize("k", [1025, 2000, 3000])
+def test_interval_loop_matches_the_batch_loop_and_packed_engine(gen, k):
+    # chunks of 1, 2, 16 and 17 trials from trials 0 and 5, spread over the
+    # (m, r) grid, fewer of them at k=2000 and k=3000; the chunks from trial
+    # 5 also meet the packed reference on their first trial
+    sizes = {1025: ((1, 17), (2, 16), (16, 2), (17, 1)),
+             2000: ((1, 17), (2, 16), (1, 2), (2, 1)),
+             3000: ((1, 2), (2, 1), (1, 2), (2, 1))}[k]
+    for (m, r), trials in zip(_M_R, sizes):
+        inst = gen(k, m, r)
+        for lo, T in zip((0, 5), trials):
+            label = f"{inst.variant} k={k} m={m} r={r} trials {lo}..{lo + T - 1}"
+            got, want = _interval_and_batch(inst, lo, lo + T)
+            _assert_same_chunk(got, want, label)
+        _assert_packed_trial(inst, got, 5, label)
+
+
+def test_interval_loop_under_a_zero_cap(monkeypatch):
+    # below the matrix cap a zero cap caches the kernel: k=56 and 60 have no
+    # center whose head columns repeat by scale, k=300 does
+    monkeypatch.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
+    for gen in (gen_kmeans_bad, gen_kmedian_bad):
+        for k in (56, 60, 300):
+            for m, r in _M_R:
+                inst = gen(k, m, r)
+                for lo in (0, 5):
+                    for T in (1, 2, 16, 17):
+                        label = f"{inst.variant} k={k} m={m} r={r} trials {lo}..{lo + T - 1}"
+                        got, want = _interval_and_batch(inst, lo, lo + T)
+                        _assert_same_chunk(got, want, label)
+                _assert_packed_trial(inst, got, 5, label)
+
+
+def _tall_head_bar(k, variant):
+    """The generated instance with bar 10's half-height times 8: bar 11's
+    ends then sit closer to bar 9's than bar 10's do, so bars 10 and 11 are
+    not dominant."""
+    gen = gen_kmeans_bad if variant == "kmeans" else gen_kmedian_bad
+    locs = list(gen(k, 4.0, 1.0).locations)
+    locs[18:20] = [WeightedLocation(loc.cluster_id, loc.end_id, loc.x, loc.y_mag.shifted(3),
+                                    loc.weight) for loc in locs[18:20]]
+    return Instance(locs, k, 4.0, 1.0, variant)
+
+
+def test_a_kernel_that_fails_the_dominance_check_runs_the_batch_loop(monkeypatch):
+    for variant, k in (("kmeans", 80), ("kmedian", 120)):
+        want_inst = _tall_head_bar(k, variant)   # under the cap: the full matrix
+        want = run_trials(want_inst, 20, rng_seed=6, alpha=0.5, beta=0.5)
+        traces = [seed(want_inst, rng_seed=6, trial_index=t) for t in (0, 19)]
+        assert isinstance(want_inst._rows, core._Matrix)
+        with monkeypatch.context() as mp:
+            mp.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
+            inst = _tall_head_bar(k, variant)
+            got = run_trials(inst, 20, rng_seed=6, alpha=0.5, beta=0.5)
+            assert isinstance(inst._rows, core._BarGapKernel)
+            assert not inst._rows.dominant and not ref.bars_dominant(inst)
+            assert inst.interval_lowering() is None
+            assert [seed(inst, rng_seed=6, trial_index=t) for t in (0, 19)] == traces
+        _assert_same_arrays(want, got)
+
+
 def test_first_trial_offset_selects_same_streams():
     inst = gen_kmeans_bad(3, 4.0, 1.0)
     whole = run_trials(inst, 30, rng_seed=9)
