@@ -29,7 +29,7 @@ _SH27 = np.uint64(27)
 _SH31 = np.uint64(31)
 _SH11 = np.uint64(11)
 _TO_UNIT = 2.0 ** -53
-_TINY = np.nextafter(0.0, 1.0)   # the least pick target
+_TINY = float(np.nextafter(0.0, 1.0))   # the least pick target
 
 # The one chunking constant: a chunk of any batched trial loop (and of the
 # centers core.cost streams, and of the rows trials.csv is written in) holds
@@ -101,7 +101,10 @@ def weighted_pick(prefix: np.ndarray, u, target=None, hit=None):
     is the same without them.
     """
     if prefix.ndim == 1:
-        # side="left", searchsorted's default, counts the values below
+        # side="left", searchsorted's default, counts the values below; a
+        # float u forms the target in Python floats, with the same bits
+        if isinstance(u, float):
+            return prefix.searchsorted(max(u * prefix.item(-1), _TINY))
         return prefix.searchsorted(np.maximum(u * prefix[-1], _TINY))
     target = np.maximum(np.multiply(u, prefix[:, -1], out=target), _TINY, out=target)
     return np.greater_equal(prefix, target[:, None], out=hit).argmax(axis=-1)

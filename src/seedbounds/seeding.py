@@ -36,11 +36,12 @@ kernel whose adjacent bars are all dominant, a check made once at the
 kernel's build (``core._dominant``): left of two adjacent bars the right
 one's row values are at least the left one's, right of them the reverse.
 A pick in bar b then lowers potentials only on the bars strictly between
-b's chosen neighbours, so the loop takes one trial at a time, keeps its
-chosen bars in a sorted list, takes the minimum over those bars only and
-recomputes the prefix sums from their first location on, in the order
-of a whole-row cumsum.  The full matrix, and a kernel that fails the
-check, take the batch loop.
+b's chosen neighbours.  The loop takes the chunk's trials in pairs, each
+in one lane of interleaved buffers: each trial keeps its chosen bars in a
+sorted list and takes the minimum over those bars only, and one complex128
+cumsum recomputes both lanes' prefix sums from the first location either
+changed, each lane in the order of a whole-row cumsum.  The full matrix,
+and a kernel that fails the check, take the batch loop.
 
 There is one engine, on plain doubles.  Its rows come from
 :meth:`Instance.plain_row_source`: weighted rows as plain doubles scaled by
@@ -202,55 +203,74 @@ def _row_steps(rows, s, picks, U, totals):
     final totals."""
     T, L = s.shape
     prefix, target, hit = np.empty((T, L)), np.empty(T), np.empty((T, L), dtype=bool)
-    np.cumsum(s, axis=1, out=prefix)
+    np.add.accumulate(s, axis=1, out=prefix)
     for step in range(1, len(U)):
         totals[step] = _total(s, prefix)[0]
         pick = picks[step] = rng.weighted_pick(prefix, U[step], target, hit)
         np.minimum(s, rows(pick), out=s)
-        np.cumsum(s, axis=1, out=prefix)
+        np.add.accumulate(s, axis=1, out=prefix)
     return prefix[:, -1]
 
 
 def _bar_steps(lower, s, picks, U, totals):
-    """Picks 1.. of a chunk, one trial at a time, with the bits of
+    """Picks 1.. of a chunk, its trials in pairs, with the bits of
     :func:`_row_steps`.
 
     Every two adjacent bars are dominant (``core._dominant``), so a pick in
     bar b lowers no potential outside the bars strictly between b's chosen
     neighbours: there its row is at least the row of a neighbour's chosen
     end, which already bounds the potential, and the whole-row minimum
-    keeps the potential's bits.  A sorted list of the trial's chosen bars
-    gives those neighbours; ``lower`` takes the minimum over their
-    locations only, and the prefix sums are recomputed from the first of
-    them on, seeded with the unchanged prefix value before it, so each sum
-    adds the same terms in the same order as a whole-row ``np.cumsum``.
+    keeps the potential's bits.  A pair's potentials and prefix sums lie
+    interleaved in two (2k, 2) buffers, one trial per lane.  Each trial
+    picks on its lane's prefix sums, keeps its chosen bars in a sorted list
+    that gives those neighbours, and ``lower`` takes the minimum over their
+    locations only.  One ``np.add.accumulate`` over the buffers' complex128
+    view then recomputes both lanes' prefix sums from the first location
+    either trial changed, seeded with each lane's unchanged prefix value
+    before it, so each sum adds the same terms in the same order as a
+    whole-row ``np.cumsum``: the complex sum adds the lanes apart.  An odd
+    chunk's last trial runs beside a lane of zeros, which it never reads.
+    A chunk raises DegenerateInstanceError at the first step where either
+    trial's total is zero.
     """
     T, L = s.shape
-    prefix, final = np.empty(L), np.empty(T)
-    for t in range(T):
-        pot = s[t]
-        np.cumsum(pot, out=prefix)
-        chosen = [int(picks[0, t]) >> 1]
-        for step, u in enumerate(U[1:, t].tolist(), 1):
-            if not prefix[-1] > 0.0 or DEBUG_CHECKS:
-                _total(pot, prefix)
-            if t == 0:
-                totals[step] = prefix[-1]
-            j = picks[step, t] = rng.weighted_pick(prefix, u)
-            bar = int(j) >> 1
-            i = bisect_left(chosen, bar)
-            if i == len(chosen) or chosen[i] != bar:
-                chosen.insert(i, bar)
-            first = 2 * chosen[i - 1] + 2 if i else 0
-            lower(pot, j, first, 2 * chosen[i + 1] if i + 1 < len(chosen) else L)
+    pot, prefix, final = np.zeros((L, 2)), np.empty((L, 2)), np.empty(T)
+    zpot, zprefix = (a.view(np.complex128)[:, 0] for a in (pot, prefix))
+    for lo in range(0, T, 2):
+        pair = range(lo, min(lo + 2, T))
+        pot[:, :len(pair)] = s[lo:pair.stop].T
+        pot[:, len(pair):] = 0.0
+        np.add.accumulate(zpot, out=zprefix)
+        # per trial: its index, lane views, chosen bars, uniforms and picks
+        lanes = [(t, pot[:, i], prefix[:, i], [int(picks[0, t]) >> 1], U[1:, t].tolist(), [])
+                 for i, t in enumerate(pair)]
+        for step in range(1, len(U)):
+            start = L
+            for t, p, c, chosen, u, out in lanes:
+                total = c.item(-1)
+                if not total > 0.0 or DEBUG_CHECKS:
+                    _total(p, c)
+                if t == 0:
+                    totals[step] = total
+                j = rng.weighted_pick(c, u[step - 1])
+                out.append(j)
+                bar = int(j) >> 1
+                i = bisect_left(chosen, bar)
+                if i == len(chosen) or chosen[i] != bar:
+                    chosen.insert(i, bar)
+                first = 2 * chosen[i - 1] + 2 if i else 0
+                lower(p, j, first, 2 * chosen[i + 1] if i + 1 < len(chosen) else L)
+                start = min(start, first)
             # np.add.accumulate is np.cumsum without its call overhead
-            if first:
-                keep, pot[first - 1] = pot[first - 1], prefix[first - 1]
-                np.add.accumulate(pot[first - 1:], out=prefix[first - 1:])
-                pot[first - 1] = keep
+            if start:
+                keep, zpot[start - 1] = zpot[start - 1], zprefix[start - 1]
+                np.add.accumulate(zpot[start - 1:], out=zprefix[start - 1:])
+                zpot[start - 1] = keep
             else:
-                np.add.accumulate(pot, out=prefix)
-        final[t] = prefix[-1]
+                np.add.accumulate(zpot, out=zprefix)
+        for t, *_, out in lanes:
+            picks[1:, t] = out
+        final[lo:pair.stop] = prefix[-1, :len(pair)]
     return final
 
 

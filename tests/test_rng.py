@@ -129,3 +129,33 @@ def test_weighted_pick_is_the_count_below_the_target(case):
         assert np.array_equal(rng.weighted_pick(row, u), want)
         assert [rng.weighted_pick(row, x) for x in u.tolist()] == want.tolist()
         assert [rng.weighted_pick(row, x) for x in u] == want.tolist()
+        lane = _lane(row, 1)
+        assert [rng.weighted_pick(lane, x) for x in u.tolist()] == want.tolist()
+
+
+def _lane(row, i):
+    """``row`` as lane i of an interleaved (len(row), 2) buffer: a strided
+    1-D view, the other lane filled with garbage it must not read."""
+    pair = np.full((len(row), 2), np.nan)
+    pair[:, i] = row
+    return pair[:, i]
+
+
+def test_a_strided_lane_picks_as_its_contiguous_copy():
+    # u = 0 skips leading zero weights; u * total landing on a prefix value
+    # takes the lower bucket; a total of 2**-1074 puts every target on the
+    # least pick target, and u = 0 on a tiny prefix floors it there
+    cases = [([0.0, 2.0, 0.0, 3.0], [0.0, 0.4, 0.41, 0.5, 1.0 - 2**-53]),
+             ([1.0, 1.0, 1.0, 1.0], [0.0, 0.25, 0.5, 0.5 + 2**-53, 0.75]),
+             ([0.0, 0.0, 2.0**-1074], [0.0, 0.5, 1.0 - 2**-53]),
+             ([0.0, 2.0**-1074, 2.0**-1074], [0.0, 0.25, 0.5, 0.75]),
+             ([0.0, 2.0**-1000, 3.0 * 2.0**-1000], [0.0, 2.0**-53, 0.25, 0.5])]
+    for weights, u in cases:
+        row = np.cumsum(weights)
+        want = _counting_pick(np.broadcast_to(row, (len(u), len(row))), np.array(u)).tolist()
+        assert [rng.weighted_pick(row, x) for x in u] == want, weights
+        for i in (0, 1):
+            lane = _lane(row, i)
+            assert not lane.flags.c_contiguous and lane.strides == (16,)
+            assert [rng.weighted_pick(lane, x) for x in u] == want, (weights, i)
+            assert rng.weighted_pick(lane, np.array(u)).tolist() == want, (weights, i)

@@ -462,6 +462,31 @@ def test_interval_loop_under_a_zero_cap(monkeypatch):
                 _assert_packed_trial(inst, got, 5, label)
 
 
+@pytest.mark.parametrize("gen", [gen_kmeans_bad, gen_kmedian_bad])
+@pytest.mark.parametrize("k", [56, 300, 1025, 2000])
+def test_pairing_trials_in_the_interval_loop_is_invisible(gen, k, monkeypatch, debug_checks):
+    # the interval loop runs a chunk's trials two at a time: trial 6 alone
+    # (beside an idle lane), paired with its left neighbour (lane 1), with
+    # its right one (lane 0) and as the lone last trial of the odd chunk
+    # 4..6; below the matrix cap a zero cap caches the kernel
+    if k < 1025:
+        monkeypatch.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
+    inst = gen(k, 4.0, 1.0)
+    assert inst.interval_lowering() is not None
+    tr = seed(inst, rng_seed=11, trial_index=6)
+    for lo, hi in ((5, 7), (6, 8), (4, 7)):
+        picks, (final_m, final_e), (totals, exps) = seeding._run_chunk(inst, k, 11, lo, hi)
+        assert tuple(picks[:, 6 - lo].tolist()) == tr.centers, (lo, hi)
+        assert (final_m[6 - lo], final_e[6 - lo]) == (tr.final_cost.m, tr.final_cost.e), (lo, hi)
+        if lo == 6:
+            assert tuple(map(ExtScalar, totals.tolist(), exps.tolist())) == tr.potentials
+    for first in (5, 6):
+        arr = run_trials(inst, 2, 11, first_trial=first)
+        assert arr.coverage[6 - first] == tr.coverage_counts[-1]
+        assert (arr.final_m[6 - first], arr.final_e[6 - first]) == (tr.final_cost.m,
+                                                                     tr.final_cost.e)
+
+
 def _tall_head_bar(k, variant):
     """The generated instance with bar 10's half-height times 8: bar 11's
     ends then sit closer to bar 9's than bar 10's do, so bars 10 and 11 are
