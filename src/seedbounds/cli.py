@@ -66,6 +66,10 @@ def _cmd_exact(args) -> int:
 
 def _cmd_ballgame(args) -> int:
     if args.mode == "plain":
+        # the uniform urn weighs every ball alike: only gamma = 1 describes it
+        if args.gamma != 1.0:
+            raise ConfigError(f"--mode plain draws uniformly, with gamma 1;"
+                              f" got --gamma {_fmt(args.gamma)}")
         threshold = 7.0 / 8.0
         bound = bounds.uniform_tail_bound(args.k)
         if args.exact:

@@ -89,6 +89,7 @@ class ExperimentConfig:
         # trial indices are int64: 0 .. 2**63 - 1
         if not 1 <= self.trials <= 2**63:
             raise ConfigError(f"trials must lie in 1 .. 2**63, got {self.trials}")
+        rng.check_seed(self.master_seed)
         bounds.check_fractions(self.alpha, self.beta, self.eta)
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 ALGORITHM = "splitmix64-counter/v1"
 
 _MASK = (1 << 64) - 1
@@ -54,6 +56,16 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _SH31)
 
 
+def check_seed(seed: int) -> None:
+    """ConfigError unless ``seed`` lies in 0 .. 2**64 - 1.
+
+    The streams read a seed modulo 2**64, so two seeds outside that range
+    that differ by a multiple of it would give the same variates.
+    """
+    if not 0 <= seed <= _MASK:
+        raise ConfigError(f"seed must lie in 0..2**64 - 1, got {seed}")
+
+
 def stream_base(seed: int, trial_index: int) -> int:
     return mix64((mix64(seed ^ GAMMA) + trial_index) & _MASK)
 
@@ -80,8 +92,8 @@ def uniform_matrix(seed: int, trial_indices: np.ndarray, n: int) -> np.ndarray:
     return (raw >> _SH11).astype(np.float64) * _TO_UNIT
 
 
-def weighted_pick(prefix: np.ndarray, u, target=None, hit=None):
-    """Cumulative-inversion pick along the last axis.
+def weighted_pick(prefix: np.ndarray, u, target=None, hit=None, axis=-1):
+    """Cumulative-inversion pick along the last axis, or down the columns.
 
     ``prefix`` must be the cumulative sum of nonnegative weights along the
     last axis, with a positive total, and ``u`` lie in [0, 1).  The pick is
@@ -95,8 +107,12 @@ def weighted_pick(prefix: np.ndarray, u, target=None, hit=None):
     A 1-D prefix takes a scalar ``u`` (one pick) or a vector (one pick per
     entry) and counts by binary search, ``np.searchsorted(prefix, target,
     side="left")``; a 2-D prefix takes one ``u`` per row and counts by a
-    compare and an argmax along it.  For the 2-D form, ``target`` (one
-    entry per row) and ``hit`` (a bool array shaped like ``prefix``) are
+    compare and an argmax along it.  With ``axis=0`` a 2-D prefix holds its
+    sums down the columns instead (one ``u`` and one pick per column, the
+    totals in the last row), and the pick counts the values below the
+    target down each column: a trials-minor layout picks as the row form
+    does on the transposed copy.  For the 2-D forms, ``target`` (one entry per row, or
+    per column) and ``hit`` (a bool array shaped like ``prefix``) are
     optional work arrays a caller that picks many times can own; the pick
     is the same without them.
     """
@@ -106,5 +122,11 @@ def weighted_pick(prefix: np.ndarray, u, target=None, hit=None):
         if isinstance(u, float):
             return prefix.searchsorted(max(u * prefix.item(-1), _TINY))
         return prefix.searchsorted(np.maximum(u * prefix[-1], _TINY))
+    if axis == 0:
+        target = np.maximum(np.multiply(u, prefix[-1], out=target), _TINY, out=target)
+        # a bool is one byte: summing the bytes into int32 counts spares the
+        # buffered bool-to-int64 cast of .sum(axis=0), which is slower
+        below = np.less(prefix, target, out=hit).view(np.uint8)
+        return np.add.reduce(below, axis=0, dtype=np.int32)
     target = np.maximum(np.multiply(u, prefix[:, -1], out=target), _TINY, out=target)
     return np.greater_equal(prefix, target[:, None], out=hit).argmax(axis=-1)

@@ -286,9 +286,10 @@ def seed(inst: Instance, n_centers: int | None = None, ell: int | None = None,
          rng_seed: int = 0, trial_index: int = 0) -> SeedingTrace:
     """Run one seeding trial; fully deterministic given (rng_seed, trial_index).
 
-    Samples by ``inst.ell``; an ``ell`` other than that, or a trial index
-    outside 0 .. 2**63 - 1, raises ConfigError.  Entry j of
-    ``coverage_counts`` counts the distinct clusters of picks 0..j.
+    Samples by ``inst.ell``; an ``ell`` other than that, a trial index
+    outside 0 .. 2**63 - 1 or a seed outside 0 .. 2**64 - 1 raises
+    ConfigError.  Entry j of ``coverage_counts`` counts the distinct
+    clusters of picks 0..j.
     """
     n = inst.k if n_centers is None else int(n_centers)
     if not 1 <= n <= inst.n_locations:
@@ -296,6 +297,7 @@ def seed(inst: Instance, n_centers: int | None = None, ell: int | None = None,
     if ell is not None and ell != inst.ell:
         raise ConfigError(f"{inst.variant} seeding samples by ell={inst.ell}, got {ell}")
     _check_trials(trial_index, 1)
+    rng.check_seed(rng_seed)
     picks, (final_m, final_e), (totals, exps) = _run_chunk(inst, n, rng_seed, trial_index,
                                                            trial_index + 1)
     centers = picks[:, 0]
@@ -332,6 +334,7 @@ def run_trials(inst: Instance, trials: int, rng_seed: int,
     any sampling.
     """
     _check_trials(first_trial, trials)
+    rng.check_seed(rng_seed)
     check_fractions(alpha, beta)
     parts = []  # per chunk: the TrialArrays fields in order
     for lo, hi in rng.trial_chunks(first_trial, trials, inst.n_locations):

@@ -81,20 +81,25 @@ def distinct_colors_mc(k: int, trials: int, rng_seed: int) -> DistinctColorDistr
     """Monte Carlo of the uniform draw; deterministic given the seed.
 
     Each trial ranks 2k per-trial uniforms and keeps the k smallest, which
-    selects a uniformly random k-subset of balls.
+    selects a uniformly random k-subset of balls.  A row's k smallest are
+    the values at most its k-th smallest, found by partitioning values,
+    not indices.  Where that selects more than k (a tie at the k-th value),
+    the row falls back to the first k indices of ``np.argpartition``, so
+    every row keeps the subset an index partition gives.
     """
     _check_k(k)
     _check_trials(trials)
+    rng.check_seed(rng_seed)
     counts = np.zeros(k + 1, dtype=np.int64)
     for lo, hi in rng.trial_chunks(0, trials, 2 * k):
         U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), 2 * k)
-        T = hi - lo
-        sel = np.zeros((T, 2 * k), dtype=bool)
-        order = np.argpartition(U, k - 1, axis=1)[:, :k]
-        sel[np.arange(T)[:, None], order] = True
-        both = (sel[:, 0::2] & sel[:, 1::2]).sum(axis=1)
-        distinct = k - both
-        counts += np.bincount(distinct, minlength=k + 1)
+        sel = U <= np.partition(U, k - 1, axis=1)[:, k - 1:k]
+        tie = np.flatnonzero(np.count_nonzero(sel, axis=1) > k)
+        if tie.size:
+            sel[tie] = False
+            sel[tie[:, None], np.argpartition(U[tie], k - 1, axis=1)[:, :k]] = True
+        both = np.count_nonzero(sel[:, 0::2] & sel[:, 1::2], axis=1)
+        counts += np.bincount(k - both, minlength=k + 1)
     return DistinctColorDistribution(k, counts / trials)
 
 
@@ -106,23 +111,33 @@ def biased_distinct_colors_dp(k: int, gamma: float) -> DistinctColorDistribution
     times the weight on each of the 2(k-c) unseen-color balls against the
     2c - t remaining balls of seen colors.  The complementary probability
     is formed as ``1 - p_new`` so each state's transitions sum to exactly 1.
+
+    After t draws only the band c = ceil(t/2) .. t is reachable, and every
+    state outside it has probability exactly 0, so each step updates the
+    band alone, in two buffers that swap.  In the band the denominator is
+    positive; each state gets the products and sums that stepping all
+    k + 1 states gives, in the same order, so the same bits.
     """
     _check_k(k)
     _check_gamma(gamma)
-    P = np.zeros(k + 1)
-    P[0] = 1.0
     c = np.arange(k + 1, dtype=np.float64)
+    new_w, two_c = 2.0 * gamma * (k - c), 2.0 * c
+    P, nxt = np.zeros(k + 1), np.zeros(k + 1)
+    P[0] = 1.0
+    denom, p_new, p_old = np.empty(k + 1), np.empty(k + 1), np.empty(k + 1)
     for t in range(k):
-        new_w = 2.0 * gamma * (k - c)
-        old_w = 2.0 * c - t
-        denom = new_w + old_w
-        live = P > 0.0
-        p_new = np.where(live, new_w / np.where(denom == 0.0, 1.0, denom), 0.0)
-        p_old = np.where(live, 1.0 - p_new, 0.0)
-        nxt = P * p_old
-        nxt[1:] += (P * p_new)[:-1]
-        P = nxt
-    return DistinctColorDistribution(k, P)
+        lo = (t + 1) // 2
+        band, n = slice(lo, t + 1), t + 1 - lo
+        d = np.add(new_w[band], np.subtract(two_c[band], t, out=denom[:n]), out=denom[:n])
+        pn = np.divide(new_w[band], d, out=p_new[:n])
+        np.multiply(P[band], np.subtract(1.0, pn, out=p_old[:n]), out=nxt[band])
+        nxt[t + 1] = 0.0
+        nxt[lo + 1:t + 2] += np.multiply(P[band], pn, out=pn)
+        P, nxt = nxt, P
+    lo = (k + 1) // 2
+    probs = np.zeros(k + 1)
+    probs[lo:] = P[lo:]
+    return DistinctColorDistribution(k, probs)
 
 
 def biased_distinct_colors_mc(k: int, gamma: float, trials: int,
@@ -130,33 +145,48 @@ def biased_distinct_colors_mc(k: int, gamma: float, trials: int,
     """Sequential simulation of the biased draw; deterministic given the seed.
 
     Works on blocks of trials on the :func:`rng.trial_chunks` grid.  A
-    block's weight rows are carried from step to step: a draw zeroes the
-    drawn ball and, if its color was unseen, sets its mate's weight to 1.
-    Each step's weights, prefix sums and picks are those of rows rebuilt
-    from the drawn and seen flags, the same bits.
+    block's weights are held trials-minor, one column per trial, and carried
+    from step to step: a draw zeroes the drawn ball and, if its color was
+    unseen, sets its mate's weight to 1.  Each step's weights, prefix sums
+    and picks are those of rows rebuilt from the drawn and seen flags, the
+    same bits.
+
+    The block has an even number of columns: an odd block's last trial is
+    run twice, in a spare column whose copy is not counted.  One complex128
+    ``np.add.accumulate`` down the columns sums two adjacent trials at once,
+    one per lane; each lane adds the terms of a row cumsum in its order.
     """
     _check_k(k)
     _check_gamma(gamma)
     _check_trials(trials)
+    rng.check_seed(rng_seed)
     counts = np.zeros(k + 1, dtype=np.int64)
-    for lo, hi in rng.trial_chunks(0, trials, 2 * k):
+    chunks = list(rng.trial_chunks(0, trials, 2 * k))
+    # work buffers for the first chunk, the largest, and a spare column;
+    # every chunk works on their leading elements
+    most = chunks[0][1] + 1
+    w_buf, prefix_buf, hit_buf = (np.empty(2 * k * most, dtype=d) for d in (float, float, bool))
+    target_buf = np.empty(most)
+    for lo, hi in chunks:
         T = hi - lo
-        U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), k)
-        w = np.full((T, 2 * k), gamma)
-        prefix = np.empty_like(w)
-        seen = np.zeros((T, k), dtype=bool)
-        row_ix, target, hit = np.arange(T), np.empty(T), np.empty((T, 2 * k), dtype=bool)
+        cols = np.arange(T + T % 2)
+        w, prefix, hit = (b[:2 * k * cols.size].reshape(2 * k, -1)
+                          for b in (w_buf, prefix_buf, hit_buf))
+        w.fill(gamma)
+        lanes, lane_prefix = w.view(np.complex128), prefix.view(np.complex128)
+        # one row of uniforms per column: the spare repeats trial hi - 1
+        U = rng.uniform_matrix(rng_seed, np.minimum(lo + cols, hi - 1).astype(np.uint64), k)
         for t in range(k):
-            np.cumsum(w, axis=1, out=prefix)
-            pick = rng.weighted_pick(prefix, U[:, t], target, hit)
-            # the seen flags, not the weights, tell a new color: at gamma = 1
-            # an unseen ball weighs what a seen one does
-            color = pick // 2
-            new = ~seen[row_ix, color]
-            w[row_ix, pick] = 0.0
-            w[row_ix[new], pick[new] ^ 1] = 1.0
-            seen[row_ix, color] = True
-        counts += np.bincount(seen.sum(axis=1), minlength=k + 1)
+            np.add.accumulate(lanes, axis=0, out=lane_prefix)
+            pick = rng.weighted_pick(prefix, U[:, t], target_buf[:cols.size], hit, axis=0)
+            # the mate's weight, not the picked ball's, tells a new color: the
+            # mate is drawn (0) iff its color is seen, and weighs gamma if not
+            mate = pick ^ 1
+            w[mate, cols] = np.minimum(w[mate, cols], 1.0)
+            w[pick, cols] = 0.0
+        # a color is seen iff one of its balls is drawn, that is weighs 0
+        unseen = np.count_nonzero((w[0::2, :T] > 0.0) & (w[1::2, :T] > 0.0), axis=0)
+        counts += np.bincount(k - unseen, minlength=k + 1)
     return DistinctColorDistribution(k, counts / trials)
 
 

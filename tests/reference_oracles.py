@@ -8,7 +8,11 @@ where the package reads the kernel's few distinct ones.  The instance
 generator builds one ``WeightedLocation`` per end where the package writes
 the packed columns, and the packed seeding engine rescales every potential
 row by its largest exponent where the package keeps plain doubles under
-one 2**-F.  The package versions must return these results bit for bit.
+one 2**-F.  The uniform urn's Monte Carlo ranks indices where the package
+partitions values, the biased urn's DP steps every state where the package
+steps the reachable band, and the biased urn's Monte Carlo works on rows
+where the package works on columns.  The package versions must return
+these results bit for bit.
 """
 
 import itertools
@@ -122,6 +126,39 @@ def distinct_colors_exact(k):
         num = (math.comb(k, i) * math.comb(i, k - i)) << (2 * i - k)
         probs[i] = num / den
     return DistinctColorDistribution(k, probs)
+
+
+def distinct_colors_mc(k, trials, rng_seed):
+    """Ranks every trial's 2k uniforms by index (``argpartition``) and keeps
+    the first k."""
+    counts = np.zeros(k + 1, dtype=np.int64)
+    for lo, hi in rng.trial_chunks(0, trials, 2 * k):
+        U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), 2 * k)
+        T = hi - lo
+        sel = np.zeros((T, 2 * k), dtype=bool)
+        order = np.argpartition(U, k - 1, axis=1)[:, :k]
+        sel[np.arange(T)[:, None], order] = True
+        both = (sel[:, 0::2] & sel[:, 1::2]).sum(axis=1)
+        counts += np.bincount(k - both, minlength=k + 1)
+    return DistinctColorDistribution(k, counts / trials)
+
+
+def biased_distinct_colors_dp(k, gamma):
+    """Steps all k + 1 states at every draw, masking the zero ones."""
+    P = np.zeros(k + 1)
+    P[0] = 1.0
+    c = np.arange(k + 1, dtype=np.float64)
+    for t in range(k):
+        new_w = 2.0 * gamma * (k - c)
+        old_w = 2.0 * c - t
+        denom = new_w + old_w
+        live = P > 0.0
+        p_new = np.where(live, new_w / np.where(denom == 0.0, 1.0, denom), 0.0)
+        p_old = np.where(live, 1.0 - p_new, 0.0)
+        nxt = P * p_old
+        nxt[1:] += (P * p_new)[:-1]
+        P = nxt
+    return DistinctColorDistribution(k, P)
 
 
 def biased_distinct_colors_mc(k, gamma, trials, rng_seed):

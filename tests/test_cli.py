@@ -171,6 +171,41 @@ def test_ballgame_biased_mc_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_ballgame_plain_refuses_a_gamma(tmp_path):
+    # the uniform urn has no gamma: only 1, the default, describes it
+    out = tmp_path / "x.csv"
+    assert run("ballgame", "--mode", "plain", "--gamma", 7, "--k", 8, "--trials", 50,
+               "--out", out) == 2
+    assert run("ballgame", "--mode", "plain", "--gamma", 2, "--k", 8, "--exact",
+               "--out", out) == 2
+    assert not out.exists()
+    assert run("ballgame", "--mode", "plain", "--gamma", 1, "--k", 8, "--trials", 50,
+               "--out", out) == 0
+    assert "gamma=1 " in out.read_text()
+
+
+def test_seeds_outside_64_bits_exit_2(tmp_path):
+    # -1 and 2**64 - 1 would give the same variates, as would 2**64 and 0
+    out = tmp_path / "x.csv"
+    for bad in (-1, 2**64):
+        assert run("seed", "--k", 8, "--trials", 3, "--seed", bad, "--out", out) == 2
+        for mode in ("plain", "biased"):
+            assert run("ballgame", "--mode", mode, "--k", 8, "--trials", 50, "--seed", bad,
+                       "--out", out) == 2
+    assert not out.exists()
+    top = 2**64 - 1
+    assert run("seed", "--k", 8, "--trials", 3, "--seed", top, "--out", out) == 0
+    assert f"master_seed={top} " in out.read_text()
+    assert run("report", out, "--out", tmp_path / "r.txt") == 0
+    assert run("ballgame", "--mode", "biased", "--gamma", 2, "--k", 8, "--trials", 50,
+               "--seed", top, "--out", tmp_path / "b.csv") == 0
+    # a trials.csv whose header names a seed outside the range is refused
+    edited = tmp_path / "edited.csv"
+    edited.write_text(out.read_text().replace(f"master_seed={top} ", "master_seed=-5 "))
+    assert "master_seed=-5 " in edited.read_text()
+    assert run("report", edited, "--out", tmp_path / "e.txt") == 2
+
+
 def test_ballgame_requires_source(tmp_path):
     # neither --exact nor --trials
     assert run("ballgame", "--k", 8, "--out", tmp_path / "x.csv") == 2

@@ -1,5 +1,5 @@
-"""The block oracles, the head-shift check and the bar dominance check
-return the bits of their loop-at-a-time references."""
+"""The block oracles, the urn oracles, the head-shift check and the bar
+dominance check return the bits of their loop-at-a-time references."""
 
 import itertools
 
@@ -49,12 +49,50 @@ def test_closed_form_bits():
                               ref.distinct_colors_exact(k).probs), k
 
 
+@pytest.mark.parametrize("gamma", [1.0, 1.3, 2.3, 5.0])
+def test_biased_dp_bits(gamma):
+    # the band DP against the DP over all k + 1 states: every state, in and
+    # out of the band, and the exact zeros of the unreachable ones
+    for k in [*range(1, 301), 1025, 2048, 2049]:
+        got, want = urn.biased_distinct_colors_dp(k, gamma).probs, \
+            ref.biased_distinct_colors_dp(k, gamma).probs
+        assert got.tobytes() == want.tobytes(), k
+        assert not got[:(k + 1) // 2].any(), k
+
+
 @pytest.mark.parametrize("gamma", [1.0, 1.3, 5.0])
 def test_biased_mc_bits(gamma):
-    # 600 trials span two trial chunks at k = 64
+    # 600 trials span two trial chunks at k = 64.  601 make an odd chunk at
+    # every k, whose last trial runs beside its copy in the spare column:
+    # one chunk of 601 at k <= 17, chunks of 512 and 89 at k = 64
     for k in (1, 3, 17, 64):
-        assert np.array_equal(urn.biased_distinct_colors_mc(k, gamma, 600, 5).probs,
-                              ref.biased_distinct_colors_mc(k, gamma, 600, 5).probs), k
+        for trials in (600, 601):
+            assert np.array_equal(urn.biased_distinct_colors_mc(k, gamma, trials, 5).probs,
+                                  ref.biased_distinct_colors_mc(k, gamma, trials, 5).probs), \
+                (k, trials)
+
+
+def test_uniform_mc_bits():
+    # 601 trials: a chunk of 512 and one of 89 at k = 64
+    for k in (1, 2, 3, 17, 64):
+        for trials in (1, 600, 601):
+            assert np.array_equal(urn.distinct_colors_mc(k, trials, 3).probs,
+                                  ref.distinct_colors_mc(k, trials, 3).probs), (k, trials)
+
+
+@pytest.mark.parametrize("levels", [2, 4, 8])
+def test_uniform_mc_ties_take_the_index_partition(monkeypatch, levels):
+    # uniforms on a coarse grid often tie at a row's k-th smallest value, so
+    # more than k balls lie at or below it
+    uniform = rng.uniform_matrix
+    monkeypatch.setattr(rng, "uniform_matrix",
+                        lambda *args: np.floor(uniform(*args) * levels) / levels)
+    for k in (2, 3, 5, 17):
+        U = rng.uniform_matrix(11, np.arange(300, dtype=np.uint64), 2 * k)
+        ties = np.count_nonzero(U <= np.partition(U, k - 1, axis=1)[:, k - 1:k], axis=1) > k
+        assert ties.any() and (levels == 2 or not ties.all()), k
+        assert np.array_equal(urn.distinct_colors_mc(k, 300, 11).probs,
+                              ref.distinct_colors_mc(k, 300, 11).probs), k
 
 
 @pytest.mark.parametrize("gen", GENS)
@@ -65,18 +103,29 @@ def test_exact_distribution_bits(gen):
     _same_exact(_two_bar_instance(ExtScalar(1.5, 484)))
 
 
+def _urn_mcs(mod):
+    # 61 trials: at k = 1 a grid of 7 elements makes chunks of 3 trials, the
+    # last one of 1, and one of 64 makes a chunk of 32 and one of 29; at
+    # k = 3 they make 61 one-trial chunks and chunks of 10 and 1
+    return [f(k, 61, 4).probs for k in (1, 3, 5) for f in (
+        mod.distinct_colors_mc, lambda *a: mod.biased_distinct_colors_mc(a[0], 2.3, *a[1:]))]
+
+
 @pytest.mark.parametrize("chunk_elems", [1, 7, 64])
 def test_block_oracles_ignore_the_chunk_grid(monkeypatch, chunk_elems):
     # the references run on the default grid; the block versions on a grid of
     # one to a few sets, subsets or trials per block
     want = [(ref.brute_force_opt(gen(k, 4.0, 1.0)), ref.exact_distribution(gen(k, 4.0, 1.0)))
             for gen in GENS for k in (3, 5)]
+    want_urn = _urn_mcs(ref)
     monkeypatch.setattr(rng, "CHUNK_ELEMS", chunk_elems)
     got = [(brute_force_opt(gen(k, 4.0, 1.0)), seeding.exact_distribution(gen(k, 4.0, 1.0)))
            for gen in GENS for k in (3, 5)]
     for ((gc, gb), (gd, gr)), ((wc, wb), (wd, wr)) in zip(got, want):
         assert (gc, gb, gr) == (wc, wb, wr)
         assert np.array_equal(gd.probs, wd.probs)
+    for got_probs, want_probs in zip(_urn_mcs(urn), want_urn, strict=True):
+        assert np.array_equal(got_probs, want_probs)
 
 
 def _same_head_shift(inst):

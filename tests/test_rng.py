@@ -1,8 +1,12 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seedbounds import rng
+from seedbounds import rng, seeding
+from seedbounds.errors import ConfigError
+from seedbounds.harness import ExperimentConfig
+from seedbounds.instances import gen_kmeans_bad
 from seedbounds.urn import biased_distinct_colors_mc, distinct_colors_mc
 
 
@@ -30,6 +34,27 @@ def test_urn_monte_carlo_does_not_depend_on_chunking(monkeypatch):
     chopped = [distinct_colors_mc(6, 300, 3).probs,
                biased_distinct_colors_mc(6, 2.0, 300, 4).probs]
     assert all(np.array_equal(a, b) for a, b in zip(ref, chopped))
+
+
+def test_seeds_outside_64_bits_are_refused():
+    # a stream reads its seed modulo 2**64: -5 and 2**64 - 5 would alias
+    assert np.array_equal(rng.uniform_matrix(-5, [0], 4), rng.uniform_matrix(2**64 - 5, [0], 4))
+    inst = gen_kmeans_bad(3, 4.0, 1.0)
+    for bad in (-1, -5, 2**64, 2**65 + 3):
+        with pytest.raises(ConfigError, match="seed"):
+            rng.check_seed(bad)
+        for call in (lambda: distinct_colors_mc(3, 10, bad),
+                     lambda: biased_distinct_colors_mc(3, 2.0, 10, bad),
+                     lambda: seeding.seed(inst, rng_seed=bad),
+                     lambda: seeding.run_trials(inst, 2, bad),
+                     ExperimentConfig(k=3, trials=2, master_seed=bad).validate):
+            with pytest.raises(ConfigError, match="seed"):
+                call()
+    for good in (0, 2**64 - 1):
+        rng.check_seed(good)
+        ExperimentConfig(k=3, trials=2, master_seed=good).validate()
+        assert distinct_colors_mc(3, 10, good).probs.sum() == 1.0
+        assert seeding.run_trials(inst, 2, good).coverage.size == 2
 
 
 def test_streams_are_deterministic_and_distinct():
@@ -92,6 +117,8 @@ def test_weighted_pick_boundaries():
         ws = w * scale
         prefix = np.cumsum(ws, axis=1)
         assert np.array_equal(rng.weighted_pick(prefix, u), _two_pass_pick(ws, prefix, u))
+        assert np.array_equal(rng.weighted_pick(prefix.T.copy(), u, axis=0),
+                              _two_pass_pick(ws, prefix, u))
 
 
 def _counting_pick(prefix, u):
@@ -124,6 +151,9 @@ def test_weighted_pick_is_the_count_below_the_target(case):
     # row's u, as a vector and one scalar at a time (Python and numpy floats)
     prefix, u = case
     assert np.array_equal(rng.weighted_pick(prefix, u), _counting_pick(prefix, u))
+    # the column form on the transposed copy: one u per column
+    assert np.array_equal(rng.weighted_pick(prefix.T.copy(), u, axis=0),
+                          _counting_pick(prefix, u))
     for row in prefix:
         want = _counting_pick(np.broadcast_to(row, (len(u), len(row))), u)
         assert np.array_equal(rng.weighted_pick(row, u), want)
@@ -159,3 +189,25 @@ def test_a_strided_lane_picks_as_its_contiguous_copy():
             assert not lane.flags.c_contiguous and lane.strides == (16,)
             assert [rng.weighted_pick(lane, x) for x in u] == want, (weights, i)
             assert rng.weighted_pick(lane, np.array(u)).tolist() == want, (weights, i)
+
+
+def test_the_column_pick_is_the_row_pick_of_the_transposed_copy():
+    # one row (column) per u, every row the same prefix: u = 0 skips leading
+    # zero weights, u * total on a prefix value takes the lower bucket, and
+    # totals of 2**-1074 and 2**-1000 put targets on the least pick target
+    cases = [([0.0, 2.0, 0.0, 3.0], [0.0, 0.4, 0.41, 0.5, 1.0 - 2**-53]),
+             ([1.0, 1.0, 1.0, 1.0], [0.0, 0.25, 0.5, 0.5 + 2**-53, 0.75]),
+             ([0.0, 0.0, 2.0**-1074], [0.0, 0.5, 1.0 - 2**-53]),
+             ([0.0, 2.0**-1074, 2.0**-1074], [0.0, 0.25, 0.5, 0.75]),
+             ([0.0, 2.0**-1000, 3.0 * 2.0**-1000], [0.0, 2.0**-53, 0.25, 0.5]),
+             ([5.0], [0.0, 0.5])]
+    for weights, u in cases:
+        u = np.array(u)
+        rows = np.tile(np.cumsum(weights), (len(u), 1))
+        want = rng.weighted_pick(rows, u)
+        assert want.tolist() == _counting_pick(rows, u).tolist(), weights
+        cols = rows.T.copy()
+        assert rng.weighted_pick(cols, u, axis=0).tolist() == want.tolist(), weights
+        # with the caller's work arrays, left holding garbage
+        target, hit = np.full(len(u), np.nan), np.ones(cols.shape, dtype=bool)
+        assert rng.weighted_pick(cols, u, target, hit, axis=0).tolist() == want.tolist()
