@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import bounds, urn
+from . import bounds, rng, urn
 from .core import write_instance_csv
 from .errors import CapacityError, ConfigError
 from .harness import (ExperimentConfig, _fmt, _instance_for, read_trials_csv,
@@ -65,6 +65,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_ballgame(args) -> int:
+    # the exact paths draw nothing, but the config line echoes the seed
+    rng.check_seed(args.seed)
     if args.mode == "plain":
         # the uniform urn weighs every ball alike: only gamma = 1 describes it
         if args.gamma != 1.0:

@@ -156,17 +156,17 @@ def _ext_min_into(m1, e1, m2, e2):
 
 
 def _scaled_totals(m, e):
-    """Scale by the per-row max exponent and prefix-sum along the last axis.
+    """Scale each row by its max exponent and sum it by the pick rule.
 
-    Returns (scaled weights, prefix sums, max exponent per row).  The total
-    of a row is ``prefix[..., -1] * 2**E`` -- entries more than ~1100 binary
-    orders below the max flush to zero, exactly as scalar extended addition
-    would drop them.
+    ``m`` and ``e`` are one row or (R, L) rows.  Returns the
+    :func:`rng.block_tree` ``(levels, prefix)`` of the scaled rows and the
+    max exponent per row: the total of row r is ``prefix[r, -1] * 2**E[r]``.
+    Entries more than ~1100 binary orders below the max flush to zero,
+    exactly as scalar extended addition would drop them.
     """
+    m, e = np.atleast_2d(m), np.atleast_2d(e)
     E = e.max(axis=-1)
-    s = _shift_to(m, e, E[..., None])
-    prefix = np.cumsum(s, axis=-1)
-    return s, prefix, E
+    return (*rng.block_tree(_shift_to(m, e, E[:, None])), E)
 
 
 def _pack_locations(locs):
@@ -662,7 +662,9 @@ def cost(inst: Instance, centers: Sequence[int]) -> ExtScalar:
 
     A location that is itself a center contributes exactly zero.  The
     centers stream in chunks on the :func:`rng.trial_chunks` grid; each
-    chunk's minima go into the same two work arrays.
+    chunk's minima go into the same two work arrays.  The sum follows the
+    pick rule's order (:func:`rng.block_tree`), so the cost of a seeding
+    run's first j centers is its normalizer before pick j, bit for bit.
     """
     idx = _validated_centers(inst, centers)
     if idx.size == 0:
@@ -681,7 +683,7 @@ def cost(inst: Instance, centers: Sequence[int]) -> ExtScalar:
         else:
             _ext_min_into(mm, me, m_min, e_min)
     _, prefix, E = _scaled_totals(mm, me)
-    return ExtScalar(float(prefix[-1]), int(E))
+    return ExtScalar(float(prefix[0, -1]), int(E[0]))
 
 
 def coverage(inst: Instance, centers: Sequence[int]):

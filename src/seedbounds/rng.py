@@ -8,6 +8,16 @@ reproduces the same variates whether it runs alone, inside a vectorized
 batch, or on any worker - the contract all experiment determinism rests on.
 
 Uniforms take the top 53 bits of a raw draw, giving values in [0, 1).
+
+Every seeding pick, and every potential sum seeding and ``core.cost``
+report, follows one pick rule with one summation order: a row is summed
+in aligned blocks of BLOCK locations, each by a pairwise tree, and the
+block sums in order; the pick finds its block by the block prefix and
+its location by a descent of the block's tree (:func:`block_tree`,
+:func:`block_pick`, :func:`lane_pick`).  The tree levels are elementwise
+adds over whole chunks, so no step waits on one serial add chain per row.
+The urn's Monte Carlo picks by cumulative sums down columns
+(:func:`weighted_pick`).
 """
 
 from __future__ import annotations
@@ -92,41 +102,128 @@ def uniform_matrix(seed: int, trial_indices: np.ndarray, n: int) -> np.ndarray:
     return (raw >> _SH11).astype(np.float64) * _TO_UNIT
 
 
-def weighted_pick(prefix: np.ndarray, u, target=None, hit=None, axis=-1):
-    """Cumulative-inversion pick along the last axis, or down the columns.
+# The pick rule's block size: every potential sum is a sequential sum of
+# pairwise-tree sums over aligned blocks of this many locations.
+BLOCK = 16
+_LEVELS = BLOCK.bit_length() - 1
 
-    ``prefix`` must be the cumulative sum of nonnegative weights along the
-    last axis, with a positive total, and ``u`` lie in [0, 1).  The pick is
-    the count of prefix values below the target ``max(u * total, _TINY)``:
-    such a prefix is nondecreasing and its last entry is at least the
-    target, so that is the first index whose prefix value reaches it.  A
-    boundary hit (u * total landing exactly on a prefix value) resolves to
-    the lower index; the target is at least the smallest positive double,
-    so leading zero-weight buckets are skipped.
 
-    A 1-D prefix takes a scalar ``u`` (one pick) or a vector (one pick per
-    entry) and counts by binary search, ``np.searchsorted(prefix, target,
-    side="left")``; a 2-D prefix takes one ``u`` per row and counts by a
-    compare and an argmax along it.  With ``axis=0`` a 2-D prefix holds its
-    sums down the columns instead (one ``u`` and one pick per column, the
-    totals in the last row), and the pick counts the values below the
-    target down each column: a trials-minor layout picks as the row form
-    does on the transposed copy.  For the 2-D forms, ``target`` (one entry per row, or
-    per column) and ``hit`` (a bool array shaped like ``prefix``) are
-    optional work arrays a caller that picks many times can own; the pick
-    is the same without them.
+def _padded(n: int) -> int:
+    """``n`` rounded up to a multiple of BLOCK."""
+    return -(-n // BLOCK) * BLOCK
+
+
+def block_tree(rows: np.ndarray):
+    """``(levels, prefix)``: the sums of the pick rule over the rows of ``rows``.
+
+    ``rows`` is (R, L), nonnegative, float64 or complex128 (two rows side
+    by side, one per lane).  ``levels[0]`` holds the rows back to back,
+    each zero-padded to ``_padded(L)`` locations; ``levels[l]`` entry i is
+    ``levels[l-1][2i] + levels[l-1][2i+1]``, so ``levels[-1]`` holds every
+    block's pairwise-tree sum.  ``prefix`` is (R, _padded(L) // BLOCK): each
+    row's block sums, added in order; its last column is the row's total.
+    :func:`block_sums` refills both after the leaves change.
     """
-    if prefix.ndim == 1:
-        # side="left", searchsorted's default, counts the values below; a
-        # float u forms the target in Python floats, with the same bits
-        if isinstance(u, float):
-            return prefix.searchsorted(max(u * prefix.item(-1), _TINY))
-        return prefix.searchsorted(np.maximum(u * prefix[-1], _TINY))
-    if axis == 0:
-        target = np.maximum(np.multiply(u, prefix[-1], out=target), _TINY, out=target)
-        # a bool is one byte: summing the bytes into int32 counts spares the
-        # buffered bool-to-int64 cast of .sum(axis=0), which is slower
-        below = np.less(prefix, target, out=hit).view(np.uint8)
-        return np.add.reduce(below, axis=0, dtype=np.int32)
-    target = np.maximum(np.multiply(u, prefix[:, -1], out=target), _TINY, out=target)
-    return np.greater_equal(prefix, target[:, None], out=hit).argmax(axis=-1)
+    R, L = rows.shape
+    leaves = np.zeros((R, _padded(L)), dtype=rows.dtype)
+    leaves[:, :L] = rows
+    levels = [leaves.ravel()] + [np.empty(leaves.size >> l, dtype=rows.dtype)
+                                 for l in range(1, _LEVELS + 1)]
+    prefix = np.empty((R, leaves.shape[1] // BLOCK), dtype=rows.dtype)
+    block_sums(levels, prefix)
+    return levels, prefix
+
+
+def block_sums(levels, prefix, lo: int = 0, hi: int | None = None):
+    """Refill ``levels`` over the blocks holding leaves ``lo .. hi-1``, and
+    ``prefix`` from the first of them on.
+
+    Each tree level is one elementwise add over strided views.  From a
+    block b > 0 on (one row only) the prefix is re-added seeded with the
+    unchanged prefix before b, so every entry adds the same terms in the
+    same order as a whole-row pass.
+    """
+    lo -= lo % BLOCK
+    hi = len(levels[0]) if hi is None else _padded(hi)
+    src = levels[0][lo:hi]
+    for l in range(1, _LEVELS + 1):
+        dst = levels[l][lo >> l:hi >> l]
+        np.add(src[::2], src[1::2], out=dst)
+        src = dst
+    b = lo // BLOCK
+    if b:
+        s, c = levels[-1], prefix[0]
+        keep, s[b - 1] = s[b - 1], c[b - 1]
+        np.add.accumulate(s[b - 1:], out=c[b - 1:])
+        s[b - 1] = keep
+    else:
+        np.add.accumulate(levels[-1].reshape(prefix.shape), axis=1, out=prefix)
+
+
+def block_pick(levels, prefix, u):
+    """The pick rule, one pick per entry of ``u``: on row t of a
+    :func:`block_tree`, or on its one row for every u.
+
+    The target is ``max(u * total, _TINY)``.  The block is the count of
+    block prefixes below it; the pick then descends the block's tree from
+    ``acc``, the prefix before the block (0 for the first), going right iff
+    ``acc + left < target`` and the right sum is positive, and adding
+    ``left`` to ``acc`` when it does.  The block's sum is positive, and so,
+    by those two conditions, is every node the descent reaches: the pick
+    lands on a positive weight, never on padding or a chosen center.  A
+    target landing exactly on a sum takes the lower index.
+    """
+    R, nb = prefix.shape
+    row = np.arange(len(u)) if R > 1 else 0
+    target = np.maximum(u * prefix[row, -1], _TINY)
+    # the first block prefix that reaches the target: the last one does
+    b = np.greater_equal(prefix, target[:, None]).argmax(axis=1)
+    g = row * nb + b
+    acc = np.where(b > 0, prefix.ravel()[g - 1], 0.0)
+    for level in levels[-2::-1]:
+        # the children of each trial's node g
+        pair = level.reshape(-1, 2).take(g, axis=0)
+        s = acc + pair[:, 0]
+        go = (s < target) & (pair[:, 1] > 0.0)
+        np.copyto(acc, s, where=go)
+        g += g
+        g += go
+    return g - row * (len(levels[0]) // R)
+
+
+def lane_pick(levels, prefix, u: float) -> int:
+    """:func:`block_pick` for one row and one uniform: ``levels`` and
+    ``prefix`` are 1-D views of one row, strided or not (a lane of the
+    interleaved buffers of two trials), with the same bits."""
+    target = max(u * prefix.item(-1), _TINY)
+    b = int(prefix.searchsorted(target))
+    acc, g = prefix.item(b - 1) if b else 0.0, b
+    for level in levels[-2::-1]:
+        g *= 2
+        left, right = level[g:g + 2].tolist()
+        if acc + left < target and right > 0.0:
+            acc += left
+            g += 1
+    return g
+
+
+def weighted_pick(prefix: np.ndarray, u, target=None, hit=None):
+    """Cumulative-inversion pick down the columns of ``prefix``.
+
+    ``prefix`` holds in each column the cumulative sum of nonnegative
+    weights, with a positive total in the last row, and ``u`` one uniform in
+    [0, 1) per column.  The pick is the count of prefix values below the
+    target ``max(u * total, _TINY)``: such a prefix is nondecreasing and its
+    last entry is at least the target, so that is the first index whose
+    prefix value reaches it.  A boundary hit (u * total landing exactly on
+    a prefix value) resolves to the lower index; the target is at least the
+    smallest positive double, so leading zero-weight buckets are skipped.
+    ``target`` (one entry per column) and ``hit`` (a bool array shaped like
+    ``prefix``) are optional work arrays a caller that picks many times can
+    own; the pick is the same without them.
+    """
+    target = np.maximum(np.multiply(u, prefix[-1], out=target), _TINY, out=target)
+    # a bool is one byte: summing the bytes into int32 counts spares the
+    # buffered bool-to-int64 cast of .sum(axis=0), which is slower
+    below = np.less(prefix, target, out=hit).view(np.uint8)
+    return np.add.reduce(below, axis=0, dtype=np.int32)

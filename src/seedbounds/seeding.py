@@ -3,11 +3,13 @@
 The first center is drawn proportionally to location weight (uniform over
 underlying points); center i > 1 proportionally to
 ``weight * (min distance to the chosen centers) ** ell`` with ell = 2 for
-the squared-cost variant and ell = 1 for the linear one.  Sampling is
-cumulative-sum inversion over scaled extended-range prefix sums: the
-uniform variate is drawn at native precision and scaled into the extended
-range through exponent arithmetic; boundary ties resolve to the lower
-index.
+the squared-cost variant and ell = 1 for the linear one.  Every pick
+follows the one pick rule of :mod:`rng`: the weights, scaled into one
+double range by exponent arithmetic, are summed in aligned blocks of
+``rng.BLOCK`` by pairwise trees, the block sums in order; the uniform
+variate, drawn at native precision, times the total is the target, found
+by the block prefix and then by a descent of the block's tree.  Boundary
+ties resolve to the lower index, and no pick lands on a zero weight.
 
 Trials are pure functions of ``(rng_seed, trial_index)``.  The batched
 engine computes every trial row-independently, so results never depend on
@@ -18,8 +20,8 @@ comes from the picks, computed in one place each: :func:`run_trials`
 derives a chunk's coverage and early miss (one rule, shared with
 :func:`early_miss_event`), and :func:`seed` its coverage counts.
 
-The first pick samples one packed weight row per chunk, prefix-summed once
-and shared by the chunk's trials: generated weights span up to 2k binary
+The first pick samples one packed weight row per chunk, summed once and
+shared by the chunk's trials: generated weights span up to 2k binary
 orders.  The potentials then start as the first centers' weighted rows.
 A chunk allocates its work arrays once: the uniforms, transposed to one
 row per pick; the picks, one row of trials per pick; the first trial's
@@ -28,35 +30,37 @@ normalizers, two arrays; and the buffers of its step loop.
 Picks 1.. run in one of two step loops with the same bits.  The batch
 loop (:func:`_row_steps`) steps the chunk's trials together: each pick
 takes the minimum of every trial's whole potential row and its fetched
-row, then prefix-sums the rows whole; besides one buffer each for the
-prefix sums and :func:`rng.weighted_pick`'s target and compare arrays,
-the only (T, 2k) arrays a step allocates are the rows it fetches.  The
-interval loop (:func:`_bar_steps`) runs where the row cache is a bar-gap
+row, in the leaves of the chunk's trees, then re-sums the trees and
+block prefixes whole (:func:`rng.block_sums`, one elementwise add per
+tree level); besides those buffers, the only (T, 2k) arrays a step
+allocates are the rows it fetches.  The interval loop
+(:func:`_bar_steps`) runs where the row cache is a bar-gap
 kernel whose adjacent bars are all dominant, a check made once at the
 kernel's build (``core._dominant``): left of two adjacent bars the right
 one's row values are at least the left one's, right of them the reverse.
 A pick in bar b then lowers potentials only on the bars strictly between
 b's chosen neighbours.  The loop takes the chunk's trials in pairs, each
-in one lane of interleaved buffers: each trial keeps its chosen bars in a
-sorted list and takes the minimum over those bars only, and one complex128
-cumsum recomputes both lanes' prefix sums from the first location either
-changed, each lane in the order of a whole-row cumsum.  The full matrix,
-and a kernel that fails the check, take the batch loop.
+in one lane of interleaved complex128 trees: each trial keeps its chosen
+bars in a sorted list and takes the minimum over those bars only, and the
+pair re-sums the trees of the blocks either trial changed and the block
+prefixes from the first of them on, each lane with the bits of a
+whole-row pass.  The full matrix, and a kernel that fails the check,
+take the batch loop.
 
 There is one engine, on plain doubles.  Its rows come from
 :meth:`Instance.plain_row_source`: weighted rows as plain doubles scaled by
 one 2**-F, chosen so that every nonzero value is at least
 2**-(1022 - 53) (``core.PLAIN_SEEDING_SPREAD``), with values beyond the
 double range +inf.  After pick 0 the chunk checks its first potentials
-once: if all are below 2, ``np.minimum`` updates them and ``np.cumsum``
-forms the prefix sums, with no per-row rescaling.  Later potentials are
-elementwise at most the first ones, and each nonzero one is a row value,
-so every scaled potential stays in [2**-969, 2), and ``u * total`` for
-every uniform u >= 2**-53 is a normal double.  The power-of-two scale then
-commutes with each rounding of the sums, the minimum and the pick
-comparison: picks and costs are bit-identical to a packed engine that
-rescales every row by its own largest exponent at every step (the test
-reference).  A chunk whose first potentials fail the check raises
+once: if all are below 2, ``np.minimum`` updates them and the pick
+rule's sums run on them as they are, with no per-row rescaling.  Later
+potentials are elementwise at most the first ones, and each nonzero one
+is a row value, so every scaled potential stays in [2**-969, 2), and
+``u * total`` for every uniform u >= 2**-53 is a normal double.  The
+power-of-two scale then commutes with each rounding of the sums, the
+minimum and the pick comparisons: picks and costs are bit-identical to a
+packed engine that rescales every row by its own largest exponent at
+every step (the test reference).  A chunk whose first potentials fail the check raises
 CapacityError: its potentials span more than ``core.PLAIN_SEEDING_SPREAD``
 binary orders.  Generated instances pass the check in practice: their
 first pick lands in the heavy first bars.  :func:`exact_distribution`
@@ -152,10 +156,9 @@ def _check_trials(first, count):
                           f" got {first}..{first + count - 1}")
 
 
-def _total(s, prefix):
-    """The totals of the potential rows ``s``, the last prefix sums;
-    DegenerateInstanceError unless all are positive."""
-    total = prefix[..., -1]
+def _total(s, total):
+    """The totals of the potential rows ``s``; DegenerateInstanceError unless
+    all are positive."""
     if not (total > 0.0).all():
         raise DegenerateInstanceError("total potential reached zero before all centers were chosen")
     if DEBUG_CHECKS:
@@ -177,11 +180,11 @@ def _run_chunk(inst, n_centers, rng_seed, lo, hi):
     U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), n_centers).T.copy()
     picks = np.empty((n_centers, hi - lo), dtype=np.int64)
     totals, exps = np.empty(n_centers), np.empty(n_centers, dtype=np.int64)
-    # pick 0 samples the packed location weights: one prefix, shared by the
+    # pick 0 samples the packed location weights: one tree, shared by the
     # trials; later picks sample weight * (min distance to chosen centers) ** ell
-    s, prefix, exps[0] = _scaled_totals(inst._w_m, inst._w_e)
-    totals[0] = _total(s, prefix)
-    picks[0] = rng.weighted_pick(prefix, U[0])
+    levels, prefix, E = _scaled_totals(inst._w_m, inst._w_e)
+    totals[0], exps[0] = _total(levels[0], prefix[:, -1])[0], E[0]
+    picks[0] = rng.block_pick(levels, prefix, U[0])
     # the potentials, as every row, are plain doubles scaled by 2**-F
     rows, F = inst.plain_row_source()
     exps[1:] = F
@@ -198,17 +201,18 @@ def _run_chunk(inst, n_centers, rng_seed, lo, hi):
 
 def _row_steps(rows, s, picks, U, totals):
     """Picks 1.. of a chunk, its trials at once: each pick takes the minimum
-    of every potential row ``s`` and the fetched rows, then prefix-sums the
-    rows whole.  Fills ``picks`` and ``totals`` (trial lo's) and returns the
-    final totals."""
+    of every potential row ``s`` and the fetched rows, then re-sums the
+    rows' trees and block prefixes whole.  Fills ``picks`` and ``totals``
+    (trial lo's) and returns the final totals."""
     T, L = s.shape
-    prefix, target, hit = np.empty((T, L)), np.empty(T), np.empty((T, L), dtype=bool)
-    np.add.accumulate(s, axis=1, out=prefix)
+    levels, prefix = rng.block_tree(s)
+    # the potentials live in the trees' zero-padded leaves
+    s = levels[0].reshape(T, -1)[:, :L]
     for step in range(1, len(U)):
-        totals[step] = _total(s, prefix)[0]
-        pick = picks[step] = rng.weighted_pick(prefix, U[step], target, hit)
+        totals[step] = _total(s, prefix[:, -1])[0]
+        pick = picks[step] = rng.block_pick(levels, prefix, U[step])
         np.minimum(s, rows(pick), out=s)
-        np.add.accumulate(s, axis=1, out=prefix)
+        rng.block_sums(levels, prefix)
     return prefix[:, -1]
 
 
@@ -220,57 +224,54 @@ def _bar_steps(lower, s, picks, U, totals):
     bar b lowers no potential outside the bars strictly between b's chosen
     neighbours: there its row is at least the row of a neighbour's chosen
     end, which already bounds the potential, and the whole-row minimum
-    keeps the potential's bits.  A pair's potentials and prefix sums lie
-    interleaved in two (2k, 2) buffers, one trial per lane.  Each trial
-    picks on its lane's prefix sums, keeps its chosen bars in a sorted list
-    that gives those neighbours, and ``lower`` takes the minimum over their
-    locations only.  One ``np.add.accumulate`` over the buffers' complex128
-    view then recomputes both lanes' prefix sums from the first location
-    either trial changed, seeded with each lane's unchanged prefix value
-    before it, so each sum adds the same terms in the same order as a
-    whole-row ``np.cumsum``: the complex sum adds the lanes apart.  An odd
-    chunk's last trial runs beside a lane of zeros, which it never reads.
-    A chunk raises DegenerateInstanceError at the first step where either
-    trial's total is zero.
+    keeps the potential's bits.  A pair's potentials and sums lie
+    interleaved in the complex128 trees of :func:`rng.block_tree`, one
+    trial per lane: complex addition adds the lanes apart.  Each trial
+    picks on its lane's views (:func:`rng.lane_pick`), keeps its chosen
+    bars in a sorted list that gives those neighbours, and ``lower`` takes
+    the minimum over their locations only.  Then :func:`rng.block_sums`
+    re-sums both lanes' trees over the blocks either trial changed, and
+    their block prefixes from the first of them on.  An odd chunk's last
+    trial runs beside a lane of zeros, which it never reads.  A chunk
+    raises DegenerateInstanceError at the first step where either trial's
+    total is zero.
     """
     T, L = s.shape
-    pot, prefix, final = np.zeros((L, 2)), np.empty((L, 2)), np.empty(T)
-    zpot, zprefix = (a.view(np.complex128)[:, 0] for a in (pot, prefix))
+    levels, prefix = rng.block_tree(np.zeros((1, L), dtype=np.complex128))
+    # (locations, 2) float views of the leaves and the block prefix
+    pot, sums = levels[0].view(np.float64).reshape(-1, 2), prefix.view(np.float64).reshape(-1, 2)
+    final = np.empty(T)
     for lo in range(0, T, 2):
         pair = range(lo, min(lo + 2, T))
-        pot[:, :len(pair)] = s[lo:pair.stop].T
+        pot[:L, :len(pair)] = s[lo:pair.stop].T
         pot[:, len(pair):] = 0.0
-        np.add.accumulate(zpot, out=zprefix)
+        rng.block_sums(levels, prefix)
         # per trial: its index, lane views, chosen bars, uniforms and picks
-        lanes = [(t, pot[:, i], prefix[:, i], [int(picks[0, t]) >> 1], U[1:, t].tolist(), [])
+        lanes = [(t, [lv.view(np.float64)[i::2] for lv in levels], sums[:, i],
+                  [int(picks[0, t]) >> 1], U[1:, t].tolist(), [])
                  for i, t in enumerate(pair)]
         for step in range(1, len(U)):
-            start = L
-            for t, p, c, chosen, u, out in lanes:
+            start, stop = L, 0
+            for t, lv, c, chosen, u, out in lanes:
                 total = c.item(-1)
                 if not total > 0.0 or DEBUG_CHECKS:
-                    _total(p, c)
+                    _total(lv[0], c[-1:])
                 if t == 0:
                     totals[step] = total
-                j = rng.weighted_pick(c, u[step - 1])
+                j = rng.lane_pick(lv, c, u[step - 1])
                 out.append(j)
-                bar = int(j) >> 1
+                bar = j >> 1
                 i = bisect_left(chosen, bar)
                 if i == len(chosen) or chosen[i] != bar:
                     chosen.insert(i, bar)
                 first = 2 * chosen[i - 1] + 2 if i else 0
-                lower(p, j, first, 2 * chosen[i + 1] if i + 1 < len(chosen) else L)
-                start = min(start, first)
-            # np.add.accumulate is np.cumsum without its call overhead
-            if start:
-                keep, zpot[start - 1] = zpot[start - 1], zprefix[start - 1]
-                np.add.accumulate(zpot[start - 1:], out=zprefix[start - 1:])
-                zpot[start - 1] = keep
-            else:
-                np.add.accumulate(zpot, out=zprefix)
+                end = 2 * chosen[i + 1] if i + 1 < len(chosen) else L
+                lower(lv[0], j, first, end)
+                start, stop = min(start, first), max(stop, end)
+            rng.block_sums(levels, prefix, start, stop)
         for t, *_, out in lanes:
             picks[1:, t] = out
-        final[lo:pair.stop] = prefix[-1, :len(pair)]
+        final[lo:pair.stop] = sums[-1, :len(pair)]
     return final
 
 

@@ -178,7 +178,7 @@ def biased_distinct_colors_mc(k: int, gamma: float, trials: int,
         U = rng.uniform_matrix(rng_seed, np.minimum(lo + cols, hi - 1).astype(np.uint64), k)
         for t in range(k):
             np.add.accumulate(lanes, axis=0, out=lane_prefix)
-            pick = rng.weighted_pick(prefix, U[:, t], target_buf[:cols.size], hit, axis=0)
+            pick = rng.weighted_pick(prefix, U[:, t], target_buf[:cols.size], hit)
             # the mate's weight, not the picked ball's, tells a new color: the
             # mate is drawn (0) iff its color is seen, and weighs gamma if not
             mate = pick ^ 1

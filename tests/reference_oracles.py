@@ -11,7 +11,9 @@ row by its largest exponent where the package keeps plain doubles under
 one 2**-F.  The uniform urn's Monte Carlo ranks indices where the package
 partitions values, the biased urn's DP steps every state where the package
 steps the reachable band, and the biased urn's Monte Carlo works on rows
-where the package works on columns.  The package versions must return
+where the package works on columns.  The pick rule is written out for
+one row and one uniform in Python floats, block by block, where the
+package sums whole chunks with numpy.  The package versions must return
 these results bit for bit.
 """
 
@@ -44,28 +46,75 @@ def bar_instance(k, m, r, variant):
     return Instance(locs, k, m, r, variant)
 
 
+BLOCK = 16
+
+
+def block_rule(weights, u):
+    """The pick rule on one row of nonnegative floats with a positive total,
+    and one uniform u in [0, 1): ``(pick, total)``.
+
+    The row is zero-padded to a multiple of 16.  Each block of 16 is summed
+    by a pairwise tree, the block sums are added in order, and the target
+    is ``max(u * total, least positive double)``.  The block is the first
+    whose prefix reaches the target; the pick descends its tree from the
+    prefix before it, going right iff that base plus the left sum lies
+    below the target and the right sum is positive.
+    """
+    w = [float(x) for x in weights] + [0.0] * (-len(weights) % BLOCK)
+    trees = []
+    for lo in range(0, len(w), BLOCK):
+        tree = [w[lo:lo + BLOCK]]
+        while len(tree[-1]) > 1:
+            below = tree[-1]
+            tree.append([below[i] + below[i + 1] for i in range(0, len(below), 2)])
+        trees.append(tree)
+    prefixes = []
+    for tree in trees:
+        prefixes.append(tree[-1][0] if not prefixes else prefixes[-1] + tree[-1][0])
+    total = prefixes[-1]
+    target = max(u * total, rng._TINY)
+    b = sum(1 for c in prefixes if c < target)
+    acc, node = (prefixes[b - 1] if b else 0.0), 0
+    for level in reversed(trees[b][:-1]):
+        left, right = level[2 * node], level[2 * node + 1]
+        node *= 2
+        if acc + left < target and right > 0.0:
+            acc += left
+            node += 1
+    return BLOCK * b + node, total
+
+
+def weighted_pick_rows(prefix, u):
+    """The cumulative-sum pick along the rows of ``prefix``, one u per row:
+    the count of prefix values below ``max(u * total, least positive
+    double)``."""
+    target = np.maximum(u * prefix[:, -1], rng._TINY)
+    return np.greater_equal(prefix, target[:, None]).argmax(axis=-1)
+
+
 def run_chunk_packed(inst, n_centers, rng_seed, lo, hi):
     """The seeding engine on packed potentials: every step takes the
     elementwise extended minimum and rescales each row by its own largest
-    exponent before the prefix sum.  Returns what ``seeding._run_chunk``
-    returns; its normalizer exponents are per-row maxima, not one F."""
+    exponent before summing it by the pick rule (``rng.block_tree``, picks
+    by ``rng.block_pick``).  Returns what ``seeding._run_chunk`` returns;
+    its normalizer exponents are per-row maxima, not one F."""
     U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), n_centers).T.copy()
     picks = np.empty((n_centers, hi - lo), dtype=np.int64)
     totals, exps = np.empty(n_centers), np.empty(n_centers, dtype=np.int64)
     rows = inst.weighted_row_source()
-    _, prefix, E = _scaled_totals(inst._w_m, inst._w_e)
+    levels, prefix, E = _scaled_totals(inst._w_m, inst._w_e)
     for step in range(n_centers):
-        total = prefix[..., -1]
+        total = prefix[:, -1]
         if not (total > 0.0).all():
             raise DegenerateInstanceError(
                 "total potential reached zero before all centers were chosen")
-        totals[step], exps[step] = total.flat[0], E.flat[0]
-        pick = picks[step] = rng.weighted_pick(prefix, U[step])
+        totals[step], exps[step] = total[0], E[0]
+        pick = picks[step] = rng.block_pick(levels, prefix, U[step])
         if step == 0:
             pot = rows(pick)
         else:
             _ext_min_into(*pot, *rows(pick))
-        _, prefix, E = _scaled_totals(*pot)
+        levels, prefix, E = _scaled_totals(*pot)
     return picks, _norm(prefix[:, -1], E), (totals, exps)
 
 
@@ -175,7 +224,7 @@ def biased_distinct_colors_mc(k, gamma, trials, rng_seed):
             seen_ball = seen[:, color_of_ball]
             w = np.where(drawn, 0.0, np.where(seen_ball, 1.0, gamma))
             prefix = np.cumsum(w, axis=1)
-            pick = rng.weighted_pick(prefix, U[:, t])
+            pick = weighted_pick_rows(prefix, U[:, t])
             drawn[row_ix, pick] = True
             seen[row_ix, color_of_ball[pick]] = True
         counts += np.bincount(seen.sum(axis=1), minlength=k + 1)

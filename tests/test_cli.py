@@ -75,14 +75,14 @@ def test_exact_subcommand(tmp_path):
     assert abs(sum(probs) - 1.0) < 1e-12
 
 
-_KMEDIAN_30K = "1faf551d91b2404a0ce1558e0500fd869ad51e282173b6f68f25994f81a81268"
+_KMEDIAN_30K = "175f1f7dd991d74b01419e5bce27a4c008f5e9e25e36247011a298f460ae5f89"
 
 
 @pytest.mark.parametrize("args, digest", [
     (("seed", "--k", 64, "--trials", 300, "--seed", 7),
      "b9ba1a11e93e033c1e17d9fd7768014f5c51c377826a3a06905b5db713152764"),
     (("seed", "--variant", "kmedian", "--k", 16, "--trials", 1000, "--seed", 7),
-     "4687b2dc87d098135f0af2345dd445d7929388cb25603d3148d22882b229c8a9"),
+     "dae9297141f302cc9e95441930f3590b0f21358f14414c3e5a682881bd591157"),
     (("exact", "--variant", "kmeans", "--k", 5),
      "038a7eb586194cb5a3c4c75f4a49d294d8c2ed9a60b821eb8308b7e413f4fa4c"),
     # above the matrix cap: rows come from the bar-gap kernel
@@ -103,7 +103,7 @@ _KMEDIAN_30K = "1faf551d91b2404a0ce1558e0500fd869ad51e282173b6f68f25994f81a81268
     (("seed", "--k", 2000, "--trials", 2, "--seed", 7),
      "8e16df589f5b27fd7573a90d0c6b440827e35e901ba33a4b93a35093b1647bee"),
     (("seed", "--variant", "kmedian", "--k", 2000, "--trials", 2, "--seed", 7),
-     "70149d8c112543f6d4f52232aa02c37cb65cd6b57dd5af9c2e58a28c5fab9264"),
+     "578cca4d70d445d21c3bb2871563ce5f9d8eddd42e4ff48df428ae866fb133d1"),
     # the generated coordinates and weights, x past 2**53 * r from cluster 54 on
     (("gen", "--k", 60, "--m", 4, "--r", 0.7),
      "51fa99bf17be9ebe91f959c70a5eb5dc6ba7e05e287e4f2a14378dc823c8b4da"),
@@ -204,6 +204,20 @@ def test_seeds_outside_64_bits_exit_2(tmp_path):
     edited.write_text(out.read_text().replace(f"master_seed={top} ", "master_seed=-5 "))
     assert "master_seed=-5 " in edited.read_text()
     assert run("report", edited, "--out", tmp_path / "e.txt") == 2
+
+
+def test_ballgame_exact_refuses_a_seed_outside_64_bits(tmp_path):
+    # the exact paths draw nothing, but the config line echoes the seed
+    out = tmp_path / "x.csv"
+    for mode, gamma in (("plain", 1), ("biased", 2)):
+        args = ("ballgame", "--mode", mode, "--gamma", gamma, "--k", 8, "--exact")
+        for bad in (-5, -1, 2**64):
+            assert run(*args, "--seed", bad, "--out", out) == 2
+        assert not out.exists()
+        assert run(*args, "--out", tmp_path / "a.csv") == 0
+        assert run(*args, "--seed", 2**64 - 1, "--out", tmp_path / "b.csv") == 0
+        want = (tmp_path / "a.csv").read_text().replace(" seed=0\n", f" seed={2**64 - 1}\n")
+        assert (tmp_path / "b.csv").read_text() == want
 
 
 def test_ballgame_requires_source(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_oracles as ref
 from seedbounds import rng, seeding
 from seedbounds.errors import ConfigError
 from seedbounds.harness import ExperimentConfig
@@ -89,22 +90,20 @@ def _two_pass_pick(weights, prefix, u):
 
 
 def test_weighted_pick_boundaries():
-    w = np.array([[0.0, 2.0, 0.0, 3.0]])
-    prefix = np.cumsum(w, axis=1)
+    # one column per u, every column the same prefix
+    def pick(prefix, u):
+        u = np.asarray(u)
+        return rng.weighted_pick(np.tile(prefix, (len(u), 1)).T.copy(), u).tolist()
+
+    prefix = np.cumsum([0.0, 2.0, 0.0, 3.0])
     # u = 0 lands in the first positive-weight bucket
-    assert rng.weighted_pick(prefix, np.array([0.0]))[0] == 1
+    assert pick(prefix, [0.0]) == [1]
     # exact boundary hit resolves to the lower bucket
-    assert rng.weighted_pick(prefix, np.array([0.4]))[0] == 1  # target = 2.0
-    assert rng.weighted_pick(prefix, np.array([0.41]))[0] == 3
-    assert rng.weighted_pick(prefix, np.array([1.0 - 2**-53]))[0] == 3
-    # a 1-D prefix picks the same by binary search, one u or a vector of them
-    u = [0.0, 0.4, 0.41, 1.0 - 2**-53]
-    assert [rng.weighted_pick(prefix[0], x) for x in u] == [1, 1, 3, 3]
-    assert rng.weighted_pick(prefix[0], np.array(u)).tolist() == [1, 1, 3, 3]
+    assert pick(prefix, [0.4]) == [1]  # target = 2.0
+    assert pick(prefix, [0.41, 1.0 - 2**-53]) == [3, 3]
     # equal neighbours: a target on a prefix value takes that bucket
     equal = np.cumsum([1.0, 1.0, 1.0, 1.0])
-    u = np.array([0.0, 0.25, 0.5, 0.5 + 2**-53])
-    assert rng.weighted_pick(equal, u).tolist() == [0, 0, 1, 2]
+    assert pick(equal, [0.0, 0.25, 0.5, 0.5 + 2**-53]) == [0, 0, 1, 2]
 
     # random rows with zero-weight runs, u = 0, and extreme scales
     gen = np.random.default_rng(5)
@@ -116,8 +115,7 @@ def test_weighted_pick_boundaries():
     for scale in (1.0, 2.0**-1000, 2.0**1000):
         ws = w * scale
         prefix = np.cumsum(ws, axis=1)
-        assert np.array_equal(rng.weighted_pick(prefix, u), _two_pass_pick(ws, prefix, u))
-        assert np.array_equal(rng.weighted_pick(prefix.T.copy(), u, axis=0),
+        assert np.array_equal(rng.weighted_pick(prefix.T.copy(), u),
                               _two_pass_pick(ws, prefix, u))
 
 
@@ -147,48 +145,13 @@ def _prefix_and_u(draw):
 @settings(max_examples=300, deadline=None)
 @given(_prefix_and_u())
 def test_weighted_pick_is_the_count_below_the_target(case):
-    # a 2-D prefix with one u per row; each row as a 1-D prefix with every
-    # row's u, as a vector and one scalar at a time (Python and numpy floats)
+    # the column form on the transposed copy, one u per column, and with
+    # the caller's work arrays left holding garbage
     prefix, u = case
-    assert np.array_equal(rng.weighted_pick(prefix, u), _counting_pick(prefix, u))
-    # the column form on the transposed copy: one u per column
-    assert np.array_equal(rng.weighted_pick(prefix.T.copy(), u, axis=0),
-                          _counting_pick(prefix, u))
-    for row in prefix:
-        want = _counting_pick(np.broadcast_to(row, (len(u), len(row))), u)
-        assert np.array_equal(rng.weighted_pick(row, u), want)
-        assert [rng.weighted_pick(row, x) for x in u.tolist()] == want.tolist()
-        assert [rng.weighted_pick(row, x) for x in u] == want.tolist()
-        lane = _lane(row, 1)
-        assert [rng.weighted_pick(lane, x) for x in u.tolist()] == want.tolist()
-
-
-def _lane(row, i):
-    """``row`` as lane i of an interleaved (len(row), 2) buffer: a strided
-    1-D view, the other lane filled with garbage it must not read."""
-    pair = np.full((len(row), 2), np.nan)
-    pair[:, i] = row
-    return pair[:, i]
-
-
-def test_a_strided_lane_picks_as_its_contiguous_copy():
-    # u = 0 skips leading zero weights; u * total landing on a prefix value
-    # takes the lower bucket; a total of 2**-1074 puts every target on the
-    # least pick target, and u = 0 on a tiny prefix floors it there
-    cases = [([0.0, 2.0, 0.0, 3.0], [0.0, 0.4, 0.41, 0.5, 1.0 - 2**-53]),
-             ([1.0, 1.0, 1.0, 1.0], [0.0, 0.25, 0.5, 0.5 + 2**-53, 0.75]),
-             ([0.0, 0.0, 2.0**-1074], [0.0, 0.5, 1.0 - 2**-53]),
-             ([0.0, 2.0**-1074, 2.0**-1074], [0.0, 0.25, 0.5, 0.75]),
-             ([0.0, 2.0**-1000, 3.0 * 2.0**-1000], [0.0, 2.0**-53, 0.25, 0.5])]
-    for weights, u in cases:
-        row = np.cumsum(weights)
-        want = _counting_pick(np.broadcast_to(row, (len(u), len(row))), np.array(u)).tolist()
-        assert [rng.weighted_pick(row, x) for x in u] == want, weights
-        for i in (0, 1):
-            lane = _lane(row, i)
-            assert not lane.flags.c_contiguous and lane.strides == (16,)
-            assert [rng.weighted_pick(lane, x) for x in u] == want, (weights, i)
-            assert rng.weighted_pick(lane, np.array(u)).tolist() == want, (weights, i)
+    want = _counting_pick(prefix, u)
+    assert np.array_equal(rng.weighted_pick(prefix.T.copy(), u), want)
+    target, hit = np.full(len(u), np.nan), np.ones(prefix.T.shape, dtype=bool)
+    assert np.array_equal(rng.weighted_pick(prefix.T.copy(), u, target, hit), want)
 
 
 def test_the_column_pick_is_the_row_pick_of_the_transposed_copy():
@@ -204,10 +167,142 @@ def test_the_column_pick_is_the_row_pick_of_the_transposed_copy():
     for weights, u in cases:
         u = np.array(u)
         rows = np.tile(np.cumsum(weights), (len(u), 1))
-        want = rng.weighted_pick(rows, u)
+        want = ref.weighted_pick_rows(rows, u)
         assert want.tolist() == _counting_pick(rows, u).tolist(), weights
         cols = rows.T.copy()
-        assert rng.weighted_pick(cols, u, axis=0).tolist() == want.tolist(), weights
+        assert rng.weighted_pick(cols, u).tolist() == want.tolist(), weights
         # with the caller's work arrays, left holding garbage
         target, hit = np.full(len(u), np.nan), np.ones(cols.shape, dtype=bool)
-        assert rng.weighted_pick(cols, u, target, hit, axis=0).tolist() == want.tolist()
+        assert rng.weighted_pick(cols, u, target, hit).tolist() == want.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the pick rule: block trees, block prefix, descent
+# ---------------------------------------------------------------------------
+
+def _lanes(row, other):
+    """The lane views of ``row`` in a complex128 tree beside ``other``:
+    strided 1-D views of every level and of the block prefix."""
+    pair = np.zeros((1, max(len(row), len(other))), dtype=np.complex128)
+    pair.real[0, :len(row)], pair.imag[0, :len(other)] = row, other
+    levels, prefix = rng.block_tree(pair)
+    return ([lv.view(np.float64)[0::2] for lv in levels], prefix.view(np.float64)[0, 0::2],
+            [lv.view(np.float64)[1::2] for lv in levels], prefix.view(np.float64)[0, 1::2])
+
+
+def _assert_the_literal_rule(rows, us):
+    """Every row of ``rows`` (one length) with every u in ``us``: the batch
+    form, one row per u and one row for every u, and both lane forms pick
+    as the literal rule, on a positive weight, with its total."""
+    rows = np.asarray(rows, dtype=float)
+    want = [[ref.block_rule(row, u) for u in us] for row in rows]
+    for row, w in zip(rows, want):
+        assert all(row[j] > 0.0 for j, _ in w), (row.tolist(), w)
+        levels, prefix = rng.block_tree(row[None, :])
+        assert prefix[0, -1] == w[0][1]
+        assert rng.block_pick(levels, prefix, np.array(us)).tolist() == [j for j, _ in w]
+        # each lane beside other weights
+        for lv, c in (_lanes(row, row[::-1] * 3.0)[:2], _lanes(row[::-1] * 5.0, row)[2:]):
+            assert c.strides == (16,) and c.item(-1) == w[0][1]
+            assert [rng.lane_pick(lv, c, u) for u in us] == [j for j, _ in w]
+    for i, u in enumerate(us):
+        levels, prefix = rng.block_tree(rows)
+        got = rng.block_pick(levels, prefix, np.full(len(rows), u))
+        assert got.tolist() == [w[i][0] for w in want]
+        assert prefix[:, -1].tolist() == [w[i][1] for w in want]
+
+
+@st.composite
+def _rows_and_us(draw):
+    # leading and interior zeros, equal neighbours, lengths below and past
+    # one block, scales down to the least double (2**-1074 puts every target
+    # on the floor); u = 0, uniforms, and u = (a leading run's sum) / total,
+    # which lands targets on or next to sums
+    n = draw(st.integers(1, 40))
+    values = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 1.0, 3.0, 0.1, 2.0**-30, 2.0**30]),
+                           min_size=n, max_size=n).filter(lambda v: any(v)))
+    scale = draw(st.sampled_from([1.0, 2.0**-1074, 2.0**-1060, 2.0**-1000, 2.0**960]))
+    rows = [np.array(values) * scale, np.array(values[::-1]) * scale]
+    rows = [r for r in rows if r.sum() > 0.0] or [np.full(n, 2.0**-1074)]
+    cut = draw(st.integers(0, n))
+    total = ref.block_rule(rows[0], 0.0)[1]
+    us = [0.0, draw(st.floats(0.0, 1.0, exclude_max=True)),
+          min(float(rows[0][:cut].sum()) / total, 1.0 - 2**-53) if total else 0.0]
+    return rows, us
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_and_us())
+def test_block_pick_is_the_literal_rule(case):
+    rows, us = case
+    _assert_the_literal_rule(rows, us)
+
+
+def test_block_pick_edge_cases():
+    # u = 0 skips leading zeros; equal neighbours and a target on a tree sum
+    # take the lower index; one location; rows of 15, 16, 17 and 33
+    _assert_the_literal_rule([[0.0, 2.0, 0.0, 3.0]], [0.0, 0.4, 0.41, 0.5, 1.0 - 2**-53])
+    _assert_the_literal_rule([[1.0] * 4], [0.0, 0.25, 0.5, 0.5 + 2**-53, 0.75])
+    _assert_the_literal_rule([[5.0]], [0.0, 0.5])
+    for n in (15, 16, 17, 33):
+        _assert_the_literal_rule([[1.0] * n, [0.0] * (n - 1) + [1.0]],
+                                 [0.0, 1.0 / n, 0.5, 0.9375, 1.0 - 2**-53])
+    # totals of 2**-1074: every target sits on the least pick target
+    _assert_the_literal_rule([[0.0, 0.0, 2.0**-1074], [2.0**-1074, 0.0, 0.0]],
+                             [0.0, 0.5, 1.0 - 2**-53])
+    _assert_the_literal_rule([[0.0] * 20 + [2.0**-1074] * 2], [0.0, 0.25, 0.5, 0.75])
+    # a target equal to u * total on a sum: [1, 1, 1, 1] at u = 0.25 is the
+    # target 1, reached by location 0, so the descent stays left
+    levels, prefix = rng.block_tree(np.array([[1.0, 1.0, 1.0, 1.0]]))
+    assert rng.block_pick(levels, prefix, np.array([0.25, 0.25 + 2**-54])).tolist() == [0, 1]
+
+
+def test_the_descent_never_goes_right_onto_a_zero():
+    # block 0 holds 1; block 1 holds 2**-53 at locations 18 and 20; block 2
+    # makes the total 2.  u = 0.5 + 2**-53 puts the target on 1 + 2**-52,
+    # block 1's prefix, so the descent starts from 1.  1 + 2**-53 rounds to
+    # 1, below the target, so it goes right to locations 20..23 with the
+    # base still 1; there 1 + 2**-53 is again below the target, but the
+    # right sum, location 21, is 0: the pick is 20, not 21
+    w = np.zeros(48)
+    w[0], w[18], w[20], w[32] = 1.0, 2.0**-53, 2.0**-53, 1.0 - 2.0**-52
+    u = 0.5 + 2.0**-53
+    assert ref.block_rule(w, u) == (20, 2.0)
+    _assert_the_literal_rule([w], [u, 0.0, 0.5, 0.75])
+
+
+def test_a_strided_lane_picks_as_its_contiguous_copy():
+    # both lanes of a complex128 tree, the other lane holding other weights:
+    # u = 0 skips leading zero weights; u * total landing on a sum takes the
+    # lower index; a total of 2**-1074 puts every target on the least pick
+    # target
+    cases = [([0.0, 2.0, 0.0, 3.0], [0.0, 0.4, 0.41, 0.5, 1.0 - 2**-53]),
+             ([1.0, 1.0, 1.0, 1.0], [0.0, 0.25, 0.5, 0.5 + 2**-53, 0.75]),
+             ([0.0, 0.0, 2.0**-1074], [0.0, 0.5, 1.0 - 2**-53]),
+             ([0.0, 2.0**-1074, 2.0**-1074], [0.0, 0.25, 0.5, 0.75]),
+             ([0.0, 2.0**-1000, 3.0 * 2.0**-1000], [0.0, 2.0**-53, 0.25, 0.5]),
+             ([0.5] * 17 + [0.0] * 14 + [0.25], [0.0, 0.5, 0.97, 1.0 - 2**-53])]
+    for weights, u in cases:
+        levels, prefix = rng.block_tree(np.array([weights]))
+        want = rng.block_pick(levels, prefix, np.array(u)).tolist()
+        assert want == [ref.block_rule(weights, x)[0] for x in u], weights
+        other = np.full(len(weights), 7.0)
+        for i, pair in enumerate(((weights, other), (other, weights))):
+            lv, c = _lanes(*pair)[2 * i:2 * i + 2]
+            assert all(v.strides == (16,) for v in (*lv, c))
+            assert [rng.lane_pick(lv, c, x) for x in u] == want, (weights, i)
+
+
+def test_block_sums_from_a_changed_range_equal_a_whole_pass():
+    # lower a range of one lane of a complex128 tree, re-sum only its blocks
+    # and the prefix from its first block on: the same bits as a fresh tree
+    gen = np.random.default_rng(3)
+    for L, lo, hi in ((100, 0, 5), (100, 17, 40), (100, 33, 100), (37, 36, 37), (64, 16, 32)):
+        pair = (gen.random(L) + 1j * gen.random(L))[None, :]
+        levels, prefix = rng.block_tree(pair)
+        levels[0].real[lo:hi] *= 0.5
+        pair.real[0, lo:hi] *= 0.5
+        rng.block_sums(levels, prefix, lo, hi)
+        want_levels, want_prefix = rng.block_tree(pair)
+        assert all(np.array_equal(a, b) for a, b in zip(levels, want_levels)), (L, lo, hi)
+        assert np.array_equal(prefix, want_prefix), (L, lo, hi)

@@ -98,14 +98,15 @@ def test_seed_exhaustion_covers_everything(inst2):
 
 
 def test_potential_matches_cost_recomputation():
-    for gen, ell in ((gen_kmeans_bad, 2), (gen_kmedian_bad, 1)):
-        inst = gen(6, 4.0, 1.0)
-        tr = seed(inst, rng_seed=5, trial_index=9)
-        for j in range(1, tr.n_centers):
-            expected = cost(inst, tr.centers[:j]).to_float()
-            assert_rel_close(tr.potentials[j].to_float(), expected, 1e-9)
-        assert_rel_close(tr.final_cost.to_float(),
-                         cost(inst, tr.centers).to_float(), 1e-9)
+    # seeding and cost sum by the one pick rule: the same bits; rows of 12
+    # and 88 locations end in a partial block
+    for gen in (gen_kmeans_bad, gen_kmedian_bad):
+        for k in (6, 44):
+            inst = gen(k, 4.0, 1.0)
+            tr = seed(inst, rng_seed=5, trial_index=9)
+            for j in range(1, tr.n_centers):
+                assert tr.potentials[j] == cost(inst, tr.centers[:j]), (inst.variant, k, j)
+            assert tr.final_cost == cost(inst, tr.centers)
 
 
 def test_first_pick_proportional_to_weight(inst2):
@@ -180,9 +181,10 @@ def test_batch_equals_single_trials(debug_checks):
 
 
 def test_batch_equals_single_trials_on_the_kernel_path():
-    # above the matrix cap every row comes from the bar-gap kernel
-    for gen in (gen_kmeans_bad, gen_kmedian_bad):
-        inst = gen(2000, 4.0, 1.0)
+    # above the matrix cap every row comes from the bar-gap kernel; a k=1025
+    # row of 2050 locations ends in a partial block of the pick rule
+    for gen, k in ((g, k) for k in (1025, 2000) for g in (gen_kmeans_bad, gen_kmedian_bad)):
+        inst = gen(k, 4.0, 1.0)
         arr = run_trials(inst, 3, rng_seed=17, alpha=0.5, beta=0.5)
         assert isinstance(inst._rows, core._BarGapKernel)
         for t in range(3):
@@ -195,7 +197,7 @@ def test_batch_equals_single_trials_on_the_kernel_path():
             assert tuple(picks[:, 0].tolist()) == tr.centers
             assert tuple(map(ExtScalar, totals.tolist(), exps.tolist())) == tr.potentials
         # the normalizer before pick j is the cost of the first j centers
-        for j in (1, 2, 1000, 1999):
+        for j in (1, 2, 1000, k - 1):
             assert tr.potentials[j] == cost(inst, tr.centers[:j]), j
 
 
