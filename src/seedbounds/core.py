@@ -7,17 +7,21 @@ stay exact.  All distance and cost arithmetic runs on them;
 ``WeightedLocation`` and ExtScalar appear at the API edge only.
 
 Seeding, :func:`cost` and the enumeration oracles read weighted rows
-``weight_i * dist(j, i)**ell`` from one row cache per instance, built on
-first use, packed from :meth:`Instance.weighted_row_source` and as plain
-doubles from :meth:`Instance.plain_row_source`: a bar-gap kernel above
-``_MATRIX_MAX_ENTRIES`` entries, else the full (2k, 2k) matrix, filled in
-row blocks on the ``rng.trial_chunks`` grid from the kernel's rows, or
-from ``Instance._weighted_rows`` for an instance without a kernel, F from
-its exponents.  Every packed operation depends only on mantissas and
-exponent differences, so where every bar from bar H on has the previous
-bar's packed x and y times 2 and its weights times 2**-ell, W[j+2, i+2]
-equals W[j, i] bit for bit for j and i in those bars.  One row per end
-over every bar gap then serves every center's columns in bars >= H; on
+``weight_i * dist(j, i)**ell``, each row source in one form.  Packed rows
+(:meth:`Instance.weighted_row_source`) come from an instance's bar-gap
+kernel, or from the distance formula, ``Instance._weighted_rows``, for an
+instance without one.  Plain doubles (:meth:`Instance.plain_row_source`)
+come from one row cache per instance, built on first use: the kernel above
+``_MATRIX_MAX_ENTRIES`` entries, else the full (2k, 2k) matrix as plain
+doubles only, gathered from the kernel's plain rows in one call, or
+converted from the explicit rows for an instance without a kernel.  At
+kmeans k=1000 the row cache holds 30.9 MiB.
+
+Every packed operation depends only on mantissas and exponent
+differences, so where every bar from bar H on has the previous bar's
+packed x and y times 2 and its weights times 2**-ell, W[j+2, i+2] equals
+W[j, i] bit for bit for j and i in those bars.  One row per end over every
+bar gap then serves every center's columns in bars >= H; on
 generated instances the run starts at cluster 55, below which
 x = (2**i - 2) * r is not a scaled power of two.  The rows of the centers
 in bars < H come from one near block over the columns of bars < S, the
@@ -94,10 +98,11 @@ _SENT = -(1 << 40)
 # the double range contributes exactly nothing to a sum.
 _MIN_SHIFT = -1100
 
-# The row cache is the full (2k, 2k) matrix, copied from the bar-gap kernel's
-# rows, up to this many entries (k <= 1024) and the kernel above it; both hold
-# the bits of Instance._weighted_rows (weight times distance power), the kernel
-# because every packed operation is exact under a power-of-two scale.
+# The plain row cache is the full (2k, 2k) matrix of plain doubles, gathered
+# from the bar-gap kernel's plain rows, up to this many entries (k <= 1024) and
+# the kernel above it; both hold the bits of Instance._weighted_rows (weight
+# times distance power) at one scale, the kernel because every packed
+# operation is exact under a power-of-two scale.
 _MATRIX_MAX_ENTRIES = 1 << 22
 
 # Plain-double rows keep every nonzero value at least 2**-PLAIN_SEEDING_SPREAD:
@@ -258,11 +263,12 @@ class Instance:
     Immutable after construction.  Holds the locations only as the packed
     columns every hot path reads: ``_x``, ``_y`` (a bottom end's mantissa
     carries the sign bit, -0.0 at zero height), ``_w_m``/``_w_e`` and
-    ``_cluster``; the generators write them directly.  Caches on first use
-    every weighted row, packed and as plain doubles: the bar-gap kernel
-    above ``_MATRIX_MAX_ENTRIES`` entries, and up to it or without a kernel
-    the full matrix, copied in row blocks from the kernel's rows (module
-    docstring).  All of it is plain arrays, so an instance pickles as them.
+    ``_cluster``; the generators write them directly.  Builds on first use
+    its bar-gap kernel, if it has one, which serves the packed rows at any
+    size, and the plain row cache: the kernel above ``_MATRIX_MAX_ENTRIES``
+    entries, and up to it or without a kernel the full matrix of plain
+    doubles (module docstring).  All of it is plain arrays, so an instance
+    pickles as them.
     """
 
     def __init__(self, locations: Iterable[WeightedLocation], k: int, m: float,
@@ -289,7 +295,9 @@ class Instance:
         initializer of hand-built and generated instances."""
         self.k, self.m, self.r, self.variant = k, float(m), float(r), variant
         self._cluster, self._x, self._y, (self._w_m, self._w_e) = cluster, x, y, w
-        self._rows = None  # _Matrix or _BarGapKernel, built on first use
+        # the plain row cache (_Matrix or _BarGapKernel) and the kernel or
+        # None, both built on first use
+        self._rows = self._kern = None
         return self
 
     @property
@@ -329,9 +337,10 @@ class Instance:
         return _ext_mul(*self.distpow_rows(idxs, cols), self._w_m[cols], self._w_e[cols])
 
     def _row_cache(self):
-        """The row cache (class docstring), built on first use."""
+        """The plain row cache (class docstring), built with the kernel on
+        first use."""
         if self._rows is None:
-            kern = _bar_gap_kernel(self)
+            kern = self._kern = _bar_gap_kernel(self)
             small = self.n_locations ** 2 <= _MATRIX_MAX_ENTRIES
             self._rows = _matrix(self, kern) if small or not kern else kern
         return self._rows
@@ -340,22 +349,25 @@ class Instance:
         """``rows(idxs)`` -> (mantissa, exponent) of weight_i * dist(idxs[t], i)**ell.
 
         ``idxs`` is a flat index array.  The rows come from the instance's
-        row cache (class docstring), built here, so callers allocate their
-        own work arrays after it; every row holds the bits of
+        bar-gap kernel, or from :meth:`_weighted_rows` for an instance
+        without one; the row cache is built here, so callers allocate their
+        own work arrays after it.  Every row holds the bits of
         :meth:`_weighted_rows`, weight_i times :meth:`distpow_rows`.
         """
-        return self._row_cache().sources()[0]
+        self._row_cache()
+        return self._kern.packed_rows() if self._kern else self._weighted_rows
 
     def plain_row_source(self):
         """``(rows, F)``: the rows of :meth:`weighted_row_source` as doubles
-        scaled by 2**-F.
+        scaled by 2**-F, from the row cache: the kernel's plain rows or the
+        full matrix, which holds plain doubles only.
 
-        F is :func:`_plain_scale` of every value the row cache serves, so
+        F is :func:`_plain_scale` of every nonzero exponent the rows hold, so
         every nonzero value is at least 2**-PLAIN_SEEDING_SPREAD; values
         beyond the double range are +inf.
         """
         cache = self._row_cache()
-        return cache.sources()[1], cache.scale
+        return cache.plain_rows(), cache.scale
 
     def interval_lowering(self):
         """:meth:`_BarGapKernel.lowering` where the row cache is a bar-gap
@@ -368,32 +380,24 @@ class Instance:
 
 
 class _Matrix(NamedTuple):
-    """The full (2k, 2k) matrix W[j, i] = weight_i * dist(j, i)**ell, packed
-    and as ``plain`` doubles scaled by 2**-scale."""
+    """The full (2k, 2k) matrix W[j, i] = weight_i * dist(j, i)**ell as
+    ``plain`` doubles scaled by 2**-scale."""
 
-    m: np.ndarray
-    e: np.ndarray
     plain: np.ndarray
     scale: int
 
-    def sources(self):
-        """``(rows, plain_rows)`` as for :meth:`_BarGapKernel.sources`."""
-        return (lambda idxs: (self.m[idxs], self.e[idxs])), self.plain.__getitem__
+    def plain_rows(self):
+        """``rows(idxs)`` -> the plain rows of a flat index array."""
+        return self.plain.__getitem__
 
 
 def _matrix(inst: Instance, kern) -> _Matrix:
-    """The full matrix, filled in row blocks (module docstring)."""
-    L, rows = inst.n_locations, kern.sources()[0] if kern else inst._weighted_rows
-    m, e, plain = np.empty((L, L)), np.empty((L, L), dtype=np.int64), np.empty((L, L))
-    blocks, ends = list(rng.trial_chunks(0, L, L)), []
-    for lo, hi in blocks:
-        m[lo:hi], e[lo:hi] = rows(np.arange(lo, hi))
-        nz = e[lo:hi][m[lo:hi] != 0.0]
-        ends += [nz.min(), nz.max()] if nz.size else []
-    F = _plain_scale(np.array(ends, dtype=np.int64))
-    for lo, hi in blocks:
-        plain[lo:hi] = _as_plain(m[lo:hi], e[lo:hi], F)
-    return _Matrix(m, e, plain, F)
+    """The full matrix: every plain row of the kernel, at its scale, or
+    without a kernel every explicit row converted by :func:`_plain`."""
+    idxs = np.arange(inst.n_locations)
+    if kern:
+        return _Matrix(kern.plain_rows()(idxs), kern.scale)
+    return _Matrix(*_plain(*inst._weighted_rows(idxs)))
 
 
 class _BarGapKernel(NamedTuple):
@@ -425,44 +429,56 @@ class _BarGapKernel(NamedTuple):
     scale: int
     dominant: bool = False
 
-    def sources(self):
-        """``(rows, plain_rows)``: packed rows and rows as doubles scaled by
-        2**-scale, each for a flat index array."""
-        h, cols = len(self.near), self.index[:, 2]
-        m_win, e_win, plain_win = (sliding_window_view(t, len(self.index), axis=1)
-                                   for t in (self.tail_m, self.tail_e, self.tail_plain))
+    def _gather(self, *tails):
+        """``gather(idxs)`` for a flat index array: each row's values from
+        each of ``tails`` (rows laid out as ``tail_m``), right in the columns
+        of bars >= tail; its head columns as near values with its exponent
+        shift; and which rows lie left of the tail."""
+        h = len(self.near)
+        wins = [sliding_window_view(t, len(self.index), axis=1) for t in tails]
 
-        def gather(idxs, *wins):
-            # rows right in the columns of bars >= tail, the head columns as
-            # near values with the exponent shift of each row, and the rows
-            # left of the tail
+        def gather(idxs):
             end, off, col = self.index[idxs].T
             shift = self.w_e[:h] - self.w_e[idxs, None]
             return *(w[end, off] for w in wins), self.near[:, col].T, shift, idxs < h
 
+        return gather
+
+    def packed_rows(self):
+        """``rows(idxs)`` -> the packed (mantissa, exponent) rows of a flat
+        index array."""
+        h, cols, gather = len(self.near), self.index[:, 2], self._gather(self.tail_m, self.tail_e)
+
         def rows(idxs):
             idxs = np.asarray(idxs, dtype=np.int64)
-            m, e, head, shift, near = gather(idxs, m_win, e_win)
+            m, e, head, shift, near = gather(idxs)
             m[:, :h], e[:, :h] = _norm(head, self.scale + shift)
             if near.any():
                 m[near], e[near] = _norm(self.near[idxs[near]][:, cols], self.scale)
             return m, e
 
-        def plain_rows(idxs):
+        return rows
+
+    def plain_rows(self):
+        """``rows(idxs)`` -> the rows of a flat index array as doubles scaled
+        by 2**-scale."""
+        h, cols, gather = len(self.near), self.index[:, 2], self._gather(self.tail_plain)
+
+        def rows(idxs):
             idxs = np.asarray(idxs, dtype=np.int64)
-            out, head, shift, near = gather(idxs, plain_win)
+            out, head, shift, near = gather(idxs)
             with np.errstate(over="ignore"):
                 np.ldexp(head, shift, out=out[:, :h])
             if near.any():
                 out[near] = self.near[idxs[near]][:, cols]
             return out
 
-        return rows, plain_rows
+        return rows
 
     def lowering(self):
         """``lower(s, j, lo, hi)``: ``s[lo:hi]`` becomes its elementwise
         minimum with the plain row of center j over columns lo .. hi-1, the
-        values of :meth:`sources`, read as a slice of j's tail row and,
+        values of :meth:`plain_rows`, read as a slice of j's tail row and,
         left of the tail, of its head columns or its near row."""
         h, near, tail, w_e = len(self.near), self.near, self.tail_plain, self.w_e
         cols = self.index[:, 2]
@@ -523,7 +539,7 @@ def _dominant(kern: _BarGapKernel) -> bool:
     j = np.arange(h, min(2 * S + 2, L))
     with np.errstate(over="ignore"):
         head = np.ldexp(kern.near[:, kern.index[j, 2]].T, kern.w_e[:h] - kern.w_e[j, None])
-    junction = kern.sources()[1](np.arange(h - 2, h + 2))
+    junction = kern.plain_rows()(np.arange(h - 2, h + 2))
     return (pairs(kern.near, np.arange(2 * S) // 2)
             and pairs(junction, np.where(np.arange(L) < h, 0, 1))
             and pairs(head, np.full(h, -1)))

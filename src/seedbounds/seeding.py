@@ -71,8 +71,8 @@ The engine reads every row from the instance's row cache (``core``
 module docstring): a bar-gap kernel above the cap (k > 1024), whose rows
 are the same bits because every packed operation commutes with the
 power-of-two scale between consecutive bars, and otherwise the full
-matrix, copied from the kernel's rows where the instance has one.  Once
-the cache is built no pick computes a distance.
+matrix of plain doubles, gathered from the kernel's plain rows where the
+instance has one.  Once the cache is built no pick computes a distance.
 """
 
 from __future__ import annotations

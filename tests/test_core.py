@@ -264,16 +264,22 @@ def test_instance_csv_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _assert_rows_match(inst):
-    """Every cached row, near rows included, equals the explicitly computed
-    row bit for bit, packed and as the plain source's doubles."""
+    """Every served row, near rows included, equals the explicitly computed
+    row bit for bit, packed and as the plain source's doubles, whose F is
+    that of every nonzero exponent of the explicit rows."""
     rows = inst.weighted_row_source()
     plain, F = inst.plain_row_source()
+    ends = []
     for lo in range(0, inst.n_locations, 64):
         chunk = np.arange(lo, min(lo + 64, inst.n_locations))
         (km, ke), (wm, we) = rows(chunk), inst._weighted_rows(chunk)
         assert np.array_equal(km.view(np.int64), wm.view(np.int64)), chunk
         assert np.array_equal(ke, we), chunk
         assert np.array_equal(plain(chunk), core._as_plain(wm, we, F)), chunk
+        # _plain_scale reads only the extremes, so each chunk's stand for it
+        nz = we[wm != 0.0]
+        ends += [nz.min(), nz.max()] if nz.size else []
+    assert F == core._plain_scale(np.array(ends, dtype=np.int64))
 
 
 def test_kernel_rows_match_every_explicit_row():
@@ -303,7 +309,7 @@ def _geometric_instance(k, variant):
 
 def test_kernel_rows_match_every_row_under_a_zero_cap(monkeypatch):
     # under a zero cap every instance with a kernel caches it; under the real
-    # cap the same instances cache the full matrix, copied from its rows
+    # cap the same instances cache the full matrix, gathered from its rows
     real_cap = core._MATRIX_MAX_ENTRIES
     for cap, ks in ((0, (55, 56, 60, 109, 110, 300)), (real_cap, (56, 109, 300))):
         monkeypatch.setattr(core, "_MATRIX_MAX_ENTRIES", cap)
@@ -315,8 +321,6 @@ def test_kernel_rows_match_every_row_under_a_zero_cap(monkeypatch):
                 _assert_rows_match(inst)
                 is_matrix = isinstance(inst._rows, core._Matrix)
                 assert is_matrix == (cap > 0 or k == 55), (cap, gen, k, r, m)
-                if cap:
-                    assert inst._rows.scale == core._bar_gap_kernel(inst).scale
     monkeypatch.setattr(core, "_MATRIX_MAX_ENTRIES", 0)
     for variant in core.ELL:
         inst = _geometric_instance(40, variant)
@@ -349,8 +353,8 @@ def test_kernel_lowering_takes_the_minimum_with_the_served_rows(monkeypatch):
 
 
 def test_matrix_build_peaks_below_twice_the_cache():
-    # the matrix is filled from the kernel's rows in row blocks, so its build
-    # holds little beyond the packed and plain arrays it returns
+    # the matrix is one gather of the kernel's plain rows, so its build holds
+    # little beyond the one (L, L) array of doubles it returns
     inst = gen_kmeans_bad(600, 4.0, 1.0)
     tracemalloc.start()
     try:
@@ -359,7 +363,10 @@ def test_matrix_build_peaks_below_twice_the_cache():
     finally:
         tracemalloc.stop()
     assert isinstance(cache, core._Matrix)
-    assert peak < 2 * (cache.m.nbytes + cache.e.nbytes + cache.plain.nbytes)
+    arrays = [a for a in cache if isinstance(a, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0] is cache.plain
+    assert cache.plain.shape == (1200, 1200) and cache.plain.dtype == np.float64
+    assert peak < 2 * cache.plain.nbytes
 
 
 def _bar_one_replaced(inst, x, h, w):
