@@ -14,8 +14,8 @@ instance without one.  Plain doubles (:meth:`Instance.plain_row_source`)
 come from one row cache per instance, built on first use: the kernel above
 ``_MATRIX_MAX_ENTRIES`` entries, else the full (2k, 2k) matrix as plain
 doubles only, gathered from the kernel's plain rows in one call, or
-converted from the explicit rows for an instance without a kernel.  At
-kmeans k=1000 the row cache holds 30.9 MiB.
+converted from the explicit rows, block by block, for an instance without
+a kernel.  At kmeans k=1000 the row cache holds 30.9 MiB.
 
 Every packed operation depends only on mantissas and exponent
 differences, so where every bar from bar H on has the previous bar's
@@ -393,11 +393,23 @@ class _Matrix(NamedTuple):
 
 def _matrix(inst: Instance, kern) -> _Matrix:
     """The full matrix: every plain row of the kernel, at its scale, or
-    without a kernel every explicit row converted by :func:`_plain`."""
-    idxs = np.arange(inst.n_locations)
+    without a kernel the explicit rows as :func:`_plain` converts them, in
+    two passes over row blocks on the :func:`rng.trial_chunks` grid, so no
+    temporary spans the whole matrix.  The first takes the extremes of the
+    nonzero exponents, the only ones :func:`_plain_scale` reads; the
+    second converts each block into ``plain``."""
+    L = inst.n_locations
     if kern:
-        return _Matrix(kern.plain_rows()(idxs), kern.scale)
-    return _Matrix(*_plain(*inst._weighted_rows(idxs)))
+        return _Matrix(kern.plain_rows()(np.arange(L)), kern.scale)
+    blocks, ends = list(rng.trial_chunks(0, L, L)), []
+    for lo, hi in blocks:
+        m, e = inst._weighted_rows(np.arange(lo, hi))
+        nz = e[m != 0.0]
+        ends += [nz.min(), nz.max()] if nz.size else []
+    F, plain = _plain_scale(np.array(ends, dtype=np.int64)), np.empty((L, L))
+    for lo, hi in blocks:
+        plain[lo:hi] = _as_plain(*inst._weighted_rows(np.arange(lo, hi)), F)
+    return _Matrix(plain, F)
 
 
 class _BarGapKernel(NamedTuple):

@@ -9,15 +9,14 @@ batch, or on any worker - the contract all experiment determinism rests on.
 
 Uniforms take the top 53 bits of a raw draw, giving values in [0, 1).
 
-Every seeding pick, and every potential sum seeding and ``core.cost``
-report, follows one pick rule with one summation order: a row is summed
-in aligned blocks of BLOCK locations, each by a pairwise tree, and the
-block sums in order; the pick finds its block by the block prefix and
-its location by a descent of the block's tree (:func:`block_tree`,
-:func:`block_pick`, :func:`lane_pick`).  The tree levels are elementwise
-adds over whole chunks, so no step waits on one serial add chain per row.
-The urn's Monte Carlo picks by cumulative sums down columns
-(:func:`weighted_pick`).
+Every weighted pick, seeding's and the biased urn's, and every potential
+sum seeding and ``core.cost`` report, follow one pick rule with one
+summation order: a row is summed in aligned blocks of BLOCK locations,
+each by a pairwise tree, and the block sums in order; the pick finds its
+block by the block prefix and its location by a descent of the block's
+tree (:func:`block_tree`, :func:`block_pick`, :func:`lane_pick`).  The
+tree levels are elementwise adds over whole chunks, so no step waits on
+one serial add chain per row.
 """
 
 from __future__ import annotations
@@ -206,24 +205,3 @@ def lane_pick(levels, prefix, u: float) -> int:
             g += 1
     return g
 
-
-def weighted_pick(prefix: np.ndarray, u, target=None, hit=None):
-    """Cumulative-inversion pick down the columns of ``prefix``.
-
-    ``prefix`` holds in each column the cumulative sum of nonnegative
-    weights, with a positive total in the last row, and ``u`` one uniform in
-    [0, 1) per column.  The pick is the count of prefix values below the
-    target ``max(u * total, _TINY)``: such a prefix is nondecreasing and its
-    last entry is at least the target, so that is the first index whose
-    prefix value reaches it.  A boundary hit (u * total landing exactly on
-    a prefix value) resolves to the lower index; the target is at least the
-    smallest positive double, so leading zero-weight buckets are skipped.
-    ``target`` (one entry per column) and ``hit`` (a bool array shaped like
-    ``prefix``) are optional work arrays a caller that picks many times can
-    own; the pick is the same without them.
-    """
-    target = np.maximum(np.multiply(u, prefix[-1], out=target), _TINY, out=target)
-    # a bool is one byte: summing the bytes into int32 counts spares the
-    # buffered bool-to-int64 cast of .sum(axis=0), which is slower
-    below = np.less(prefix, target, out=hit).view(np.uint8)
-    return np.add.reduce(below, axis=0, dtype=np.int32)

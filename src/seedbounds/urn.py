@@ -144,48 +144,40 @@ def biased_distinct_colors_mc(k: int, gamma: float, trials: int,
                               rng_seed: int) -> DistinctColorDistribution:
     """Sequential simulation of the biased draw; deterministic given the seed.
 
-    Works on blocks of trials on the :func:`rng.trial_chunks` grid.  A
-    block's weights are held trials-minor, one column per trial, and carried
-    from step to step: a draw zeroes the drawn ball and, if its color was
-    unseen, sets its mate's weight to 1.  Each step's weights, prefix sums
-    and picks are those of rows rebuilt from the drawn and seen flags, the
-    same bits.
-
-    The block has an even number of columns: an odd block's last trial is
-    run twice, in a spare column whose copy is not counted.  One complex128
-    ``np.add.accumulate`` down the columns sums two adjacent trials at once,
-    one per lane; each lane adds the terms of a row cumsum in its order.
+    Works on blocks of trials on the :func:`rng.trial_chunks` grid, one
+    weight row per trial in the leaves of the block's
+    :func:`rng.block_tree`, carried from step to step: each step draws by
+    :func:`rng.block_pick`, zeroes the drawn ball and, if its color was
+    unseen, sets its mate's weight to 1, then re-sums the trees
+    (:func:`rng.block_sums`).  Each step's weights, sums and picks are
+    those of rows rebuilt from the drawn and seen flags, the same bits.
     """
     _check_k(k)
     _check_gamma(gamma)
     _check_trials(trials)
     rng.check_seed(rng_seed)
     counts = np.zeros(k + 1, dtype=np.int64)
-    chunks = list(rng.trial_chunks(0, trials, 2 * k))
-    # work buffers for the first chunk, the largest, and a spare column;
-    # every chunk works on their leading elements
-    most = chunks[0][1] + 1
-    w_buf, prefix_buf, hit_buf = (np.empty(2 * k * most, dtype=d) for d in (float, float, bool))
-    target_buf = np.empty(most)
-    for lo, hi in chunks:
+    for lo, hi in rng.trial_chunks(0, trials, 2 * k):
         T = hi - lo
-        cols = np.arange(T + T % 2)
-        w, prefix, hit = (b[:2 * k * cols.size].reshape(2 * k, -1)
-                          for b in (w_buf, prefix_buf, hit_buf))
-        w.fill(gamma)
-        lanes, lane_prefix = w.view(np.complex128), prefix.view(np.complex128)
-        # one row of uniforms per column: the spare repeats trial hi - 1
-        U = rng.uniform_matrix(rng_seed, np.minimum(lo + cols, hi - 1).astype(np.uint64), k)
+        levels, prefix = rng.block_tree(np.full((T, 2 * k), gamma))
+        w = levels[0]
+        # row t: every trial's uniform for draw t
+        U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), k).T.copy()
+        # each trial's first leaf: rows are padded to whole blocks, so it is
+        # even and ball ^ 1 is the drawn ball's mate
+        first = np.arange(0, w.size, w.size // T)
         for t in range(k):
-            np.add.accumulate(lanes, axis=0, out=lane_prefix)
-            pick = rng.weighted_pick(prefix, U[:, t], target_buf[:cols.size], hit)
-            # the mate's weight, not the picked ball's, tells a new color: the
+            if t:
+                rng.block_sums(levels, prefix)
+            ball = first + rng.block_pick(levels, prefix, U[t])
+            # the mate's weight, not the drawn ball's, tells a new color: the
             # mate is drawn (0) iff its color is seen, and weighs gamma if not
-            mate = pick ^ 1
-            w[mate, cols] = np.minimum(w[mate, cols], 1.0)
-            w[pick, cols] = 0.0
+            mate = ball ^ 1
+            w[mate] = np.minimum(w[mate], 1.0)
+            w[ball] = 0.0
         # a color is seen iff one of its balls is drawn, that is weighs 0
-        unseen = np.count_nonzero((w[0::2, :T] > 0.0) & (w[1::2, :T] > 0.0), axis=0)
+        rows = w.reshape(T, -1)[:, :2 * k]
+        unseen = np.count_nonzero((rows[:, 0::2] > 0.0) & (rows[:, 1::2] > 0.0), axis=1)
         counts += np.bincount(k - unseen, minlength=k + 1)
     return DistinctColorDistribution(k, counts / trials)
 

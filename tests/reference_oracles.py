@@ -10,11 +10,12 @@ the packed columns, and the packed seeding engine rescales every potential
 row by its largest exponent where the package keeps plain doubles under
 one 2**-F.  The uniform urn's Monte Carlo ranks indices where the package
 partitions values, the biased urn's DP steps every state where the package
-steps the reachable band, and the biased urn's Monte Carlo works on rows
-where the package works on columns.  The pick rule is written out for
-one row and one uniform in Python floats, block by block, where the
-package sums whole chunks with numpy.  The package versions must return
-these results bit for bit.
+steps the reachable band, and the biased urn's Monte Carlo rebuilds every
+weight row and its tree from the drawn and seen flags where the package
+carries its rows in the trees' leaves from draw to draw.  The pick rule
+is written out for one row and one uniform in Python floats, block by
+block, where the package sums whole chunks with numpy.  The package
+versions must return these results bit for bit.
 """
 
 import itertools
@@ -82,14 +83,6 @@ def block_rule(weights, u):
             acc += left
             node += 1
     return BLOCK * b + node, total
-
-
-def weighted_pick_rows(prefix, u):
-    """The cumulative-sum pick along the rows of ``prefix``, one u per row:
-    the count of prefix values below ``max(u * total, least positive
-    double)``."""
-    target = np.maximum(u * prefix[:, -1], rng._TINY)
-    return np.greater_equal(prefix, target[:, None]).argmax(axis=-1)
 
 
 def run_chunk_packed(inst, n_centers, rng_seed, lo, hi):
@@ -211,7 +204,8 @@ def biased_distinct_colors_dp(k, gamma):
 
 
 def biased_distinct_colors_mc(k, gamma, trials, rng_seed):
-    """Rebuilds every weight row from the drawn and seen flags at each step."""
+    """Rebuilds every weight row from the drawn and seen flags at each step,
+    and draws on a fresh tree of it."""
     counts = np.zeros(k + 1, dtype=np.int64)
     color_of_ball = np.arange(2 * k) // 2
     for lo, hi in rng.trial_chunks(0, trials, 2 * k):
@@ -223,8 +217,7 @@ def biased_distinct_colors_mc(k, gamma, trials, rng_seed):
         for t in range(k):
             seen_ball = seen[:, color_of_ball]
             w = np.where(drawn, 0.0, np.where(seen_ball, 1.0, gamma))
-            prefix = np.cumsum(w, axis=1)
-            pick = weighted_pick_rows(prefix, U[:, t])
+            pick = rng.block_pick(*rng.block_tree(w), U[:, t])
             drawn[row_ix, pick] = True
             seen[row_ix, color_of_ball[pick]] = True
         counts += np.bincount(seen.sum(axis=1), minlength=k + 1)

@@ -109,6 +109,12 @@ _KMEDIAN_30K = "175f1f7dd991d74b01419e5bce27a4c008f5e9e25e36247011a298f460ae5f89
      "51fa99bf17be9ebe91f959c70a5eb5dc6ba7e05e287e4f2a14378dc823c8b4da"),
     (("gen", "--variant", "kmedian", "--k", 60, "--m", 4, "--r", 0.7),
      "009d12ca5bc5fcbfccee2db1b1be21bb953ee90e9714be5557a2670f0e121542"),
+    # the biased urn's Monte Carlo: the oracles workload's draw, in six trial
+    # chunks, and one odd chunk of rows that end in zero padding
+    (("ballgame", "--mode", "biased", "--gamma", 5, "--k", 64, "--trials", 3000, "--seed", 1),
+     "2c621f623333a4eb5454517cbca54bd7ac49ad40b099ccb992f8a02f3b47efb6"),
+    (("ballgame", "--mode", "biased", "--gamma", 1.3, "--k", 17, "--trials", 601, "--seed", 5),
+     "34864d60781d6586b2199a5132d3d1d75fc4597af87d131179ead6436d01e63f"),
 ])
 def test_output_bytes_are_pinned(tmp_path, args, digest):
     # a deliberate change to the numeric reference shows up here as a new digest

@@ -353,20 +353,29 @@ def test_kernel_lowering_takes_the_minimum_with_the_served_rows(monkeypatch):
 
 
 def test_matrix_build_peaks_below_twice_the_cache():
-    # the matrix is one gather of the kernel's plain rows, so its build holds
-    # little beyond the one (L, L) array of doubles it returns
-    inst = gen_kmeans_bad(600, 4.0, 1.0)
-    tracemalloc.start()
-    try:
-        cache = inst._row_cache()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert isinstance(cache, core._Matrix)
-    arrays = [a for a in cache if isinstance(a, np.ndarray)]
-    assert len(arrays) == 1 and arrays[0] is cache.plain
-    assert cache.plain.shape == (1200, 1200) and cache.plain.dtype == np.float64
-    assert peak < 2 * cache.plain.nbytes
+    # the matrix is one gather of the kernel's plain rows or, without a
+    # kernel (bar 1's weight has another mantissa), the explicit rows
+    # converted block by block; either build holds little beyond the one
+    # (L, L) array of doubles it returns
+    gen = gen_kmeans_bad(600, 4.0, 1.0)
+    bar1 = gen.locations[0]
+    odd = _bar_one_replaced(gen, bar1.x, bar1.y_mag, ExtScalar(1.5, 2))
+    for inst in (gen, odd):
+        tracemalloc.start()
+        try:
+            cache = inst._row_cache()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(cache, core._Matrix)
+        assert (inst._kern is None) is (inst is odd)
+        arrays = [a for a in cache if isinstance(a, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is cache.plain
+        assert cache.plain.shape == (1200, 1200) and cache.plain.dtype == np.float64
+        assert peak < 2 * cache.plain.nbytes, inst is odd
+    # the blocks hold the bits of one whole conversion
+    plain, F = core._plain(*odd._weighted_rows(np.arange(odd.n_locations)))
+    assert cache.plain.tobytes() == plain.tobytes() and cache.scale == F
 
 
 def _bar_one_replaced(inst, x, h, w):

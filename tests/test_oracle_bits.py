@@ -63,8 +63,9 @@ def test_biased_dp_bits(gamma):
 @pytest.mark.parametrize("gamma", [1.0, 1.3, 5.0])
 def test_biased_mc_bits(gamma):
     # 600 trials span two trial chunks at k = 64.  601 make an odd chunk at
-    # every k, whose last trial runs beside its copy in the spare column:
-    # one chunk of 601 at k <= 17, chunks of 512 and 89 at k = 64
+    # every k: one chunk of 601 at k <= 17, chunks of 512 and 89 at k = 64.
+    # A row of 2k balls fills part of one tree block at k <= 3, and ends in
+    # zero padding at k = 1, 3 and 17
     for k in (1, 3, 17, 64):
         for trials in (600, 601):
             assert np.array_equal(urn.biased_distinct_colors_mc(k, gamma, trials, 5).probs,

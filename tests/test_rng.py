@@ -82,100 +82,6 @@ def test_mix64_matches_vector_path():
         assert rng.mix64(int(v)) == int(out)
 
 
-def _two_pass_pick(weights, prefix, u):
-    # reference: count prefix values below the target, then skip leading
-    # zero-weight buckets with a separate argmax pass
-    raw = (prefix < (u * prefix[..., -1])[..., None]).sum(axis=-1)
-    return np.maximum(raw, (weights > 0).argmax(axis=-1))
-
-
-def test_weighted_pick_boundaries():
-    # one column per u, every column the same prefix
-    def pick(prefix, u):
-        u = np.asarray(u)
-        return rng.weighted_pick(np.tile(prefix, (len(u), 1)).T.copy(), u).tolist()
-
-    prefix = np.cumsum([0.0, 2.0, 0.0, 3.0])
-    # u = 0 lands in the first positive-weight bucket
-    assert pick(prefix, [0.0]) == [1]
-    # exact boundary hit resolves to the lower bucket
-    assert pick(prefix, [0.4]) == [1]  # target = 2.0
-    assert pick(prefix, [0.41, 1.0 - 2**-53]) == [3, 3]
-    # equal neighbours: a target on a prefix value takes that bucket
-    equal = np.cumsum([1.0, 1.0, 1.0, 1.0])
-    assert pick(equal, [0.0, 0.25, 0.5, 0.5 + 2**-53]) == [0, 0, 1, 2]
-
-    # random rows with zero-weight runs, u = 0, and extreme scales
-    gen = np.random.default_rng(5)
-    w = gen.random((4000, 12)) * (gen.random((4000, 12)) < 0.6)
-    w[:, -1] += 0.5  # every row has a positive total
-    w[::7, :5] = 0.0
-    u = gen.random(4000)
-    u[::5] = 0.0
-    for scale in (1.0, 2.0**-1000, 2.0**1000):
-        ws = w * scale
-        prefix = np.cumsum(ws, axis=1)
-        assert np.array_equal(rng.weighted_pick(prefix.T.copy(), u),
-                              _two_pass_pick(ws, prefix, u))
-
-
-def _counting_pick(prefix, u):
-    # the definition: how many prefix values lie below the target
-    target = np.maximum(u * prefix[..., -1], np.nextafter(0.0, 1.0))
-    return (prefix < target[..., None]).sum(axis=-1)
-
-
-@st.composite
-def _prefix_and_u(draw):
-    # small integer weights with zero runs keep the prefix values exact, and
-    # u = (a prefix value) / total lands u * total on one of them
-    n = draw(st.integers(1, 10))
-    weights = draw(st.lists(
-        st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=n, max_size=n)
-        .filter(any), min_size=1, max_size=5))
-    prefix = np.cumsum(weights, axis=1, dtype=float)
-    u = [draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True),
-                        st.sampled_from(row[:-1].tolist() or [0.0]).map(
-                            lambda p, total=row[-1]: p / total)))
-         for row in prefix]
-    scale = draw(st.sampled_from([1.0, 2.0**-1070, 2.0**-1000, 2.0**1000]))
-    return prefix * scale, np.array(u)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_prefix_and_u())
-def test_weighted_pick_is_the_count_below_the_target(case):
-    # the column form on the transposed copy, one u per column, and with
-    # the caller's work arrays left holding garbage
-    prefix, u = case
-    want = _counting_pick(prefix, u)
-    assert np.array_equal(rng.weighted_pick(prefix.T.copy(), u), want)
-    target, hit = np.full(len(u), np.nan), np.ones(prefix.T.shape, dtype=bool)
-    assert np.array_equal(rng.weighted_pick(prefix.T.copy(), u, target, hit), want)
-
-
-def test_the_column_pick_is_the_row_pick_of_the_transposed_copy():
-    # one row (column) per u, every row the same prefix: u = 0 skips leading
-    # zero weights, u * total on a prefix value takes the lower bucket, and
-    # totals of 2**-1074 and 2**-1000 put targets on the least pick target
-    cases = [([0.0, 2.0, 0.0, 3.0], [0.0, 0.4, 0.41, 0.5, 1.0 - 2**-53]),
-             ([1.0, 1.0, 1.0, 1.0], [0.0, 0.25, 0.5, 0.5 + 2**-53, 0.75]),
-             ([0.0, 0.0, 2.0**-1074], [0.0, 0.5, 1.0 - 2**-53]),
-             ([0.0, 2.0**-1074, 2.0**-1074], [0.0, 0.25, 0.5, 0.75]),
-             ([0.0, 2.0**-1000, 3.0 * 2.0**-1000], [0.0, 2.0**-53, 0.25, 0.5]),
-             ([5.0], [0.0, 0.5])]
-    for weights, u in cases:
-        u = np.array(u)
-        rows = np.tile(np.cumsum(weights), (len(u), 1))
-        want = ref.weighted_pick_rows(rows, u)
-        assert want.tolist() == _counting_pick(rows, u).tolist(), weights
-        cols = rows.T.copy()
-        assert rng.weighted_pick(cols, u).tolist() == want.tolist(), weights
-        # with the caller's work arrays, left holding garbage
-        target, hit = np.full(len(u), np.nan), np.ones(cols.shape, dtype=bool)
-        assert rng.weighted_pick(cols, u, target, hit).tolist() == want.tolist()
-
-
 # ---------------------------------------------------------------------------
 # the pick rule: block trees, block prefix, descent
 # ---------------------------------------------------------------------------

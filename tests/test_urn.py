@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seedbounds import bounds
+from seedbounds import bounds, rng
 from seedbounds.errors import ConfigError
 from seedbounds.urn import (biased_distinct_colors_dp,
                             biased_distinct_colors_mc, distinct_colors_exact,
@@ -144,6 +144,20 @@ def test_mc_biased_matches_dp_midrange():
     for i in range(17):
         se = (dp.probs[i] * (1 - dp.probs[i]) / 10**5) ** 0.5
         assert abs(mc.probs[i] - dp.probs[i]) <= max(4 * se, 1e-10)
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2**-53])
+def test_mc_biased_extreme_uniforms(monkeypatch, u):
+    # u = 0 draws the first ball of positive weight, u = 1 - 2**-53 the last:
+    # both balls of one color, then of the next, so every trial sees
+    # ceil(k/2) colors.  Rows of 2k balls end in zero padding at k = 1, 3 and
+    # 17, and fill one or more whole tree blocks at k = 8 and 64; a draw on
+    # padding or on a ball already drawn would change the count
+    monkeypatch.setattr(rng, "uniform_matrix",
+                        lambda seed, trials, n: np.full((len(trials), n), u))
+    for k in (1, 3, 8, 17, 64):
+        probs = biased_distinct_colors_mc(k, 1.3, 37, 0).probs
+        assert probs[(k + 1) // 2] == 1.0 and probs.sum() == 1.0, k
 
 
 def test_trials_must_be_positive():
