@@ -165,7 +165,7 @@ def _scaled_totals(m, e):
 
     ``m`` and ``e`` are one row or (R, L) rows.  Returns the
     :func:`rng.block_tree` ``(levels, prefix)`` of the scaled rows and the
-    max exponent per row: the total of row r is ``prefix[r, -1] * 2**E[r]``.
+    max exponent per row: the total of row r is ``prefix[-1, r] * 2**E[r]``.
     Entries more than ~1100 binary orders below the max flush to zero,
     exactly as scalar extended addition would drop them.
     """
@@ -711,7 +711,7 @@ def cost(inst: Instance, centers: Sequence[int]) -> ExtScalar:
         else:
             _ext_min_into(mm, me, m_min, e_min)
     _, prefix, E = _scaled_totals(mm, me)
-    return ExtScalar(float(prefix[0, -1]), int(E[0]))
+    return ExtScalar(float(prefix[-1, 0]), int(E[0]))
 
 
 def coverage(inst: Instance, centers: Sequence[int]):

@@ -32,7 +32,9 @@ loop (:func:`_row_steps`) steps the chunk's trials together: each pick
 takes the minimum of every trial's whole potential row and its fetched
 row, in the leaves of the chunk's trees, then re-sums the trees and
 block prefixes whole (:func:`rng.block_sums`, one elementwise add per
-tree level); besides those buffers, the only (T, 2k) arrays a step
+tree level; the prefix is blocks-major, so its sums and the pick's block
+search run along the chunk's trials, and ``prefix[-1]`` holds every
+trial's total); besides those buffers, the only (T, 2k) arrays a step
 allocates are the rows it fetches.  The interval loop
 (:func:`_bar_steps`) runs where the row cache is a bar-gap
 kernel whose adjacent bars are all dominant, a check made once at the
@@ -183,7 +185,7 @@ def _run_chunk(inst, n_centers, rng_seed, lo, hi):
     # pick 0 samples the packed location weights: one tree, shared by the
     # trials; later picks sample weight * (min distance to chosen centers) ** ell
     levels, prefix, E = _scaled_totals(inst._w_m, inst._w_e)
-    totals[0], exps[0] = _total(levels[0], prefix[:, -1])[0], E[0]
+    totals[0], exps[0] = _total(levels[0], prefix[-1])[0], E[0]
     picks[0] = rng.block_pick(levels, prefix, U[0])
     # the potentials, as every row, are plain doubles scaled by 2**-F
     rows, F = inst.plain_row_source()
@@ -209,11 +211,11 @@ def _row_steps(rows, s, picks, U, totals):
     # the potentials live in the trees' zero-padded leaves
     s = levels[0].reshape(T, -1)[:, :L]
     for step in range(1, len(U)):
-        totals[step] = _total(s, prefix[:, -1])[0]
+        totals[step] = _total(s, prefix[-1])[0]
         pick = picks[step] = rng.block_pick(levels, prefix, U[step])
         np.minimum(s, rows(pick), out=s)
         rng.block_sums(levels, prefix)
-    return prefix[:, -1]
+    return prefix[-1]
 
 
 def _bar_steps(lower, s, picks, U, totals):

@@ -97,7 +97,7 @@ def run_chunk_packed(inst, n_centers, rng_seed, lo, hi):
     rows = inst.weighted_row_source()
     levels, prefix, E = _scaled_totals(inst._w_m, inst._w_e)
     for step in range(n_centers):
-        total = prefix[:, -1]
+        total = prefix[-1]
         if not (total > 0.0).all():
             raise DegenerateInstanceError(
                 "total potential reached zero before all centers were chosen")
@@ -108,7 +108,7 @@ def run_chunk_packed(inst, n_centers, rng_seed, lo, hi):
         else:
             _ext_min_into(*pot, *rows(pick))
         levels, prefix, E = _scaled_totals(*pot)
-    return picks, _norm(prefix[:, -1], E), (totals, exps)
+    return picks, _norm(prefix[-1], E), (totals, exps)
 
 
 def brute_force_opt(inst):

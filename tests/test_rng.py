@@ -92,8 +92,8 @@ def _lanes(row, other):
     pair = np.zeros((1, max(len(row), len(other))), dtype=np.complex128)
     pair.real[0, :len(row)], pair.imag[0, :len(other)] = row, other
     levels, prefix = rng.block_tree(pair)
-    return ([lv.view(np.float64)[0::2] for lv in levels], prefix.view(np.float64)[0, 0::2],
-            [lv.view(np.float64)[1::2] for lv in levels], prefix.view(np.float64)[0, 1::2])
+    return ([lv.view(np.float64)[0::2] for lv in levels], prefix.view(np.float64)[:, 0],
+            [lv.view(np.float64)[1::2] for lv in levels], prefix.view(np.float64)[:, 1])
 
 
 def _assert_the_literal_rule(rows, us):
@@ -105,7 +105,7 @@ def _assert_the_literal_rule(rows, us):
     for row, w in zip(rows, want):
         assert all(row[j] > 0.0 for j, _ in w), (row.tolist(), w)
         levels, prefix = rng.block_tree(row[None, :])
-        assert prefix[0, -1] == w[0][1]
+        assert prefix[-1, 0] == w[0][1]
         assert rng.block_pick(levels, prefix, np.array(us)).tolist() == [j for j, _ in w]
         # each lane beside other weights
         for lv, c in (_lanes(row, row[::-1] * 3.0)[:2], _lanes(row[::-1] * 5.0, row)[2:]):
@@ -115,16 +115,18 @@ def _assert_the_literal_rule(rows, us):
         levels, prefix = rng.block_tree(rows)
         got = rng.block_pick(levels, prefix, np.full(len(rows), u))
         assert got.tolist() == [w[i][0] for w in want]
-        assert prefix[:, -1].tolist() == [w[i][1] for w in want]
+        assert prefix[-1].tolist() == [w[i][1] for w in want]
 
 
 @st.composite
 def _rows_and_us(draw):
     # leading and interior zeros, equal neighbours, lengths below and past
-    # one block, scales down to the least double (2**-1074 puts every target
-    # on the floor); u = 0, uniforms, and u = (a leading run's sum) / total,
-    # which lands targets on or next to sums
-    n = draw(st.integers(1, 40))
+    # one block and on both sides of the block prefix's two forms, scales
+    # down to the least double (2**-1074 puts every target on the floor);
+    # u = 0, uniforms, and u = (a leading run's sum) / total, which lands
+    # targets on or next to sums
+    wide = rng.BLOCK * rng._COLUMN_BLOCKS
+    n = draw(st.integers(1, 40) | st.integers(wide - 2 * rng.BLOCK, wide + 2 * rng.BLOCK))
     values = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 1.0, 3.0, 0.1, 2.0**-30, 2.0**30]),
                            min_size=n, max_size=n).filter(lambda v: any(v)))
     scale = draw(st.sampled_from([1.0, 2.0**-1074, 2.0**-1060, 2.0**-1000, 2.0**960]))
@@ -212,3 +214,53 @@ def test_block_sums_from_a_changed_range_equal_a_whole_pass():
         want_levels, want_prefix = rng.block_tree(pair)
         assert all(np.array_equal(a, b) for a, b in zip(levels, want_levels)), (L, lo, hi)
         assert np.array_equal(prefix, want_prefix), (L, lo, hi)
+
+
+def _batch(gen, R, L):
+    """(R, L) rows of zeros, equal neighbours and mixed magnitudes, each at
+    its own scale down to 2**-1074, each with a positive total."""
+    values = np.array([0.0, 0.0, 1.0, 1.0, 3.0, 0.1, 2.0**-30, 2.0**30])
+    scales = np.array([1.0, 2.0**-1074, 2.0**-1060, 2.0**-1000, 2.0**960])
+    rows = values[gen.integers(0, len(values), (R, L))] * scales[gen.integers(0, len(scales), R)][:, None]
+    rows[np.arange(R), gen.integers(0, L, R)] += scales[gen.integers(0, len(scales), R)]
+    return rows
+
+
+@pytest.mark.parametrize("nb", [2, 8, rng._COLUMN_BLOCKS - 1, rng._COLUMN_BLOCKS,
+                                rng._COLUMN_BLOCKS + 1, 25, 128])
+def test_batch_trees_follow_the_literal_rule_on_both_sides_of_the_crossover(nb):
+    # chunks of whole-chunk shape, (2048, 2) to (32, 128): rows of fewer
+    # than _COLUMN_BLOCKS blocks add the block prefix column by column,
+    # longer rows accumulate it.  Every pick and total is the literal
+    # rule's, row by row, and re-summing lowered leaves gives a fresh tree's
+    # bits
+    R = rng.CHUNK_ELEMS // (rng.BLOCK * nb)
+    gen = np.random.default_rng(nb)
+    L = rng.BLOCK * nb - int(gen.integers(0, rng.BLOCK))
+    rows = _batch(gen, R, L)
+    for step in range(2):
+        levels, prefix = rng.block_tree(rows)
+        assert prefix.shape == (nb, R)
+        totals = [ref.block_rule(row, 0.0)[1] for row in rows]
+        # u = 0, 1 - 2**-53, uniforms, and targets on the sum of a leading run
+        cut = gen.integers(0, L + 1, R)
+        on_sum = [min(float(row[:c].sum()) / t, 1.0 - 2**-53) for row, c, t in zip(rows, cut, totals)]
+        u = np.where(gen.random(R) < 0.5, gen.random(R), on_sum)
+        u[:3] = 0.0, 1.0 - 2**-53, 0.5
+        assert prefix[-1].tolist() == totals
+        assert rng.block_pick(levels, prefix, u).tolist() == [
+            ref.block_rule(row, x)[0] for row, x in zip(rows, u)]
+        # one row with every uniform: its prefix is one 1-D accumulate
+        one = rng.block_tree(rows[:1])
+        assert one[1].shape == (nb, 1) and one[1].item(-1) == totals[0]
+        assert rng.block_pick(*one, u).tolist() == [ref.block_rule(rows[0], x)[0] for x in u]
+        # lower random leaves, some to zero; a whole pass re-sums them
+        lower = gen.random((R, L)) < 0.3
+        rows = np.where(lower, rows * gen.choice([0.0, 0.5, 2.0**-40], (R, L)), rows)
+        rows[np.arange(R), gen.integers(0, L, R)] += 2.0**-1074
+        levels[0].reshape(R, -1)[:, :L] = rows
+        rng.block_sums(levels, prefix)
+        want_levels, want_prefix = rng.block_tree(rows)
+        assert all(np.array_equal(a, b) for a, b in zip(levels, want_levels))
+        assert np.array_equal(prefix, want_prefix)
+
