@@ -7,15 +7,16 @@ stay exact.  All distance and cost arithmetic runs on them;
 ``WeightedLocation`` and ExtScalar appear at the API edge only.
 
 Seeding, :func:`cost` and the enumeration oracles read weighted rows
-``weight_i * dist(j, i)**ell``, each row source in one form.  Packed rows
-(:meth:`Instance.weighted_row_source`) come from an instance's bar-gap
-kernel, or from the distance formula, ``Instance._weighted_rows``, for an
-instance without one.  Plain doubles (:meth:`Instance.plain_row_source`)
-come from one row cache per instance, built on first use: the kernel above
-``_MATRIX_MAX_ENTRIES`` entries, else the full (2k, 2k) matrix as plain
-doubles only, gathered from the kernel's plain rows in one call, or
+``weight_i * dist(j, i)**ell`` as plain doubles
+(:meth:`Instance.plain_row_source`) from one row cache per instance, built
+on first use: the instance's bar-gap kernel above ``_MATRIX_MAX_ENTRIES``
+entries, else the full (2k, 2k) matrix of plain doubles, gathered from the
+kernel's plain rows in one call, after which the kernel is dropped, or
 converted from the explicit rows, block by block, for an instance without
-a kernel.  At kmeans k=1000 the row cache holds 30.9 MiB.
+a kernel.  At kmeans k=1000 the row cache holds 30.9 MiB.  Packed rows
+come only from the distance formula, ``Instance._weighted_rows``: the
+kernel build reads them, and so does :func:`cost` for the few columns
+beyond the double range at the cache's scale.
 
 Every packed operation depends only on mantissas and exponent
 differences, so where every bar from bar H on has the previous bar's
@@ -49,11 +50,11 @@ The plain rows are every value scaled by one 2**-F with
 F = min(largest exponent, smallest nonzero exponent + ``PLAIN_SEEDING_SPREAD``)
 over every value the cache serves, so every nonzero value is at least
 2**-PLAIN_SEEDING_SPREAD and values beyond the double range are +inf.  The
-kernel holds its near block only as such doubles; the build checks that
-they give back the packed values exactly.  The enumeration oracles take
-the plain rows only where they have no value of 2 or more (a spread of at
-most ``PLAIN_SEEDING_SPREAD`` binary orders, F the largest exponent); they
-raise CapacityError elsewhere.
+kernel holds its tail rows and near block only as such doubles; the build
+checks that the near block's give back the packed values exactly.  The
+enumeration oracles take the plain rows only where they have no value of 2
+or more (a spread of at most ``PLAIN_SEEDING_SPREAD`` binary orders, F the
+largest exponent); they raise CapacityError elsewhere.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -152,12 +153,6 @@ def _ext_sqrt(m, e):
 def _scaled_exp(m, e, s):
     """Exponents of packed values times 2**s; exact zeros keep the sentinel."""
     return np.where(m == 0.0, e, e + s)
-
-
-def _ext_min_into(m1, e1, m2, e2):
-    take = (e2 < e1) | ((e2 == e1) & (m2 < m1))
-    np.copyto(m1, m2, where=take)
-    np.copyto(e1, e2, where=take)
 
 
 def _scaled_totals(m, e):
@@ -264,11 +259,11 @@ class Instance:
     columns every hot path reads: ``_x``, ``_y`` (a bottom end's mantissa
     carries the sign bit, -0.0 at zero height), ``_w_m``/``_w_e`` and
     ``_cluster``; the generators write them directly.  Builds on first use
-    its bar-gap kernel, if it has one, which serves the packed rows at any
-    size, and the plain row cache: the kernel above ``_MATRIX_MAX_ENTRIES``
-    entries, and up to it or without a kernel the full matrix of plain
-    doubles (module docstring).  All of it is plain arrays, so an instance
-    pickles as them.
+    its plain row cache: its bar-gap kernel, if it has one, above
+    ``_MATRIX_MAX_ENTRIES`` entries, and up to it or without a kernel the
+    full matrix of plain doubles (module docstring).  Packed rows come from
+    the distance formula, :meth:`_weighted_rows`.  All of it is plain
+    arrays, so an instance pickles as them.
     """
 
     def __init__(self, locations: Iterable[WeightedLocation], k: int, m: float,
@@ -295,9 +290,8 @@ class Instance:
         initializer of hand-built and generated instances."""
         self.k, self.m, self.r, self.variant = k, float(m), float(r), variant
         self._cluster, self._x, self._y, (self._w_m, self._w_e) = cluster, x, y, w
-        # the plain row cache (_Matrix or _BarGapKernel) and the kernel or
-        # None, both built on first use
-        self._rows = self._kern = None
+        # the plain row cache (_Matrix or _BarGapKernel), built on first use
+        self._rows = None
         return self
 
     @property
@@ -337,34 +331,23 @@ class Instance:
         return _ext_mul(*self.distpow_rows(idxs, cols), self._w_m[cols], self._w_e[cols])
 
     def _row_cache(self):
-        """The plain row cache (class docstring), built with the kernel on
-        first use."""
+        """The plain row cache (class docstring), built on first use; a
+        kernel the matrix is gathered from is not kept."""
         if self._rows is None:
-            kern = self._kern = _bar_gap_kernel(self)
+            kern = _bar_gap_kernel(self)
             small = self.n_locations ** 2 <= _MATRIX_MAX_ENTRIES
             self._rows = _matrix(self, kern) if small or not kern else kern
         return self._rows
 
-    def weighted_row_source(self):
-        """``rows(idxs)`` -> (mantissa, exponent) of weight_i * dist(idxs[t], i)**ell.
-
-        ``idxs`` is a flat index array.  The rows come from the instance's
-        bar-gap kernel, or from :meth:`_weighted_rows` for an instance
-        without one; the row cache is built here, so callers allocate their
-        own work arrays after it.  Every row holds the bits of
-        :meth:`_weighted_rows`, weight_i times :meth:`distpow_rows`.
-        """
-        self._row_cache()
-        return self._kern.packed_rows() if self._kern else self._weighted_rows
-
     def plain_row_source(self):
-        """``(rows, F)``: the rows of :meth:`weighted_row_source` as doubles
-        scaled by 2**-F, from the row cache: the kernel's plain rows or the
-        full matrix, which holds plain doubles only.
+        """``(rows, F)``: ``rows(idxs)`` -> the rows of :meth:`_weighted_rows`
+        for a flat index array as doubles scaled by 2**-F, from the row
+        cache: the kernel's plain rows or the full matrix.  The cache is
+        built here, so callers allocate their own work arrays after it.
 
         F is :func:`_plain_scale` of every nonzero exponent the rows hold, so
-        every nonzero value is at least 2**-PLAIN_SEEDING_SPREAD; values
-        beyond the double range are +inf.
+        every nonzero value is at least 2**-PLAIN_SEEDING_SPREAD and exact;
+        values beyond the double range are +inf.
         """
         cache = self._row_cache()
         return cache.plain_rows(), cache.scale
@@ -415,15 +398,14 @@ def _matrix(inst: Instance, kern) -> _Matrix:
 class _BarGapKernel(NamedTuple):
     """Weighted rows of an instance whose bars from ``tail`` on repeat by scale.
 
-    ``tail_m/e[s]`` is the row of end s (0 top, 1 bottom) over bar gaps
-    -(n-1) .. n-1, n = k - tail bars, after h = 2 * tail zeros: gap g, end
-    s' at column h + 2 * (n-1+g) + s'; ``tail_plain`` is it as doubles
-    scaled by 2**-scale.  ``near``, as such doubles, holds the rows of the
-    centers in bars < tail over the columns of bars < shift, from whose
-    last column pair on each of those rows is constant.  ``index[j]``
-    places location j: its end, the start of its row in the tail rows (0
-    for a center left of the tail) and its column in ``near``, the same end
-    in bar min(its bar, shift-1).  A center right of the tail takes that
+    ``tail_plain[s]`` is the row of end s (0 top, 1 bottom) over bar gaps
+    -(n-1) .. n-1, n = k - tail bars, after h = 2 * tail zeros, as doubles
+    scaled by 2**-scale: gap g, end s' at column h + 2 * (n-1+g) + s'.
+    ``near``, as such doubles, holds the rows of the centers in bars < tail
+    over the columns of bars < shift, from whose last column pair on each of
+    those rows is constant.  ``index[j]`` places location j: its end, the
+    start of its row in the tail rows (0 for a center left of the tail) and
+    its column in ``near``, the same end in bar min(its bar, shift-1).  A center right of the tail takes that
     column, transposed and times 2**(w_e[i] - w_e[j]), as its columns i of
     bars < tail; ``w_e`` holds the weight exponents as int32, the type of
     ldexp's exponent, so that shift is one subtraction.  ``dominant`` is
@@ -434,53 +416,26 @@ class _BarGapKernel(NamedTuple):
 
     index: np.ndarray
     w_e: np.ndarray
-    tail_m: np.ndarray
-    tail_e: np.ndarray
     tail_plain: np.ndarray
     near: np.ndarray
     scale: int
     dominant: bool = False
 
-    def _gather(self, *tails):
-        """``gather(idxs)`` for a flat index array: each row's values from
-        each of ``tails`` (rows laid out as ``tail_m``), right in the columns
-        of bars >= tail; its head columns as near values with its exponent
-        shift; and which rows lie left of the tail."""
-        h = len(self.near)
-        wins = [sliding_window_view(t, len(self.index), axis=1) for t in tails]
-
-        def gather(idxs):
-            end, off, col = self.index[idxs].T
-            shift = self.w_e[:h] - self.w_e[idxs, None]
-            return *(w[end, off] for w in wins), self.near[:, col].T, shift, idxs < h
-
-        return gather
-
-    def packed_rows(self):
-        """``rows(idxs)`` -> the packed (mantissa, exponent) rows of a flat
-        index array."""
-        h, cols, gather = len(self.near), self.index[:, 2], self._gather(self.tail_m, self.tail_e)
-
-        def rows(idxs):
-            idxs = np.asarray(idxs, dtype=np.int64)
-            m, e, head, shift, near = gather(idxs)
-            m[:, :h], e[:, :h] = _norm(head, self.scale + shift)
-            if near.any():
-                m[near], e[near] = _norm(self.near[idxs[near]][:, cols], self.scale)
-            return m, e
-
-        return rows
-
     def plain_rows(self):
         """``rows(idxs)`` -> the rows of a flat index array as doubles scaled
-        by 2**-scale."""
-        h, cols, gather = len(self.near), self.index[:, 2], self._gather(self.tail_plain)
+        by 2**-scale: right in the columns of bars >= tail, its head columns
+        as near values with its exponent shift, and a center left of the
+        tail its near row."""
+        h, cols = len(self.near), self.index[:, 2]
+        win = sliding_window_view(self.tail_plain, len(self.index), axis=1)
 
         def rows(idxs):
             idxs = np.asarray(idxs, dtype=np.int64)
-            out, head, shift, near = gather(idxs)
+            end, off, col = self.index[idxs].T
+            out, shift = win[end, off], self.w_e[:h] - self.w_e[idxs, None]
             with np.errstate(over="ignore"):
-                np.ldexp(head, shift, out=out[:, :h])
+                np.ldexp(self.near[:, col].T, shift, out=out[:, :h])
+            near = idxs < h
             if near.any():
                 out[near] = self.near[idxs[near]][:, cols]
             return out
@@ -655,8 +610,8 @@ def _bar_gap_kernel(inst: Instance):
     # tail column h + 2 * (k-1-bar), which a window from 2 * (k-1-bar) puts at h
     off = np.where(bar < tail, 0, 2 * (k - 1 - bar))
     index = np.stack([end, off, np.minimum(j, 2 * (shift - 1) + end)], axis=1)
-    kern = _BarGapKernel(index, w_e.astype(np.int32), tail_m, tail_e,
-                         _as_plain(tail_m, tail_e, scale), near, scale)
+    kern = _BarGapKernel(index, w_e.astype(np.int32), _as_plain(tail_m, tail_e, scale),
+                         near, scale)
     return kern._replace(dominant=_dominant(kern))
 
 
@@ -685,32 +640,42 @@ def _validated_centers(inst: Instance, centers: Sequence[int]) -> np.ndarray:
     return idx
 
 
+def _column_min(m, e):
+    """The least packed value in each column of (R, n) rows; overwrites ``m``."""
+    e_min = e.min(axis=0)
+    np.copyto(m, np.inf, where=e != e_min)
+    return m.min(axis=0), e_min
+
+
 def cost(inst: Instance, centers: Sequence[int]) -> ExtScalar:
     """Sum over locations of weight * (min distance to a center)**ell.
 
     A location that is itself a center contributes exactly zero.  The
-    centers stream in chunks on the :func:`rng.trial_chunks` grid; each
-    chunk's minima go into the same two work arrays.  The sum follows the
-    pick rule's order (:func:`rng.block_tree`), so the cost of a seeding
-    run's first j centers is its normalizer before pick j, bit for bit.
+    minima are those of the plain rows seeding lowers its potentials with
+    (:meth:`Instance.plain_row_source`), streamed in chunks of centers on
+    the :func:`rng.trial_chunks` grid and packed back exactly.  Only a
+    column whose minimum is +inf at that scale, every center hundreds of
+    bars to its right and never on a seeding run, takes the packed minimum
+    of the distance formula's values (:meth:`Instance._weighted_rows`).
+    The sum follows the pick rule's order (:func:`rng.block_tree`), so the
+    cost of a seeding run's first j centers is its normalizer before pick
+    j, bit for bit.
     """
     idx = _validated_centers(inst, centers)
     if idx.size == 0:
         raise ValueError("center set must be nonempty")
-    rows, L = inst.weighted_row_source(), inst.n_locations
+    (rows, F), L = inst.plain_row_source(), inst.n_locations
     # the minimum is exact, so streaming the centers in chunks changes no bit
-    m_min, e_min = np.empty(L), np.empty(L, dtype=np.int64)
+    low = np.full(L, np.inf)
     for lo, hi in rng.trial_chunks(0, idx.size, L):
-        m, e = rows(idx[lo:hi])
-        # per column: the least mantissa among the rows of the least exponent
-        e.min(axis=0, out=e_min)
-        np.copyto(m, np.inf, where=e != e_min)
-        m.min(axis=0, out=m_min)
-        if lo == 0:
-            mm, me = m_min.copy(), e_min.copy()
-        else:
-            _ext_min_into(mm, me, m_min, e_min)
-    _, prefix, E = _scaled_totals(mm, me)
+        np.minimum(low, rows(idx[lo:hi]).min(axis=0), out=low)
+    m, e = _norm(low, F)
+    far = np.flatnonzero(low == np.inf)
+    if far.size:
+        parts = [_column_min(*inst._weighted_rows(idx[lo:hi], far))
+                 for lo, hi in rng.trial_chunks(0, idx.size, far.size)]
+        m[far], e[far] = _column_min(*map(np.array, zip(*parts)))
+    _, prefix, E = _scaled_totals(m, e)
     return ExtScalar(float(prefix[-1, 0]), int(E[0]))
 
 

@@ -3,19 +3,21 @@
 Each function is the straightforward loop the package's block version
 reorders: one subset, one colour count, one draw step or one chosen set at
 a time, or, for the head-shift check, every bar where the package stops at
-the first absorbed one.  The bar dominance scan reads every plain row value
-where the package reads the kernel's few distinct ones.  The instance
-generator builds one ``WeightedLocation`` per end where the package writes
-the packed columns, and the packed seeding engine rescales every potential
-row by its largest exponent where the package keeps plain doubles under
-one 2**-F.  The uniform urn's Monte Carlo ranks indices where the package
-partitions values, the biased urn's DP steps every state where the package
-steps the reachable band, and the biased urn's Monte Carlo rebuilds every
-weight row and its tree from the drawn and seen flags where the package
-carries its rows in the trees' leaves from draw to draw.  The pick rule
-is written out for one row and one uniform in Python floats, block by
-block, where the package sums whole chunks with numpy.  The package
-versions must return these results bit for bit.
+the first absorbed one.  The bar dominance scan reads every plain row
+value where the package reads the kernel's few distinct ones.  The
+instance generator builds one ``WeightedLocation`` per end where the
+package writes the packed columns, and the packed seeding engine and the
+packed cost take every row from the distance formula and rescale each
+potential row by its largest exponent, where the package reads the row
+cache's plain doubles under one 2**-F.  The uniform urn's Monte Carlo
+ranks indices where the package partitions values, the biased urn's DP
+steps every state where the package steps the reachable band, and the
+biased urn's Monte Carlo rebuilds every weight row and its tree from the
+drawn and seen flags where the package carries its rows in the trees'
+leaves from draw to draw.  The pick rule is written out for one row and
+one uniform in Python floats, block by block, where the package sums whole
+chunks with numpy.  The package versions must return these results bit for
+bit.
 """
 
 import itertools
@@ -25,7 +27,7 @@ import numpy as np
 
 from seedbounds import rng
 from seedbounds.core import (BOTTOM, ELL, TOP, Instance, WeightedLocation, _enumerable,
-                             _ext_min_into, _norm, _plain, _scaled_exp, _scaled_totals, cost)
+                             _norm, _plain, _scaled_exp, _scaled_totals, cost)
 from seedbounds.errors import DegenerateInstanceError
 from seedbounds.extfloat import ExtScalar
 from seedbounds.instances import reference_costs
@@ -85,6 +87,13 @@ def block_rule(weights, u):
     return BLOCK * b + node, total
 
 
+def _ext_min_into(m1, e1, m2, e2):
+    """(m1, e1) becomes the elementwise extended minimum with (m2, e2)."""
+    take = (e2 < e1) | ((e2 == e1) & (m2 < m1))
+    np.copyto(m1, m2, where=take)
+    np.copyto(e1, e2, where=take)
+
+
 def run_chunk_packed(inst, n_centers, rng_seed, lo, hi):
     """The seeding engine on packed potentials: every step takes the
     elementwise extended minimum and rescales each row by its own largest
@@ -94,7 +103,7 @@ def run_chunk_packed(inst, n_centers, rng_seed, lo, hi):
     U = rng.uniform_matrix(rng_seed, np.arange(lo, hi, dtype=np.uint64), n_centers).T.copy()
     picks = np.empty((n_centers, hi - lo), dtype=np.int64)
     totals, exps = np.empty(n_centers), np.empty(n_centers, dtype=np.int64)
-    rows = inst.weighted_row_source()
+    rows = inst._weighted_rows
     levels, prefix, E = _scaled_totals(inst._w_m, inst._w_e)
     for step in range(n_centers):
         total = prefix[-1]
@@ -109,6 +118,17 @@ def run_chunk_packed(inst, n_centers, rng_seed, lo, hi):
             _ext_min_into(*pot, *rows(pick))
         levels, prefix, E = _scaled_totals(*pot)
     return picks, _norm(prefix[-1], E), (totals, exps)
+
+
+def cost_packed(inst, centers):
+    """``core.cost`` from the distance formula alone: the extended minimum
+    of the centers' packed rows, one row at a time, summed by the pick rule."""
+    idx = np.asarray(centers, dtype=np.int64)
+    m, e = inst._weighted_rows(idx[0])
+    for j in idx[1:]:
+        _ext_min_into(m, e, *inst._weighted_rows(j))
+    _, prefix, E = _scaled_totals(m, e)
+    return ExtScalar(float(prefix[-1, 0]), int(E[0]))
 
 
 def brute_force_opt(inst):

@@ -4,13 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from seedbounds import core
+from seedbounds import core, rng
 from seedbounds.core import (BOTTOM, TOP, Instance, WeightedLocation, cost,
                              coverage, dist_pow, write_instance_csv)
 from seedbounds.extfloat import EXT_ZERO, ExtScalar
 from seedbounds.instances import gen_kmeans_bad, gen_kmedian_bad, reference_costs
 from seedbounds.seeding import seed
 
+import reference_oracles as ref
 from conftest import assert_rel_close
 
 
@@ -265,16 +266,13 @@ def test_instance_csv_round_trip(tmp_path):
 
 def _assert_rows_match(inst):
     """Every served row, near rows included, equals the explicitly computed
-    row bit for bit, packed and as the plain source's doubles, whose F is
-    that of every nonzero exponent of the explicit rows."""
-    rows = inst.weighted_row_source()
+    row bit for bit as the plain source's doubles, whose F is that of every
+    nonzero exponent of the explicit rows."""
     plain, F = inst.plain_row_source()
     ends = []
     for lo in range(0, inst.n_locations, 64):
         chunk = np.arange(lo, min(lo + 64, inst.n_locations))
-        (km, ke), (wm, we) = rows(chunk), inst._weighted_rows(chunk)
-        assert np.array_equal(km.view(np.int64), wm.view(np.int64)), chunk
-        assert np.array_equal(ke, we), chunk
+        wm, we = inst._weighted_rows(chunk)
         assert np.array_equal(plain(chunk), core._as_plain(wm, we, F)), chunk
         # _plain_scale reads only the extremes, so each chunk's stand for it
         nz = we[wm != 0.0]
@@ -289,7 +287,7 @@ def test_kernel_rows_match_every_explicit_row():
         _assert_rows_match(inst)
         kern = inst._rows
         # 108 zeros, then both ends of every bar gap -(n-1) .. n-1, n = k - 54
-        assert kern.tail_m.shape == (2, 2 * 54 + 2 * (2 * (k - 54) - 1))
+        assert kern.tail_plain.shape == (2, 2 * 54 + 2 * (2 * (k - 54) - 1))
         # x = (2**i - 2) * r is a scaled power of two from bar 55 on; the head
         # columns repeat by scale once bar 55's x is negligible beside the
         # center's, from bar 109 on: the near block holds bars 1..54 over 1..108
@@ -368,7 +366,7 @@ def test_matrix_build_peaks_below_twice_the_cache():
         finally:
             tracemalloc.stop()
         assert isinstance(cache, core._Matrix)
-        assert (inst._kern is None) is (inst is odd)
+        assert (core._bar_gap_kernel(inst) is None) is (inst is odd)
         arrays = [a for a in cache if isinstance(a, np.ndarray)]
         assert len(arrays) == 1 and arrays[0] is cache.plain
         assert cache.plain.shape == (1200, 1200) and cache.plain.dtype == np.float64
@@ -416,3 +414,29 @@ def test_cost_above_the_cap_equals_seeding_cost():
     for t in range(2):
         tr = seed(inst, rng_seed=7, trial_index=t)
         assert cost(inst, tr.centers) == tr.final_cost
+
+
+@pytest.mark.filterwarnings("error")
+def test_cost_beyond_the_plain_range_equals_the_formula_reference(monkeypatch):
+    # centers far to the right of a column leave its minimum +inf at the row
+    # cache's scale: there cost takes the distance formula's packed minimum,
+    # whole or over many small chunks of centers, the least one not first
+    cases = [(gen_kmeans_bad, 1100, lambda L: [L - 1], 208),
+             (gen_kmeans_bad, 2000, lambda L: range(L - 1, L - 11, -1), 2000),
+             (gen_kmedian_bad, 2000, lambda L: [L - 1], 16),
+             (gen_kmeans_bad, 2000, lambda L: range(L // 2, L), 10),
+             (gen_kmeans_bad, 2000, lambda L: [0, L // 2, L - 1], 0)]
+    instances = {}
+    for gen, k, pick, n_far in cases:
+        inst = instances.setdefault((gen, k), gen(k, 4.0, 1.0))
+        centers = np.array(list(pick(inst.n_locations)))
+        rows, _ = inst.plain_row_source()
+        low = np.full(inst.n_locations, np.inf)
+        for c in np.array_split(centers, -(-centers.size // 64)):
+            np.minimum(low, rows(c).min(axis=0), out=low)
+        assert np.isinf(low).sum() == n_far, (inst.variant, k)
+        want = ref.cost_packed(inst, centers)
+        for chunk_elems in (rng.CHUNK_ELEMS, 1 << 10):
+            with monkeypatch.context() as mp:
+                mp.setattr(rng, "CHUNK_ELEMS", chunk_elems)
+                assert cost(inst, centers) == want, (inst.variant, k, n_far, chunk_elems)

@@ -257,7 +257,7 @@ def _two_bar_instance(x):
 
 
 def _spread(inst):
-    m, e = inst.weighted_row_source()(np.arange(inst.n_locations))
+    m, e = inst._weighted_rows(np.arange(inst.n_locations))
     nz = e[m != 0.0]
     return int(nz.max() - nz.min())
 
@@ -274,7 +274,7 @@ def _bar_one_below_the_floor(monkeypatch):
             x, h, w = ExtScalar(0.0), ExtScalar(1.0, -600), ExtScalar(1.0, -6)
         locs += [WeightedLocation(i, TOP, x, h, w), WeightedLocation(i, BOTTOM, x, h, w)]
     inst = Instance(locs, 6, 1.0, 1.0, "kmeans")
-    inst.weighted_row_source()
+    inst.plain_row_source()
     assert len(inst._rows.near) == 2  # the kernel's tail starts at bar 2
     return inst
 
@@ -321,7 +321,7 @@ def test_plain_path_matches_packed_engine(debug_checks):
 def test_rows_spanning_past_the_plain_spread_raise_capacity_error(monkeypatch):
     inst = _bar_one_below_the_floor(monkeypatch)
     idxs = np.arange(inst.n_locations)
-    (m, e), (plain, F) = inst.weighted_row_source()(idxs), inst.plain_row_source()
+    (m, e), (plain, F) = inst._weighted_rows(idxs), inst.plain_row_source()
     values = plain(idxs)
     assert m.shape == values.shape == (12, 12)
     # F spans the near rows too: nothing the cache serves is below 2**-969
