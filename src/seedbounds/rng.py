@@ -20,8 +20,8 @@ one serial add chain per row.  The block prefix of R rows is stored
 blocks-major, (n_blocks, R), with every row's total in ``prefix[-1]``:
 its sums, the pick's target and its block search run along contiguous
 vectors of R trials.  Rows of fewer than ``_COLUMN_BLOCKS`` blocks add
-the prefix one column of block sums at a time, longer rows accumulate it
-down the blocks axis, with the same bits.
+the prefix one column of block sums at a time; longer rows, and a tree of
+one row, accumulate it down the blocks axis, with the same bits.
 """
 
 from __future__ import annotations
@@ -140,23 +140,22 @@ def block_tree(rows: np.ndarray):
 
 
 # Rows of fewer blocks than this get the block prefix one column of R
-# block sums at a time; longer rows, one accumulate down the blocks axis.
-# Both add the same terms in the same order.  Prefix alone, chunks of
-# CHUNK_ELEMS // (16 * blocks) rows, best of 9 (2-core Xeon VM, numpy 2.4):
+# block sums at a time; longer rows, and a tree of one row, one accumulate
+# down the blocks axis.  Both add the same terms in the same order.
+# Prefix alone, chunks of CHUNK_ELEMS // (16 * blocks) rows, best of 9
+# (2-core Xeon VM, numpy 2.4):
 # 2 blocks 3.7 against 29 us, 12 blocks 10.9 against 15.0, 16 blocks 14.1
 # against 14.5, 17 blocks 14.5 against 14.3, 25 blocks 19.5 against 13.5.
 _COLUMN_BLOCKS = 17
 
 
 def block_sums(levels, prefix, lo: int = 0, hi: int | None = None):
-    """Refill ``levels`` over the blocks holding leaves ``lo .. hi-1``, and
-    ``prefix`` from the first of them on.
+    """Refill ``levels`` over the blocks holding leaves ``lo .. hi-1``, then
+    the whole ``prefix``.
 
     Each tree level is one elementwise add over strided views, and the
-    prefix one pass in the form ``_COLUMN_BLOCKS`` chooses.  From a block
-    b > 0 on (one row only) the prefix is re-added seeded with the
-    unchanged prefix before b.  Every entry adds the same terms in the
-    same order as a whole-row pass.
+    prefix one pass in the form ``_COLUMN_BLOCKS`` chooses.  Every entry
+    adds the same terms in the same order as a whole-row pass.
     """
     lo -= lo % BLOCK
     hi = len(levels[0]) if hi is None else _padded(hi)
@@ -166,22 +165,13 @@ def block_sums(levels, prefix, lo: int = 0, hi: int | None = None):
         np.add(src[::2], src[1::2], out=dst)
         src = dst
     nb, R = prefix.shape
-    b = lo // BLOCK
-    if R == 1:
-        s, c = levels[-1], prefix[:, 0]
-        if b:
-            keep, s[b - 1] = s[b - 1], c[b - 1]
-            np.add.accumulate(s[b - 1:], out=c[b - 1:])
-            s[b - 1] = keep
-        else:
-            np.add.accumulate(s, out=c)
-    elif nb < _COLUMN_BLOCKS:
-        s = levels[-1].reshape(R, nb)
+    s = levels[-1].reshape(R, nb)
+    if 1 < R and nb < _COLUMN_BLOCKS:
         np.copyto(prefix[0], s[:, 0])
         for j in range(1, nb):
             np.add(prefix[j - 1], s[:, j], out=prefix[j])
     else:
-        np.add.accumulate(levels[-1].reshape(R, nb).T, axis=0, out=prefix)
+        np.add.accumulate(s.T, axis=0, out=prefix)
 
 
 def block_pick(levels, prefix, u):

@@ -44,10 +44,10 @@ A pick in bar b then lowers potentials only on the bars strictly between
 b's chosen neighbours.  The loop takes the chunk's trials in pairs, each
 in one lane of interleaved complex128 trees: each trial keeps its chosen
 bars in a sorted list and takes the minimum over those bars only, and the
-pair re-sums the trees of the blocks either trial changed and the block
-prefixes from the first of them on, each lane with the bits of a
-whole-row pass.  The full matrix, and a kernel that fails the check,
-take the batch loop.
+pair re-sums the trees of the blocks either trial changed and then both
+lanes' whole block prefixes, each lane with the bits of a whole-row
+pass.  The full matrix, and a kernel that fails the check, take the
+batch loop.
 
 There is one engine, on plain doubles.  Its rows come from
 :meth:`Instance.plain_row_source`: weighted rows as plain doubles scaled by
@@ -100,11 +100,7 @@ __all__ = [
     "run_trials",
     "exact_distribution",
     "early_miss_event",
-    "DEBUG_CHECKS",
 ]
-
-# Extra per-iteration distribution assertions (slow); enable in tests.
-DEBUG_CHECKS = False
 
 # Reachable center sets the exact oracle enumerates at most: 616,666 at
 # k = 10, 2,449,868 at k = 11.
@@ -158,15 +154,11 @@ def _check_trials(first, count):
                           f" got {first}..{first + count - 1}")
 
 
-def _total(s, total):
-    """The totals of the potential rows ``s``; DegenerateInstanceError unless
-    all are positive."""
+def _total(total):
+    """The potential totals ``total``; DegenerateInstanceError unless all are
+    positive."""
     if not (total > 0.0).all():
         raise DegenerateInstanceError("total potential reached zero before all centers were chosen")
-    if DEBUG_CHECKS:
-        p = s / np.expand_dims(total, -1)
-        assert np.all((p >= 0.0) & (p <= 1.0))
-        assert np.all(np.abs(s.sum(axis=-1) / total - 1.0) <= 1e-12)
     return total
 
 
@@ -185,7 +177,7 @@ def _run_chunk(inst, n_centers, rng_seed, lo, hi):
     # pick 0 samples the packed location weights: one tree, shared by the
     # trials; later picks sample weight * (min distance to chosen centers) ** ell
     levels, prefix, E = _scaled_totals(inst._w_m, inst._w_e)
-    totals[0], exps[0] = _total(levels[0], prefix[-1])[0], E[0]
+    totals[0], exps[0] = _total(prefix[-1])[0], E[0]
     picks[0] = rng.block_pick(levels, prefix, U[0])
     # the potentials, as every row, are plain doubles scaled by 2**-F
     rows, F = inst.plain_row_source()
@@ -211,7 +203,7 @@ def _row_steps(rows, s, picks, U, totals):
     # the potentials live in the trees' zero-padded leaves
     s = levels[0].reshape(T, -1)[:, :L]
     for step in range(1, len(U)):
-        totals[step] = _total(s, prefix[-1])[0]
+        totals[step] = _total(prefix[-1])[0]
         pick = picks[step] = rng.block_pick(levels, prefix, U[step])
         np.minimum(s, rows(pick), out=s)
         rng.block_sums(levels, prefix)
@@ -233,10 +225,10 @@ def _bar_steps(lower, s, picks, U, totals):
     bars in a sorted list that gives those neighbours, and ``lower`` takes
     the minimum over their locations only.  Then :func:`rng.block_sums`
     re-sums both lanes' trees over the blocks either trial changed, and
-    their block prefixes from the first of them on.  An odd chunk's last
-    trial runs beside a lane of zeros, which it never reads.  A chunk
-    raises DegenerateInstanceError at the first step where either trial's
-    total is zero.
+    then their whole block prefixes.  An odd chunk's last trial runs
+    beside a lane of zeros, which it never reads.  A chunk raises
+    DegenerateInstanceError at the first step where either trial's total
+    is zero.
     """
     T, L = s.shape
     levels, prefix = rng.block_tree(np.zeros((1, L), dtype=np.complex128))
@@ -256,8 +248,8 @@ def _bar_steps(lower, s, picks, U, totals):
             start, stop = L, 0
             for t, lv, c, chosen, u, out in lanes:
                 total = c.item(-1)
-                if not total > 0.0 or DEBUG_CHECKS:
-                    _total(lv[0], c[-1:])
+                if not total > 0.0:
+                    _total(c[-1:])
                 if t == 0:
                     totals[step] = total
                 j = rng.lane_pick(lv, c, u[step - 1])

@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from seedbounds.extfloat import ExtScalar
 
 
@@ -27,11 +25,3 @@ def assert_ext_rel_close(actual: ExtScalar, expected: Fraction, rel: Fraction,
         return
     err = abs(got - expected) / abs(expected)
     assert err <= rel, f"{msg} relative error {float(err):.3e} > {float(rel):.3e}"
-
-
-@pytest.fixture
-def debug_checks(monkeypatch):
-    """Turn on the per-iteration sampling-distribution assertions."""
-    from seedbounds import seeding
-    monkeypatch.setattr(seeding, "DEBUG_CHECKS", True)
-    return True

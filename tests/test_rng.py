@@ -202,18 +202,33 @@ def test_a_strided_lane_picks_as_its_contiguous_copy():
 
 
 def test_block_sums_from_a_changed_range_equal_a_whole_pass():
-    # lower a range of one lane of a complex128 tree, re-sum only its blocks
-    # and the prefix from its first block on: the same bits as a fresh tree
+    # lower a range of one lane of a one-row complex128 tree, or of a
+    # one-row float64 tree, re-sum only its blocks and then the whole
+    # prefix: the same bits as a fresh tree.  Rows of 300 and 4,000
+    # locations have at least _COLUMN_BLOCKS blocks, shorter ones fewer
     gen = np.random.default_rng(3)
-    for L, lo, hi in ((100, 0, 5), (100, 17, 40), (100, 33, 100), (37, 36, 37), (64, 16, 32)):
-        pair = (gen.random(L) + 1j * gen.random(L))[None, :]
-        levels, prefix = rng.block_tree(pair)
+    assert 300 // rng.BLOCK >= rng._COLUMN_BLOCKS
+    for dtype, L, lo, hi in ((complex, 100, 0, 5), (complex, 100, 17, 40), (complex, 100, 33, 100),
+                             (complex, 37, 36, 37), (complex, 64, 16, 32), (complex, 300, 0, 7),
+                             (complex, 300, 150, 213), (complex, 4000, 0, 40),
+                             (complex, 4000, 1999, 2600), (complex, 4000, 3990, 4000),
+                             (float, 300, 140, 170)):
+        row = gen.random(L) if dtype is float else gen.random(L) + 1j * gen.random(L)
+        row = row[None, :]
+        levels, prefix = rng.block_tree(row)
         levels[0].real[lo:hi] *= 0.5
-        pair.real[0, lo:hi] *= 0.5
+        row.real[0, lo:hi] *= 0.5
         rng.block_sums(levels, prefix, lo, hi)
-        want_levels, want_prefix = rng.block_tree(pair)
-        assert all(np.array_equal(a, b) for a, b in zip(levels, want_levels)), (L, lo, hi)
-        assert np.array_equal(prefix, want_prefix), (L, lo, hi)
+        want_levels, want_prefix = rng.block_tree(row)
+        label = (dtype, L, lo, hi)
+        assert prefix.dtype == dtype and prefix.shape == (rng._padded(L) // rng.BLOCK, 1), label
+        assert all(np.array_equal(a, b) for a, b in zip(levels, want_levels)), label
+        assert np.array_equal(prefix, want_prefix), label
+        # the block sums added in order, one Python add each
+        sums = levels[-1].tolist()
+        for j in range(1, len(sums)):
+            sums[j] += sums[j - 1]
+        assert prefix[:, 0].tolist() == sums, label
 
 
 def _batch(gen, R, L):
@@ -250,7 +265,7 @@ def test_batch_trees_follow_the_literal_rule_on_both_sides_of_the_crossover(nb):
         assert prefix[-1].tolist() == totals
         assert rng.block_pick(levels, prefix, u).tolist() == [
             ref.block_rule(row, x)[0] for row, x in zip(rows, u)]
-        # one row with every uniform: its prefix is one 1-D accumulate
+        # one row with every uniform: its prefix is one accumulate
         one = rng.block_tree(rows[:1])
         assert one[1].shape == (nb, 1) and one[1].item(-1) == totals[0]
         assert rng.block_pick(*one, u).tolist() == [ref.block_rule(rows[0], x)[0] for x in u]

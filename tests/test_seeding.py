@@ -81,7 +81,7 @@ def test_plain_rows_beyond_the_double_range_warn_nothing():
     assert np.isinf(inst._rows.tail_plain).any()
 
 
-def test_seed_trace_structure(inst2, debug_checks):
+def test_seed_trace_structure(inst2):
     tr = seed(inst2, rng_seed=7, trial_index=0)
     assert len(tr.centers) == 2 and len(set(tr.centers)) == 2
     assert tr.coverage_counts[0] == 1
@@ -99,12 +99,17 @@ def test_seed_exhaustion_covers_everything(inst2):
 
 def test_potential_matches_cost_recomputation():
     # seeding and cost sum by the one pick rule: the same bits; rows of 12
-    # and 88 locations end in a partial block
+    # and 88 locations end in a partial block.  At k=1025 and 2000 the
+    # interval loop picks, and every normalizer is a whole-row sum of its
+    # lane: sampled prefixes, the first and last ones among them
+    sample = np.random.default_rng(2)
     for gen in (gen_kmeans_bad, gen_kmedian_bad):
-        for k in (6, 44):
+        for k in (6, 44, 1025, 2000):
             inst = gen(k, 4.0, 1.0)
             tr = seed(inst, rng_seed=5, trial_index=9)
-            for j in range(1, tr.n_centers):
+            js = range(1, k) if k < 1025 else sorted(
+                {1, 2, k // 2, k - 1, *sample.integers(3, k - 1, 8).tolist()})
+            for j in js:
                 assert tr.potentials[j] == cost(inst, tr.centers[:j]), (inst.variant, k, j)
             assert tr.final_cost == cost(inst, tr.centers)
 
@@ -145,7 +150,7 @@ def test_seed_parameter_validation(inst2):
     assert last.coverage[-1] == tr.coverage_counts[-1]
 
 
-def test_degenerate_instance_raises(debug_checks):
+def test_degenerate_instance_raises():
     w = ExtScalar(1.0)
     zero = ExtScalar(0.0)
     locs = [WeightedLocation(1, TOP, zero, zero, w),
@@ -166,7 +171,7 @@ def test_degenerate_instance_raises(debug_checks):
 # batched trials vs single-trial runs
 # ---------------------------------------------------------------------------
 
-def test_batch_equals_single_trials(debug_checks):
+def test_batch_equals_single_trials():
     for gen in (gen_kmeans_bad, gen_kmedian_bad):
         inst = gen(5, 4.0, 1.0)
         arr = run_trials(inst, 40, rng_seed=17, alpha=0.5, beta=0.5)
@@ -291,7 +296,7 @@ def _assert_matches_packed(inst, n_centers, trials, label):
             == [*map(ExtScalar, *(a.tolist() for a in want[2]))]), label
 
 
-def test_plain_path_matches_packed_engine(debug_checks):
+def test_plain_path_matches_packed_engine():
     from seedbounds.core import PLAIN_SEEDING_SPREAD
     assert PLAIN_SEEDING_SPREAD == 1022 - 53
     # the old whole-matrix guard sent kmeans k > 484 and kmedian k > 969 to the
@@ -396,16 +401,18 @@ def test_seeding_computes_no_row_once_the_cache_is_built(monkeypatch):
 _M_R = ((4.0, 1.0), (3.0, 0.7), (1e6, 2.0 ** -60), (1.0, 2.0 ** 40))
 
 
-def _interval_and_batch(inst, lo, hi):
-    """``_run_chunk`` on the interval loop, and on the batch loop forced by
-    the same kernel with its dominance flag cleared."""
+def _interval_and_batch(inst, lo, hi, n_centers=None):
+    """``_run_chunk`` of ``n_centers`` picks (default k) on the interval
+    loop, and on the batch loop forced by the same kernel with its
+    dominance flag cleared."""
+    n = inst.k if n_centers is None else n_centers
     kern = inst._row_cache()
     assert isinstance(kern, core._BarGapKernel) and kern.dominant
-    got = seeding._run_chunk(inst, inst.k, 11, lo, hi)
+    got = seeding._run_chunk(inst, n, 11, lo, hi)
     inst._rows = kern._replace(dominant=False)
     try:
         assert inst.interval_lowering() is None
-        want = seeding._run_chunk(inst, inst.k, 11, lo, hi)
+        want = seeding._run_chunk(inst, n, 11, lo, hi)
     finally:
         inst._rows = kern
     return got, want
@@ -448,6 +455,23 @@ def test_interval_loop_matches_the_batch_loop_and_packed_engine(gen, k):
         _assert_packed_trial(inst, got, 5, label)
 
 
+@pytest.mark.parametrize("gen", [gen_kmeans_bad, gen_kmedian_bad])
+def test_interval_loop_places_more_centers_than_k(gen):
+    # k + 1, 3k/2 and 2k picks: past k a pick lands in a bar already
+    # chosen, and at 2k every location is a center
+    k = 1025
+    inst = gen(k, 4.0, 1.0)
+    for n in (k + 1, 3 * k // 2, 2 * k):
+        for lo, hi in ((0, 1), (5, 7)):
+            label = f"{inst.variant} k={k} n={n} trials {lo}..{hi - 1}"
+            got, want = _interval_and_batch(inst, lo, hi, n)
+            assert got[0].shape == (n, hi - lo), label
+            _assert_same_chunk(got, want, label)
+            if n == 2 * k:
+                assert (np.sort(got[0], axis=0) == np.arange(n)[:, None]).all(), label
+                assert not got[1][0].any(), label
+
+
 def test_interval_loop_under_a_zero_cap(monkeypatch):
     # below the matrix cap a zero cap caches the kernel: k=56 and 60 have no
     # center whose head columns repeat by scale, k=300 does
@@ -466,7 +490,7 @@ def test_interval_loop_under_a_zero_cap(monkeypatch):
 
 @pytest.mark.parametrize("gen", [gen_kmeans_bad, gen_kmedian_bad])
 @pytest.mark.parametrize("k", [56, 300, 1025, 2000])
-def test_pairing_trials_in_the_interval_loop_is_invisible(gen, k, monkeypatch, debug_checks):
+def test_pairing_trials_in_the_interval_loop_is_invisible(gen, k, monkeypatch):
     # the interval loop runs a chunk's trials two at a time: trial 6 alone
     # (beside an idle lane), paired with its left neighbour (lane 1), with
     # its right one (lane 0) and as the lone last trial of the odd chunk
